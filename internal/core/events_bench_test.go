@@ -21,7 +21,7 @@ import (
 func BenchmarkIngestJournaled(b *testing.B) {
 	for _, mode := range []string{"off", "on", "dir"} {
 		b.Run("journal="+mode, func(b *testing.B) {
-			snap := ingestBase(b, 500)
+			snap := ingestBase(b, 500, 4)
 			sys, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w)
 			if err != nil {
 				b.Fatal(err)

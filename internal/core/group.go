@@ -55,7 +55,7 @@ func (s *System) ProcessPhotoBatchGroup(batches []UploadBatch, rng *rand.Rand) (
 		}
 	}
 	tr := s.beginBatch("photo_group")
-	defer func() { s.endBatch(tr, "photo_group", retErr) }()
+	defer func() { retErr = s.endBatch(tr, "photo_group", retErr) }()
 	before := s.progressCells()
 
 	var results []sfm.BatchResult

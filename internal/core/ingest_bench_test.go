@@ -21,7 +21,7 @@ var ingestEnv struct {
 	err   error
 	v     *venue.Venue
 	w     *camera.World
-	bases map[int][]byte
+	bases map[baseKey][]byte
 	// sweepPos are free-space capture positions, reused round-robin.
 	sweepPos []geom.Vec2
 }
@@ -47,23 +47,31 @@ func ingestSetup() error {
 			ingestEnv.err = fmt.Errorf("only %d free sweep positions", len(ingestEnv.sweepPos))
 			return
 		}
-		ingestEnv.bases = make(map[int][]byte)
+		ingestEnv.bases = make(map[baseKey][]byte)
 	})
 	return ingestEnv.err
 }
 
+// baseKey names one memoized base model: its view count and map margin.
+type baseKey struct {
+	views  int
+	margin float64
+}
+
 // ingestBase returns a serialized system whose model holds at least `views`
-// registered views, growing and memoizing it on first use.
-func ingestBase(b *testing.B, views int) []byte {
+// registered views on a map extending margin metres beyond the venue,
+// growing and memoizing it on first use.
+func ingestBase(b *testing.B, views int, margin float64) []byte {
 	b.Helper()
 	if err := ingestSetup(); err != nil {
 		b.Fatal(err)
 	}
-	if snap, ok := ingestEnv.bases[views]; ok {
+	key := baseKey{views, margin}
+	if snap, ok := ingestEnv.bases[key]; ok {
 		return snap
 	}
 	v, w := ingestEnv.v, ingestEnv.w
-	sys, err := NewSystem(v, w, Config{Margin: 4})
+	sys, err := NewSystem(v, w, Config{Margin: margin})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +97,7 @@ func ingestBase(b *testing.B, views int) []byte {
 	if err := sys.WriteSnapshot(&buf); err != nil {
 		b.Fatal(err)
 	}
-	ingestEnv.bases[views] = buf.Bytes()
+	ingestEnv.bases[key] = buf.Bytes()
 	return buf.Bytes()
 }
 
@@ -104,7 +112,7 @@ func BenchmarkIngest(b *testing.B) {
 			full bool
 		}{{"incremental", false}, {"full", true}} {
 			b.Run(fmt.Sprintf("%s/views=%d", mode.name, views), func(b *testing.B) {
-				snap := ingestBase(b, views)
+				snap := ingestBase(b, views, 4)
 				sys, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w)
 				if err != nil {
 					b.Fatal(err)
@@ -131,6 +139,20 @@ func BenchmarkIngest(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkLoadSystem measures restoring a campaign model: snapshot decode
+// plus the full SOR and view cast that LoadSystem recomputes, on a
+// ~1500-view library model at the server's default 12 m margin.
+func BenchmarkLoadSystem(b *testing.B) {
+	snap := ingestBase(b, 1500, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

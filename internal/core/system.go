@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -300,10 +301,16 @@ func (s *System) setModelTrace(tr *telemetry.Trace) {
 	s.model.SetTrace(tr)
 }
 
-// endBatch closes a batch trace: detaches the stage sinks, records the
-// outcome on the metrics and publishes the trace. Safe to call with a nil
-// trace (then only the metrics update, which no-op when unconfigured).
-func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) {
+// ErrJournalCommit marks a batch whose events failed to reach disk. The
+// model keeps the batch, but it must not be acknowledged as durable.
+var ErrJournalCommit = errors.New("core: event journal commit failed")
+
+// endBatch closes a batch trace: detaches the stage sinks, commits the
+// batch's events, records the outcome on the metrics and publishes the
+// trace. It returns err, joined with an ErrJournalCommit error when the
+// commit fails. Safe to call with a nil trace (then only the metrics
+// update, which no-op when unconfigured).
+func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) error {
 	if tr != nil {
 		s.curTrace = nil
 		s.setModelTrace(nil)
@@ -323,9 +330,15 @@ func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) {
 			s.ingestM.BatchRejected.With(events.CauseError).Inc()
 		}
 	}
-	if err := s.evlog.Commit(); err != nil && s.logger != nil {
-		s.logger.LogAttrs(context.Background(), slog.LevelError,
-			"event journal commit failed", slog.String("error", err.Error()))
+	if cerr := s.evlog.Commit(); cerr != nil {
+		cerr = fmt.Errorf("%w: %w", ErrJournalCommit, cerr)
+		result = "error"
+		err = errors.Join(err, cerr)
+		tr.SetError(err)
+		if s.logger != nil {
+			s.logger.LogAttrs(context.Background(), slog.LevelError,
+				"event journal commit failed", slog.String("error", cerr.Error()))
+		}
 	}
 	if s.ingestM != nil {
 		s.ingestM.Batches.With(kind, result).Inc()
@@ -356,6 +369,7 @@ func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) {
 			slog.Int("coverage_cells", s.maps.CoverageCells()),
 		)
 	}
+	return err
 }
 
 // recordBatchResult folds one sfm.BatchResult into the trace counts and
@@ -705,7 +719,7 @@ func (s *System) ProcessBootstrap(photos []camera.Photo, rng *rand.Rand) (outcom
 		return BatchOutcome{}, fmt.Errorf("core: bootstrap on a non-empty model")
 	}
 	tr := s.beginBatch("bootstrap")
-	defer func() { s.endBatch(tr, "bootstrap", retErr) }()
+	defer func() { retErr = s.endBatch(tr, "bootstrap", retErr) }()
 	batch, err := s.registerBatch(photos, rng)
 	if err != nil {
 		return BatchOutcome{}, fmt.Errorf("core: bootstrap register: %w", err)
@@ -741,7 +755,7 @@ func (s *System) ProcessPhotoBatch(taskLoc, taskSeed geom.Vec2, photos []camera.
 		return BatchOutcome{}, fmt.Errorf("core: empty photo batch")
 	}
 	tr := s.beginBatch("photo_batch")
-	defer func() { s.endBatch(tr, "photo_batch", retErr) }()
+	defer func() { retErr = s.endBatch(tr, "photo_batch", retErr) }()
 	before := s.progressCells()
 	s.countPartitionBatch(taskLoc)
 	batch, err := s.registerBatch(photos, rng)
@@ -798,7 +812,7 @@ func (s *System) ProcessAnnotation(task annotation.Task, taskSeed geom.Vec2, ann
 		return AnnotationOutcome{}, fmt.Errorf("core: annotation task without photos")
 	}
 	tr := s.beginBatch("annotation")
-	defer func() { s.endBatch(tr, "annotation", retErr) }()
+	defer func() { retErr = s.endBatch(tr, "annotation", retErr) }()
 	before := s.progressCells()
 	sp := tr.Span("annotation.bounds")
 	bounds, err := annotation.MarkedObstacleBounds(anns, len(task.Photos), s.cfg.Bounds, rng)

@@ -27,7 +27,7 @@ func BenchmarkIngestInstrumented(b *testing.B) {
 		{"on", telemetry.New(slog.New(slog.NewTextHandler(io.Discard, nil)), 64)},
 	} {
 		b.Run("telemetry="+mode.name, func(b *testing.B) {
-			snap := ingestBase(b, 500)
+			snap := ingestBase(b, 500, 4)
 			sys, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w)
 			if err != nil {
 				b.Fatal(err)

@@ -59,10 +59,7 @@ func Open(path string, m *telemetry.EventMetrics) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := NewLog(m)
-	l.store = j
-	l.seq = j.LastSeq()
-	return l, nil
+	return OpenStore(j, m), nil
 }
 
 // OpenDir opens (or initialises) the checkpointing directory store at dir
@@ -74,9 +71,7 @@ func OpenDir(dir string, m *telemetry.EventMetrics, opts DirStoreOptions, policy
 	if err != nil {
 		return nil, err
 	}
-	l := NewLog(m)
-	l.store = ds
-	l.seq = ds.LastSeq()
+	l := OpenStore(ds, m)
 	l.policy = policy
 	l.lastCkptT = l.now()
 	if c, ok := ds.Checkpoint(); ok {
@@ -87,6 +82,15 @@ func OpenDir(dir string, m *telemetry.EventMetrics, opts DirStoreOptions, policy
 		l.m.Corrupt.Add(uint64(n))
 	}
 	return l, nil
+}
+
+// OpenStore returns a hub over an already-open store, numbering new events
+// after its newest stored one. metrics may be nil.
+func OpenStore(st Store, m *telemetry.EventMetrics) *Log {
+	l := NewLog(m)
+	l.store = st
+	l.seq = st.LastSeq()
+	return l
 }
 
 // NewLog returns a store-less hub (bus + campaign only) — used by tests

@@ -229,6 +229,16 @@ func (m *Map) Union(o *Map) (*Map, error) {
 // fn to it, using a conservative supercover traversal (all cells the segment
 // touches, not just one per column).
 func (m *Map) RasterizeSegment(s geom.Segment, fn func(c Cell)) {
+	m.WalkSegment(s, func(c Cell) bool {
+		fn(c)
+		return true
+	})
+}
+
+// WalkSegment visits the cells of RasterizeSegment's traversal in order from
+// the segment's start, stopping early at the first cell for which fn
+// returns false (a ray cast stops at the first obstacle).
+func (m *Map) WalkSegment(s geom.Segment, fn func(c Cell) bool) {
 	// Amanatides & Woo style voxel traversal in grid coordinates.
 	start := s.A.Sub(m.origin).Scale(1 / m.res)
 	end := s.B.Sub(m.origin).Scale(1 / m.res)
@@ -260,7 +270,9 @@ func (m *Map) RasterizeSegment(s geom.Segment, fn func(c Cell)) {
 
 	maxSteps := m.w + m.h + int(math.Abs(float64(xEnd-x))+math.Abs(float64(yEnd-y))) + 4
 	for step := 0; step < maxSteps; step++ {
-		fn(Cell{x, y})
+		if !fn(Cell{x, y}) {
+			return
+		}
 		if x == xEnd && y == yEnd {
 			return
 		}

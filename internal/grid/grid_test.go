@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"snaptask/internal/geom"
@@ -203,6 +204,26 @@ func TestRasterizeSegmentLeavingGrid(t *testing.T) {
 	}
 	if m.CountPositive() != 4 {
 		t.Errorf("in-bounds marked = %d, want 4", m.CountPositive())
+	}
+}
+
+func TestWalkSegmentStopsEarly(t *testing.T) {
+	m := mustNew(t, geom.V2(0, 0), 1, 10, 10)
+	seg := geom.Seg(geom.V2(0.5, 0.5), geom.V2(7.5, 3.5))
+	var all []Cell
+	m.RasterizeSegment(seg, func(c Cell) { all = append(all, c) })
+	// Walking the whole segment visits exactly RasterizeSegment's cells.
+	var walked []Cell
+	m.WalkSegment(seg, func(c Cell) bool { walked = append(walked, c); return true })
+	if !reflect.DeepEqual(walked, all) {
+		t.Fatalf("full walk %v, rasterize %v", walked, all)
+	}
+	// Returning false stops the walk on that cell.
+	stop := all[len(all)/2]
+	var prefix []Cell
+	m.WalkSegment(seg, func(c Cell) bool { prefix = append(prefix, c); return c != stop })
+	if !reflect.DeepEqual(prefix, all[:len(all)/2+1]) {
+		t.Errorf("stopped walk %v, want prefix %v", prefix, all[:len(all)/2+1])
 	}
 }
 

@@ -214,56 +214,82 @@ type Contribution struct {
 
 // CastView computes one view's contribution against an obstacles map. step
 // is the resolved angular ray step (use resolveRayStep / Config.RayStep).
+// Cells are emitted in first-visit order: the camera's own cell, then each
+// ray's new cells, rays in increasing angle, so equal inputs give equal
+// slices.
 func CastView(v View, obstacles *grid.Map, step float64) Contribution {
+	return newCastScratch(obstacles).cast(v, obstacles, step)
+}
+
+// castScratch is one worker's reusable mark set for casting views against
+// one layout: a flag per layout cell plus the flagged cells in first-visit
+// order. A cast clears only the flags it set, so one scratch serves every
+// view a worker casts without per-view allocation beyond the result. Only
+// in-bounds cells are ever marked, so every marked cell has a flag however
+// far the rasteriser walks.
+type castScratch struct {
+	seen  []bool
+	order []int32
+}
+
+func newCastScratch(layout *grid.Map) *castScratch {
+	return &castScratch{seen: make([]bool, layout.Width()*layout.Height())}
+}
+
+func (sc *castScratch) cast(v View, obstacles *grid.Map, step float64) Contribution {
 	in := v.Intrinsics
 	if step <= 0 {
 		step = 0.8 * obstacles.Res() / in.Range
 	}
-	covered := make(map[grid.Cell]bool)
+	w := obstacles.Width()
+	mark := func(c grid.Cell) {
+		i := int32(c.J*w + c.I)
+		if !sc.seen[i] {
+			sc.seen[i] = true
+			sc.order = append(sc.order, i)
+		}
+	}
 	// Always include the camera's own cell, seen from every side.
 	own := obstacles.CellOf(v.Pose.Pos)
 	hasOwn := obstacles.InBounds(own)
 	if hasOwn {
-		covered[own] = true
+		mark(own)
+	}
+	// A ray stops at the grid edge, or on an obstacle cell after marking
+	// it: the obstacle itself is seen.
+	visit := func(c grid.Cell) bool {
+		if !obstacles.InBounds(c) {
+			return false
+		}
+		mark(c)
+		return obstacles.At(c) <= 0
 	}
 	for a := -in.HFOV / 2; a <= in.HFOV/2; a += step {
 		dir := geom.UnitFromAngle(v.Pose.Yaw + a)
 		end := v.Pose.Pos.Add(dir.Scale(in.Range))
-		blocked := false
-		obstacles.RasterizeSegment(geom.Seg(v.Pose.Pos, end), func(c grid.Cell) {
-			if blocked || !obstacles.InBounds(c) {
-				blocked = true
-				return
-			}
-			if obstacles.At(c) > 0 {
-				// The obstacle cell itself is seen, then the ray stops.
-				covered[c] = true
-				blocked = true
-				return
-			}
-			covered[c] = true
-		})
+		obstacles.WalkSegment(geom.Seg(v.Pose.Pos, end), visit)
 	}
 	co := Contribution{
-		Idx:  make([]int32, 0, len(covered)),
-		Mask: make([]uint8, 0, len(covered)),
+		Idx:  make([]int32, len(sc.order)),
+		Mask: make([]uint8, len(sc.order)),
 	}
-	w := obstacles.Width()
-	for c := range covered {
-		m := uint8(quadrantBit(v.Pose.Pos, obstacles.CenterOf(c)))
-		if hasOwn && c == own {
-			m = 0xF
-		}
-		co.Idx = append(co.Idx, int32(c.J*w+c.I))
-		co.Mask = append(co.Mask, m)
+	copy(co.Idx, sc.order)
+	for k, i := range sc.order {
+		sc.seen[i] = false
+		c := grid.Cell{I: int(i) % w, J: int(i) / w}
+		co.Mask[k] = uint8(quadrantBit(v.Pose.Pos, obstacles.CenterOf(c)))
 	}
+	if hasOwn {
+		co.Mask[0] = 0xF
+	}
+	sc.order = sc.order[:0]
 	return co
 }
 
 // castViews computes contributions for a set of views, fanning the per-view
-// ray casting across a runtime.NumCPU() worker pool. The result slice is
-// indexed like views, so the output is deterministic regardless of which
-// worker cast which view.
+// ray casting across a runtime.NumCPU() worker pool with one cast scratch
+// per worker. The result slice is indexed like views, so the output is
+// deterministic regardless of which worker cast which view.
 func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config) error {
 	for _, v := range views {
 		if v.Intrinsics.Range <= 0 || v.Intrinsics.HFOV <= 0 {
@@ -275,8 +301,11 @@ func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config
 		workers = len(views)
 	}
 	if workers <= 1 {
-		for i, v := range views {
-			dst[i] = CastView(v, obstacles, cfg.RayStep)
+		if len(views) > 0 {
+			sc := newCastScratch(obstacles)
+			for i, v := range views {
+				dst[i] = sc.cast(v, obstacles, cfg.RayStep)
+			}
 		}
 		return nil
 	}
@@ -286,12 +315,13 @@ func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := newCastScratch(obstacles)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(views) {
 					return
 				}
-				dst[i] = CastView(views[i], obstacles, cfg.RayStep)
+				dst[i] = sc.cast(views[i], obstacles, cfg.RayStep)
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package mapping
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"snaptask/internal/camera"
@@ -572,5 +573,102 @@ func TestConfigExplicitZeroHeightBand(t *testing.T) {
 	}
 	if maps.Obstacles.CountPositive() != 0 {
 		t.Fatal("explicit empty height band (-1/-1) was re-defaulted")
+	}
+}
+
+// castViewRef is the map-based reference cast CastView replaced: every
+// in-bounds cell a ray reaches (obstacle cells included, rays stop there)
+// hashed into a set, then emitted with its viewing-quadrant mask.
+func castViewRef(v View, obstacles *grid.Map, step float64) map[int32]uint8 {
+	covered := make(map[grid.Cell]bool)
+	own := obstacles.CellOf(v.Pose.Pos)
+	hasOwn := obstacles.InBounds(own)
+	if hasOwn {
+		covered[own] = true
+	}
+	for a := -v.Intrinsics.HFOV / 2; a <= v.Intrinsics.HFOV/2; a += step {
+		end := v.Pose.Pos.Add(geom.UnitFromAngle(v.Pose.Yaw + a).Scale(v.Intrinsics.Range))
+		blocked := false
+		obstacles.RasterizeSegment(geom.Seg(v.Pose.Pos, end), func(c grid.Cell) {
+			if blocked || !obstacles.InBounds(c) {
+				blocked = true
+				return
+			}
+			covered[c] = true
+			if obstacles.At(c) > 0 {
+				blocked = true
+			}
+		})
+	}
+	out := make(map[int32]uint8, len(covered))
+	for c := range covered {
+		m := uint8(quadrantBit(v.Pose.Pos, obstacles.CenterOf(c)))
+		if hasOwn && c == own {
+			m = 0xF
+		}
+		out[int32(c.J*obstacles.Width()+c.I)] = m
+	}
+	return out
+}
+
+func TestCastViewMatchesMapReference(t *testing.T) {
+	layout := layout10(t)
+	obstacles, err := ObstaclesMap(wallCloud(6), layout, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pillar so rays also stop on an isolated obstacle.
+	for j := 20; j < 24; j++ {
+		for i := 40; i < 43; i++ {
+			obstacles.Set(grid.Cell{I: i, J: j}, 9)
+		}
+	}
+	in := camera.DefaultIntrinsics()
+	rng := rand.New(rand.NewSource(5))
+	views := []View{
+		{Pose: camera.Pose{Pos: geom.V2(0.01, 5.2), Yaw: 0.3}, Intrinsics: in},   // on the grid edge
+		{Pose: camera.Pose{Pos: geom.V2(10.49, 0.02), Yaw: 2.4}, Intrinsics: in}, // lower-right corner cell
+		{Pose: camera.Pose{Pos: geom.V2(-1.5, 3), Yaw: 0.1}, Intrinsics: in},     // outside, facing in
+		{Pose: camera.Pose{Pos: geom.V2(12, 12), Yaw: 0.8}, Intrinsics: in},      // outside, facing away
+		{Pose: camera.Pose{Pos: geom.V2(5, 4), Yaw: math.Pi / 2}, Intrinsics: in},
+	}
+	for i := 0; i < 40; i++ {
+		views = append(views, View{
+			Pose:       camera.Pose{Pos: geom.V2(rng.Float64()*10.5, rng.Float64()*10.5), Yaw: rng.Float64() * 2 * math.Pi},
+			Intrinsics: in,
+		})
+	}
+	step := resolveRayStep(Config{}, layout.Res(), views).RayStep
+	for vi, v := range views {
+		got := CastView(v, obstacles, step)
+		want := castViewRef(v, obstacles, step)
+		if len(got.Idx) != len(got.Mask) || len(got.Idx) != len(want) {
+			t.Fatalf("view %d: %d cells / %d masks, want %d cells", vi, len(got.Idx), len(got.Mask), len(want))
+		}
+		seen := make(map[int32]bool, len(got.Idx))
+		for k, idx := range got.Idx {
+			if seen[idx] {
+				t.Fatalf("view %d: cell %d emitted twice", vi, idx)
+			}
+			seen[idx] = true
+			if m, ok := want[idx]; !ok || m != got.Mask[k] {
+				t.Fatalf("view %d: cell %d mask %x, reference %x (present %v)", vi, idx, got.Mask[k], m, ok)
+			}
+		}
+		again := CastView(v, obstacles, step)
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("view %d: two casts of the same view differ", vi)
+		}
+	}
+	// The pooled path (one reused scratch per worker) agrees with
+	// independent casts, slice for slice.
+	contribs := make([]Contribution, len(views))
+	if err := castViews(contribs, views, obstacles, Config{RayStep: step}); err != nil {
+		t.Fatal(err)
+	}
+	for vi, v := range views {
+		if !reflect.DeepEqual(contribs[vi], CastView(v, obstacles, step)) {
+			t.Fatalf("view %d: pooled cast differs from a fresh cast", vi)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -105,23 +104,33 @@ func (c *Cloud) CountArtificial() int {
 }
 
 // knnIndex is a uniform-grid spatial hash over the points of a cloud used to
-// answer approximate-exact kNN queries in roughly O(k) per query for
-// well-distributed clouds.
+// answer exact kNN queries. A query sweeps Chebyshev shells of cells around
+// the point's own cell until the k-th distance found is provably exact, so
+// its cost follows the number of points within that distance: a handful of
+// shells for a well-distributed cloud, a full scan for an isolated outlier.
 type knnIndex struct {
 	cellSize float64
-	cells    map[[3]int][]int
-	pts      []Point
+	// cells maps a packed cell key (packKey) to the points in that cell.
+	cells map[uint64][]int
+	pts   []Point
+	// unpacked is set once a point's cell lies outside the packed key
+	// range; the point is then in no cell, and every query scans all
+	// points instead.
+	unpacked bool
 }
+
+// keyBits is the width of one packed cell coordinate: cells within ±2^20
+// of the origin (±524 km at the default 0.5 m cell) pack exactly.
+const keyBits = 21
 
 func newKNNIndex(pts []Point, cellSize float64) *knnIndex {
 	idx := &knnIndex{
 		cellSize: cellSize,
-		cells:    make(map[[3]int][]int, len(pts)/2+1),
+		cells:    make(map[uint64][]int, len(pts)/2+1),
 		pts:      pts,
 	}
 	for i, p := range pts {
-		k := idx.key(p.Pos)
-		idx.cells[k] = append(idx.cells[k], i)
+		idx.addToCell(i, p.Pos)
 	}
 	return idx
 }
@@ -131,38 +140,63 @@ func newKNNIndex(pts []Point, cellSize float64) *knnIndex {
 func (idx *knnIndex) insert(p Point) int {
 	i := len(idx.pts)
 	idx.pts = append(idx.pts, p)
-	k := idx.key(p.Pos)
-	idx.cells[k] = append(idx.cells[k], i)
+	idx.addToCell(i, p.Pos)
 	return i
 }
 
-func (idx *knnIndex) key(p geom.Vec3) [3]int {
-	return [3]int{
-		int(math.Floor(p.X / idx.cellSize)),
-		int(math.Floor(p.Y / idx.cellSize)),
-		int(math.Floor(p.Z / idx.cellSize)),
+func (idx *knnIndex) addToCell(i int, p geom.Vec3) {
+	x, y, z := idx.cell(p)
+	k, ok := packKey(x, y, z)
+	if !ok {
+		idx.unpacked = true
+		return
 	}
+	idx.cells[k] = append(idx.cells[k], i)
 }
 
-// nearest returns the distances to the k nearest neighbours of point i
-// (excluding itself), expanding the search ring until enough neighbours are
-// guaranteed exact.
-func (idx *knnIndex) nearest(i, k int) []float64 {
+func (idx *knnIndex) cell(p geom.Vec3) (x, y, z int) {
+	return int(math.Floor(p.X / idx.cellSize)),
+		int(math.Floor(p.Y / idx.cellSize)),
+		int(math.Floor(p.Z / idx.cellSize))
+}
+
+// packKey packs cell coordinates into one map key, keyBits per axis. It
+// reports false when a coordinate is outside [-2^(keyBits-1),
+// 2^(keyBits-1)), where packing would alias two cells.
+func packKey(x, y, z int) (uint64, bool) {
+	const bias = 1 << (keyBits - 1)
+	ux, uy, uz := uint64(x+bias), uint64(y+bias), uint64(z+bias)
+	if ux|uy|uz >= 1<<keyBits {
+		return 0, false
+	}
+	return ux<<(2*keyBits) | uy<<keyBits | uz, true
+}
+
+// nearest returns the ascending distances to the k nearest neighbours of
+// point i (excluding itself), expanding the search ring until enough
+// neighbours are guaranteed exact. The result is written into buf's backing
+// array when it has capacity k, so a caller looping over queries can reuse
+// one buffer.
+func (idx *knnIndex) nearest(i, k int, buf []float64) []float64 {
 	if k <= 0 {
 		return nil
 	}
+	if idx.unpacked {
+		return idx.brute(i, k, buf)
+	}
 	center := idx.pts[i].Pos
-	ck := idx.key(center)
-	var dists []float64
+	cx, cy, cz := idx.cell(center)
+	best := buf[:0]
+	seen := 0
 	for ring := 0; ; ring++ {
 		// Once the search shell is larger than the number of occupied
 		// cells, scanning every point directly is cheaper than walking
 		// empty shells (isolated outliers would otherwise force huge
 		// ring expansions).
 		if shell := 2*ring + 1; shell*shell*shell > 4*len(idx.cells)+64 {
-			return idx.brute(i, k)
+			return idx.brute(i, k, buf)
 		}
-		// Collect all points in cells on the Chebyshev shell of radius
+		// Offer every point in cells on the Chebyshev shell of radius
 		// `ring` around the query cell.
 		for dx := -ring; dx <= ring; dx++ {
 			for dy := -ring; dy <= ring; dy++ {
@@ -170,52 +204,70 @@ func (idx *knnIndex) nearest(i, k int) []float64 {
 					if maxAbs3(dx, dy, dz) != ring {
 						continue // only the new shell
 					}
-					key := [3]int{ck[0] + dx, ck[1] + dy, ck[2] + dz}
+					// Every point is in a packable cell, so a cell
+					// that does not pack holds none.
+					key, ok := packKey(cx+dx, cy+dy, cz+dz)
+					if !ok {
+						continue
+					}
 					for _, j := range idx.cells[key] {
 						if j == i {
 							continue
 						}
-						dists = append(dists, center.Dist(idx.pts[j].Pos))
+						best = offerKBest(best, k, center.Dist(idx.pts[j].Pos))
+						seen++
 					}
 				}
 			}
 		}
-		if len(dists) >= k {
-			sort.Float64s(dists)
-			// After sweeping rings 0..ring, every point within
-			// Euclidean distance (ring-1)*cellSize of the query is
-			// guaranteed to have been found, so the result is exact
-			// once the k-th distance falls inside that radius.
-			if dists[k-1] <= float64(ring-1)*idx.cellSize {
-				return dists[:k]
-			}
+		// After sweeping rings 0..ring, every point within Euclidean
+		// distance (ring-1)*cellSize of the query is guaranteed to have
+		// been offered, so the result is exact once the k-th distance
+		// falls inside that radius.
+		if len(best) == k && best[k-1] <= float64(ring-1)*idx.cellSize {
+			return best
 		}
 		// Terminate once the whole cloud has been swept.
-		if len(dists) == len(idx.pts)-1 {
-			sort.Float64s(dists)
-			if len(dists) > k {
-				return dists[:k]
-			}
-			return dists
+		if seen == len(idx.pts)-1 {
+			return best
 		}
 	}
 }
 
 // brute returns the exact k nearest distances by scanning every point.
-func (idx *knnIndex) brute(i, k int) []float64 {
-	dists := make([]float64, 0, len(idx.pts)-1)
+func (idx *knnIndex) brute(i, k int, buf []float64) []float64 {
+	best := buf[:0]
 	center := idx.pts[i].Pos
 	for j := range idx.pts {
 		if j == i {
 			continue
 		}
-		dists = append(dists, center.Dist(idx.pts[j].Pos))
+		best = offerKBest(best, k, center.Dist(idx.pts[j].Pos))
 	}
-	sort.Float64s(dists)
-	if len(dists) > k {
-		dists = dists[:k]
+	return best
+}
+
+// offerKBest keeps best as the ascending k smallest of the distances offered
+// so far: d is inserted in order when it beats the current k-th value (or
+// best is not yet full), evicting the largest. A d equal to a full buffer's
+// k-th value is dropped, which leaves the same values a full sort would
+// keep.
+func offerKBest(best []float64, k int, d float64) []float64 {
+	n := len(best)
+	if n == k {
+		if d >= best[k-1] {
+			return best
+		}
+		n--
+	} else {
+		best = append(best, d)
 	}
-	return dists
+	for n > 0 && best[n-1] > d {
+		best[n] = best[n-1]
+		n--
+	}
+	best[n] = d
+	return best
 }
 
 func maxAbs3(a, b, c int) int {
@@ -317,8 +369,8 @@ func StatisticalOutlierRemoval(c *Cloud, opts SOROptions) (*Cloud, int, error) {
 // non-nil, the k-th nearest distance itself (written to kth[i]). Work is
 // fanned across runtime.NumCPU() goroutines; each target writes only its own
 // slots, so results are deterministic regardless of scheduling. Distances
-// returned by nearest are sorted ascending, which fixes the float summation
-// order and keeps the result bit-identical to a serial computation.
+// returned by nearest are ascending, which fixes the float summation order
+// and keeps the result bit-identical to a serial computation.
 func parallelMeanKNN(idx *knnIndex, k int, targets []int, meanDists, kth []float64) {
 	workers := runtime.NumCPU()
 	if workers > len(targets) {
@@ -333,13 +385,14 @@ func parallelMeanKNN(idx *knnIndex, k int, targets []int, meanDists, kth []float
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := make([]float64, 0, k)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(targets) {
 					return
 				}
 				i := targets[t]
-				ds := idx.nearest(i, k)
+				ds := idx.nearest(i, k, buf)
 				var s float64
 				for _, d := range ds {
 					s += d

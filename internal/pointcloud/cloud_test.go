@@ -3,6 +3,7 @@ package pointcloud
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"snaptask/internal/geom"
@@ -162,32 +163,94 @@ func TestSORPreservesMetadata(t *testing.T) {
 }
 
 func TestKNNExactness(t *testing.T) {
-	// Compare grid-accelerated kNN against brute force on a random cloud.
+	// Compare grid-accelerated kNN against a sort-based brute force. The
+	// k-best selection must return exactly the values a full sort keeps, so
+	// the comparison is ==, not a tolerance: SOR's per-point sums depend on
+	// every bit.
 	rng := rand.New(rand.NewSource(21))
-	var pts []Point
-	for i := 0; i < 120; i++ {
-		pts = append(pts, Point{Pos: geom.V3(rng.Float64()*4, rng.Float64()*4, rng.Float64()*4)})
+	uniform := func(n int, side float64) []Point {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i].Pos = geom.V3(rng.Float64()*side, rng.Float64()*side, rng.Float64()*side)
+		}
+		return pts
 	}
-	idx := newKNNIndex(pts, 0.5)
-	for _, k := range []int{1, 3, 8} {
-		for i := 0; i < len(pts); i += 7 {
-			got := idx.nearest(i, k)
-			want := bruteKNN(pts, i, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d i=%d len got %d want %d", k, i, len(got), len(want))
-			}
-			for j := range got {
-				if math.Abs(got[j]-want[j]) > 1e-9 {
-					t.Fatalf("k=%d i=%d dist[%d] got %v want %v", k, i, j, got[j], want[j])
+	// Duplicates and ties: points on a 0.25 m lattice (many equal
+	// distances) with every third point repeated (zero distances).
+	var lattice []Point
+	for x := 0; x < 6; x++ {
+		for y := 0; y < 6; y++ {
+			for z := 0; z < 3; z++ {
+				p := Point{Pos: geom.V3(float64(x)*0.25, float64(y)*0.25, float64(z)*0.25)}
+				lattice = append(lattice, p)
+				if (x+y+z)%3 == 0 {
+					lattice = append(lattice, p)
 				}
 			}
 		}
 	}
-	if idx.nearest(0, 0) != nil {
+	// More than k points in one cell: 40 points packed into a 0.1 m cube
+	// (inside one 0.5 m cell) beside a sparse background.
+	crowded := uniform(60, 4)
+	for i := 0; i < 40; i++ {
+		crowded = append(crowded, Point{Pos: geom.V3(1.1+rng.Float64()*0.1, 1.1+rng.Float64()*0.1, 1.1+rng.Float64()*0.1)})
+	}
+	// An isolated outlier 200 cells from the cluster: reaching it by ring
+	// expansion would need a shell far beyond the brute-force cutoff
+	// (cube of the shell side > 4·cells + 64), so its query and the
+	// cluster's far-reaching queries take the brute path.
+	isolated := append(uniform(50, 2), Point{Pos: geom.V3(100, 0, 0)})
+	// Points whose cells do not pack into a cell key (2·10^6 cells out on
+	// x; -2^20-1 cells on z) sit in no cell: every query on such an
+	// index scans all points.
+	farOut := append(uniform(30, 2),
+		Point{Pos: geom.V3(1e6, 0, 0)},
+		Point{Pos: geom.V3(0.2, 0.2, -(1<<20)*0.5-0.25)})
+
+	cases := []struct {
+		name string
+		pts  []Point
+		ks   []int
+	}{
+		{"uniform", uniform(120, 4), []int{1, 3, 8}},
+		{"duplicates and ties", lattice, []int{1, 2, 6, 8, 26}},
+		{"crowded cell", crowded, []int{1, 8, 39, 45}},
+		{"isolated outlier", isolated, []int{1, 8, 50}},
+		{"outside packed range", farOut, []int{1, 8}},
+		// k >= n-1: every other point is a neighbour; the query ends on
+		// the all-swept stop or the brute path.
+		{"k at least n-1", uniform(9, 3), []int{8, 9, 20}},
+		{"two points", uniform(2, 3), []int{1, 8}},
+	}
+	for _, tc := range cases {
+		idx := newKNNIndex(tc.pts, 0.5)
+		if want := tc.name == "outside packed range"; idx.unpacked != want {
+			t.Fatalf("%s: unpacked = %v, want %v", tc.name, idx.unpacked, want)
+		}
+		for _, k := range tc.ks {
+			buf := make([]float64, 0, k)
+			for i := range tc.pts {
+				want := bruteKNN(tc.pts, i, k)
+				for _, got := range [][]float64{idx.nearest(i, k, nil), idx.nearest(i, k, buf), idx.brute(i, k, nil)} {
+					if len(got) != len(want) {
+						t.Fatalf("%s k=%d i=%d: len got %d want %d", tc.name, k, i, len(got), len(want))
+					}
+					for j := range got {
+						if got[j] != want[j] {
+							t.Fatalf("%s k=%d i=%d: dist[%d] got %v want %v", tc.name, k, i, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+	if newKNNIndex(uniform(5, 1), 0.5).nearest(0, 0, nil) != nil {
 		t.Error("k=0 should return nil")
 	}
 }
 
+// bruteKNN is the reference: every distance from point i, fully sorted,
+// truncated to k.
 func bruteKNN(pts []Point, i, k int) []float64 {
 	var ds []float64
 	for j := range pts {
@@ -196,16 +259,31 @@ func bruteKNN(pts []Point, i, k int) []float64 {
 		}
 		ds = append(ds, pts[i].Pos.Dist(pts[j].Pos))
 	}
-	// insertion sort is fine for tests
-	for a := 1; a < len(ds); a++ {
-		for b := a; b > 0 && ds[b] < ds[b-1]; b-- {
-			ds[b], ds[b-1] = ds[b-1], ds[b]
-		}
-	}
+	sort.Float64s(ds)
 	if len(ds) > k {
 		ds = ds[:k]
 	}
 	return ds
+}
+
+func TestPackKeyRange(t *testing.T) {
+	const lo, hi = -(1 << (keyBits - 1)), 1<<(keyBits-1) - 1
+	seen := map[uint64][3]int{}
+	for _, c := range [][3]int{{0, 0, 0}, {lo, lo, lo}, {hi, hi, hi}, {lo, 0, hi}, {hi, lo, 0}, {-1, -1, -1}, {1, -1, 0}} {
+		k, ok := packKey(c[0], c[1], c[2])
+		if !ok {
+			t.Fatalf("packKey%v out of range", c)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("packKey%v aliases packKey%v", c, prev)
+		}
+		seen[k] = c
+	}
+	for _, c := range [][3]int{{lo - 1, 0, 0}, {0, hi + 1, 0}, {0, 0, lo - 1}, {math.MaxInt, 0, 0}, {0, math.MinInt, 0}} {
+		if _, ok := packKey(c[0], c[1], c[2]); ok {
+			t.Errorf("packKey%v should be out of range", c)
+		}
+	}
 }
 
 func TestMaxAbs3(t *testing.T) {

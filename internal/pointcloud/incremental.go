@@ -126,7 +126,7 @@ func (s *IncrementalSOR) filter(c *Cloud, split int) (*Cloud, int, error) {
 	if s.idx == nil {
 		s.idx = &knnIndex{
 			cellSize: s.opts.CellSize,
-			cells:    make(map[[3]int][]int, n/2+1),
+			cells:    make(map[uint64][]int, n/2+1),
 		}
 	}
 	oldCount := len(s.idx.pts)

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -741,5 +742,98 @@ func TestSSESlowSubscriberDuringUploads(t *testing.T) {
 		if sseSeqs[i] <= sseSeqs[i-1] {
 			t.Fatalf("SSE ids not strictly increasing: %v", sseSeqs)
 		}
+	}
+}
+
+// syncFailStore is a journal whose Sync fails while fail is set, standing
+// in for an fsync error or a full disk.
+type syncFailStore struct {
+	events.Store
+	fail atomic.Bool
+}
+
+func (s *syncFailStore) Sync() error {
+	if s.fail.Load() {
+		return fmt.Errorf("simulated fsync failure")
+	}
+	return s.Store.Sync()
+}
+
+// TestUploadFailsWhenJournalCommitFails pins that an upload whose events
+// never reached disk is not acknowledged: the commit error answers 500,
+// the model keeps the batch (and the read snapshot shows it), and uploads
+// succeed again once the store recovers.
+func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
+	v, err := venue.SmallRoom()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(1))))
+	sys, err := core.NewSystem(v, w, core.Config{Margin: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := events.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	store := &syncFailStore{Store: j}
+	srv, err := New(sys, rand.New(rand.NewSource(2)), WithEvents(events.OpenStore(store, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	rng := rand.New(rand.NewSource(3))
+	boot, err := core.BootstrapCapture(w, v, camera.DefaultIntrinsics(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := UploadRequest{Bootstrap: true}
+	for _, p := range boot {
+		req.Photos = append(req.Photos, PhotoToDTO(p))
+	}
+	var up UploadResponse
+	if code := postJSON(t, ts.URL+"/v1/photos", req, &up); code != http.StatusOK {
+		t.Fatalf("bootstrap code %d", code)
+	}
+	var before StatusResponse
+	getJSON(t, ts.URL+"/v1/status", &before)
+
+	sweepUpload := func() int {
+		t.Helper()
+		var task TaskDTO
+		if code := getJSON(t, ts.URL+"/v1/task", &task); code != http.StatusOK {
+			t.Fatalf("task code %d", code)
+		}
+		sweep, err := w.Sweep(sweepPos(v, task), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y,
+			SeedX: task.SeedX, SeedY: task.SeedY, HasSeed: task.HasSeed}
+		for _, p := range sweep {
+			r.Photos = append(r.Photos, PhotoToDTO(p))
+		}
+		var body map[string]any
+		return postJSON(t, ts.URL+"/v1/photos", r, &body)
+	}
+
+	store.fail.Store(true)
+	if code := sweepUpload(); code != http.StatusInternalServerError {
+		t.Fatalf("upload with failing journal commit: code %d, want 500", code)
+	}
+	var after StatusResponse
+	getJSON(t, ts.URL+"/v1/status", &after)
+	if after.PhotosProcessed <= before.PhotosProcessed {
+		t.Errorf("photosProcessed %d -> %d: the model should keep the batch and the snapshot show it",
+			before.PhotosProcessed, after.PhotosProcessed)
+	}
+
+	store.fail.Store(false)
+	if code := sweepUpload(); code != http.StatusOK {
+		t.Fatalf("upload after the store recovered: code %d, want 200", code)
 	}
 }

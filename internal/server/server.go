@@ -756,8 +756,7 @@ func (s *Server) handlePhotos(w http.ResponseWriter, r *http.Request) {
 	if leased {
 		s.disp.FinishUpload(req.WorkerID, req.LeaseID, err == nil)
 	}
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+	if s.batchFailed(w, err) {
 		return
 	}
 	if leased && out.RetriedForBlur && len(out.TasksIssued) > 0 {
@@ -773,6 +772,23 @@ func (s *Server) handlePhotos(w http.ResponseWriter, r *http.Request) {
 		CoverageCells: out.CoverageCells,
 		VenueCovered:  out.VenueCovered,
 	})
+}
+
+// batchFailed answers an owner-path batch error and reports whether there
+// was one. A rejected input is 422. A failed journal commit is 500: the
+// model kept the batch, so the read snapshot is republished to match it,
+// but the upload is not acknowledged because its events are not durable.
+func (s *Server) batchFailed(w http.ResponseWriter, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case errors.Is(err, core.ErrJournalCommit):
+		s.publishLocked()
+		writeError(w, http.StatusInternalServerError, err)
+	default:
+		writeError(w, http.StatusUnprocessableEntity, err)
+	}
+	return true
 }
 
 // beginLeasedUpload validates an upload's lease fields. leased reports
@@ -861,8 +877,7 @@ func (s *Server) handleAnnotations(w http.ResponseWriter, r *http.Request) {
 	if leased {
 		s.disp.FinishUpload(req.WorkerID, req.LeaseID, err == nil)
 	}
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+	if s.batchFailed(w, err) {
 		return
 	}
 	if leased && out.RetriedForBlur && len(out.TasksIssued) > 0 {

@@ -17,7 +17,7 @@
 // BENCH_ingest.json used to track the perf trajectory across PRs;
 // -ingest-gate compares the run against a committed BENCH_ingest.json and
 // fails on regression (identical flipping false, or the largest-size
-// speedup dropping below half the committed value).
+// incremental latency rising above twice the committed value).
 //
 // The extra experiment `restart` (also not part of 'all') benchmarks server
 // restart cost over the checkpointing event store versus a full journal
@@ -84,7 +84,7 @@ func main() {
 }
 
 type bench struct {
-	setup       *experiments.Setup
+	setup        *experiments.Setup
 	seed         int64
 	quick        bool
 	ingestOut    string
@@ -112,7 +112,7 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "small venue, fast smoke run")
 	ingestOut := fs.String("ingest-out", "", "write the ingest experiment's JSON report to this file")
 	ingestGate := fs.String("ingest-gate", "",
-		"regression gate: compare the ingest experiment against this committed BENCH_ingest.json and fail on identical=false or a largest-size speedup below half the committed value")
+		"regression gate: compare the ingest experiment against this committed BENCH_ingest.json and fail on identical=false or a largest-size incremental latency above twice the committed value")
 	restartOut := fs.String("restart-out", "", "write the restart experiment's JSON report to this file")
 	restartGate := fs.String("restart-gate", "",
 		"regression gate: compare the restart experiment against this committed BENCH_restart.json and fail when the checkpointed 100x/1x restart ratio exceeds 2 (restart no longer flat)")
@@ -567,32 +567,13 @@ type ingestRow struct {
 	Identical     bool    `json:"identical"`
 }
 
-// parallelRow is one grouped-ingest measurement of the partitioned backend:
-// K sub-models registering batches concurrently with one shared SOR + map
-// rebuild per group. Speedup is per-upload latency against the same run's
-// sequential single-partition incremental figure at the largest size.
-type parallelRow struct {
-	Partitions   int     `json:"partitions"`
-	GoMaxProcs   int     `json:"gomaxprocs"`
-	Views        int     `json:"views"`
-	Points       int     `json:"points"`
-	GroupBatches int     `json:"group_batches"`
-	MSPerBatch   float64 `json:"ms_per_batch"`
-	Speedup      float64 `json:"speedup"`
-	// CoverageRatio compares the partitioned run's coverage cells against
-	// the sequential system fed the identical upload stream; values far
-	// from 1.0 mean the partitioned path lost (or hallucinated) geometry.
-	CoverageRatio float64 `json:"coverage_ratio"`
-}
-
 // ingestReport is the machine-readable BENCH_ingest.json payload.
 type ingestReport struct {
-	Venue      string        `json:"venue"`
-	Seed       int64         `json:"seed"`
-	Quick      bool          `json:"quick"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Sizes      []ingestRow   `json:"sizes"`
-	Parallel   []parallelRow `json:"parallel,omitempty"`
+	Venue      string      `json:"venue"`
+	Seed       int64       `json:"seed"`
+	Quick      bool        `json:"quick"`
+	GoMaxProcs int         `json:"gomaxprocs"`
+	Sizes      []ingestRow `json:"sizes"`
 }
 
 // ingest drives two backends in lockstep over identical photo batches — one
@@ -678,7 +659,6 @@ func (b *bench) ingest() error {
 
 	const trials = 3 // batches measured per checkpoint (median taken)
 	last := sizes[len(sizes)-1]
-	batchesRun := 0
 	for batch := 0; ; batch++ {
 		before := sysInc.Model().NumViews()
 		points := sysInc.Model().NumPoints()
@@ -691,7 +671,6 @@ func (b *bench) ingest() error {
 				}
 			}
 			if n >= trials {
-				batchesRun = batch
 				break
 			}
 		}
@@ -763,91 +742,6 @@ func (b *bench) ingest() error {
 		return fmt.Errorf("ingest: incremental and full models diverged")
 	}
 
-	// Parallel phase: grouped ingest over the partitioned backend. Each run
-	// replays the identical capture stream from scratch (same seeds and
-	// sweep positions as the sequential phase), ingesting uploads in
-	// fixed-size groups; measured groups start at or above the largest
-	// checkpoint size, so ms/batch is directly comparable to the sequential
-	// incremental figure there.
-	const groupSize = 32
-	seqMS := report.Sizes[len(report.Sizes)-1].IncrementalMS
-	gmp0 := runtime.GOMAXPROCS(0)
-	type runSpec struct{ k, gmp int }
-	var specs []runSpec
-	for _, k := range []int{1, 2, 4, 8} {
-		specs = append(specs, runSpec{k, gmp0})
-	}
-	// GOMAXPROCS sweep at K=4: honest parallel-dimension entries even on
-	// single-core runners (expect a flat line there — the committed speedup
-	// comes from group amortisation and per-partition delta locality).
-	for _, gmp := range []int{1, 2, 4} {
-		if gmp != gmp0 {
-			specs = append(specs, runSpec{4, gmp})
-		}
-	}
-	if b.quick {
-		specs = []runSpec{{1, gmp0}, {4, gmp0}}
-	}
-	totals := make([]int, len(specs))
-	covs := make([]int, len(specs))
-	rows := make([]parallelRow, len(specs))
-	for i, spec := range specs {
-		row, total, cov, err := b.parallelGroupRun(spec.k, spec.gmp, last, groupSize, trials, free)
-		if err != nil {
-			return fmt.Errorf("ingest: partitions=%d gomaxprocs=%d: %w", spec.k, spec.gmp, err)
-		}
-		if row.MSPerBatch > 0 {
-			row.Speedup = seqMS / row.MSPerBatch
-		}
-		rows[i], totals[i], covs[i] = row, total, cov
-	}
-
-	// Replay the remaining stream into the sequential incremental system
-	// (untimed) so each run's coverage is compared over the identical upload
-	// set it actually ingested.
-	covAt := make(map[int]int)
-	need := make(map[int]bool)
-	maxTotal := batchesRun
-	for _, tot := range totals {
-		need[tot] = true
-		if tot > maxTotal {
-			maxTotal = tot
-		}
-		if tot <= batchesRun {
-			covAt[tot] = sysInc.Maps().CoverageCells()
-		}
-	}
-	for batchesRun < maxTotal {
-		pos := free[batchesRun%len(free)]
-		photos, err := world.Sweep(pos, camera.DefaultIntrinsics(), camera.CaptureOptions{}, capRng)
-		if err != nil {
-			return err
-		}
-		if _, err := sysInc.ProcessPhotoBatch(pos, pos, photos, rngInc); err != nil {
-			return err
-		}
-		batchesRun++
-		if need[batchesRun] {
-			covAt[batchesRun] = sysInc.Maps().CoverageCells()
-		}
-	}
-
-	fmt.Println("Partitioned grouped ingest — per-upload latency vs sequential incremental:")
-	fmt.Println("  parts  gmp  views  points  group  ms/batch  speedup  cov-ratio")
-	for i := range rows {
-		if ref := covAt[totals[i]]; ref > 0 {
-			rows[i].CoverageRatio = float64(covs[i]) / float64(ref)
-		}
-		r := rows[i]
-		fmt.Printf("  %5d  %3d  %5d  %6d  %5d  %8.1f  %6.1fx  %9.3f\n",
-			r.Partitions, r.GoMaxProcs, r.Views, r.Points, r.GroupBatches, r.MSPerBatch, r.Speedup, r.CoverageRatio)
-		if r.CoverageRatio < 0.85 || r.CoverageRatio > 1.15 {
-			return fmt.Errorf("ingest: partitions=%d coverage ratio %.3f outside [0.85, 1.15] — partitioned path diverged from sequential",
-				r.Partitions, r.CoverageRatio)
-		}
-		report.Parallel = append(report.Parallel, rows[i])
-	}
-
 	if gate != nil {
 		if err := checkIngestGate(gate, &report); err != nil {
 			return err
@@ -867,100 +761,13 @@ func (b *bench) ingest() error {
 	return nil
 }
 
-// parallelGroupRun grows a fresh K-partition backend over the same capture
-// stream as the sequential phase (same seeds, same sweep positions),
-// ingesting uploads through ProcessPhotoBatchGroup, and measures the
-// per-upload latency of groups whose starting view count is at or above
-// `target`. It returns the measured row (speedup and coverage ratio left
-// for the caller), the total batches consumed, and the final coverage cells.
-func (b *bench) parallelGroupRun(k, gmp, target, groupSize, trials int, free []geom.Vec2) (parallelRow, int, int, error) {
-	prev := runtime.GOMAXPROCS(gmp)
-	defer runtime.GOMAXPROCS(prev)
-	v, world := b.setup.Venue, b.setup.World
-	sys, err := core.NewSystem(v, world, core.Config{Partitions: k})
-	if err != nil {
-		return parallelRow{}, 0, 0, err
-	}
-	rng := rand.New(rand.NewSource(b.seed + 20))
-	capRng := rand.New(rand.NewSource(b.seed + 21))
-	boot, err := core.BootstrapCapture(world, v, camera.DefaultIntrinsics(), capRng)
-	if err != nil {
-		return parallelRow{}, 0, 0, err
-	}
-	if _, err := sys.ProcessBootstrap(boot, rng); err != nil {
-		return parallelRow{}, 0, 0, err
-	}
-
-	batch := 0
-	ingestGroup := func(n int) (time.Duration, error) {
-		group := make([]core.UploadBatch, 0, n)
-		for j := 0; j < n; j++ {
-			pos := free[batch%len(free)]
-			batch++
-			photos, err := world.Sweep(pos, camera.DefaultIntrinsics(), camera.CaptureOptions{}, capRng)
-			if err != nil {
-				return 0, err
-			}
-			group = append(group, core.UploadBatch{TaskLoc: pos, TaskSeed: pos, Photos: photos})
-		}
-		t0 := time.Now()
-		if _, err := sys.ProcessPhotoBatchGroup(group, rng); err != nil {
-			return 0, err
-		}
-		return time.Since(t0), nil
-	}
-
-	// Untimed growth up to the target size, stepping down near it so the
-	// measured groups start close to the sequential phase's largest
-	// checkpoint rather than hundreds of views past it.
-	for sys.NumViews() < target {
-		n := 8
-		if target-sys.NumViews() < 400 {
-			n = 2
-		}
-		if _, err := ingestGroup(n); err != nil {
-			return parallelRow{}, 0, 0, err
-		}
-	}
-	measuredViews := sys.NumViews()
-	var perGroup []time.Duration
-	for len(perGroup) < trials {
-		dt, err := ingestGroup(groupSize)
-		if err != nil {
-			return parallelRow{}, 0, 0, err
-		}
-		perGroup = append(perGroup, dt)
-	}
-	sort.Slice(perGroup, func(i, j int) bool { return perGroup[i] < perGroup[j] })
-	row := parallelRow{
-		Partitions:   k,
-		GoMaxProcs:   gmp,
-		Views:        measuredViews,
-		Points:       sys.NumPoints(),
-		GroupBatches: groupSize,
-		MSPerBatch:   float64(perGroup[len(perGroup)/2]) / 1e6 / float64(groupSize),
-	}
-	return row, batch, sys.Maps().CoverageCells(), nil
-}
-
-// bestParallelSpeedup returns the best speedup among parallel entries with
-// at least `minK` partitions, or 0 when the report has none.
-func bestParallelSpeedup(r *ingestReport, minK int) float64 {
-	best := 0.0
-	for _, row := range r.Parallel {
-		if row.Partitions >= minK && row.Speedup > best {
-			best = row.Speedup
-		}
-	}
-	return best
-}
-
 // checkIngestGate fails when the fresh ingest report regresses against the
 // committed baseline: the incremental/full `identical` invariant may never
-// flip to false, and the speedup at the largest model size may not fall
-// below half the committed value (half, not equal, because CI runners are
-// noisy — a real regression from losing the delta path is an order of
-// magnitude, not a factor of two).
+// flip to false, and the incremental per-batch latency at the largest model
+// size — the cost every served upload pays — may not exceed twice the
+// committed value (twice, not equal, because CI runners are noisy; losing
+// the delta path costs more than that, since the committed full-recompute
+// time is several times the incremental one).
 func checkIngestGate(committed, fresh *ingestReport) error {
 	if len(committed.Sizes) == 0 || len(fresh.Sizes) == 0 {
 		return fmt.Errorf("ingest gate: empty report (committed %d sizes, fresh %d)",
@@ -975,27 +782,9 @@ func checkIngestGate(committed, fresh *ingestReport) error {
 	if base.Identical && !cur.Identical {
 		return fmt.Errorf("ingest gate: incremental and full models no longer identical (baseline was)")
 	}
-	if floor := base.Speedup * 0.5; cur.Speedup < floor {
-		return fmt.Errorf("ingest gate: largest-size speedup %.2fx fell below floor %.2fx (0.5 x committed %.2fx at %d views)",
-			cur.Speedup, floor, base.Speedup, base.Views)
-	}
-	// Parallel gate: once the committed baseline carries K>=4 grouped-ingest
-	// entries, every fresh run must keep partitioned ingest meaningfully
-	// faster than the sequential per-upload path — at least half the
-	// committed speedup and never below 1.2x.
-	if baseP := bestParallelSpeedup(committed, 4); baseP > 0 {
-		curP := bestParallelSpeedup(fresh, 4)
-		if curP == 0 {
-			return fmt.Errorf("ingest gate: baseline has K>=4 parallel entries but this run produced none")
-		}
-		floor := baseP * 0.5
-		if floor < 1.2 {
-			floor = 1.2
-		}
-		if curP < floor {
-			return fmt.Errorf("ingest gate: best K>=4 parallel speedup %.2fx fell below floor %.2fx (0.5 x committed %.2fx, min 1.2x)",
-				curP, floor, baseP)
-		}
+	if bound := base.IncrementalMS * 2; cur.IncrementalMS > bound {
+		return fmt.Errorf("ingest gate: largest-size incremental latency %.1f ms exceeds bound %.1f ms (2 x committed %.1f ms at %d views)",
+			cur.IncrementalMS, bound, base.IncrementalMS, base.Views)
 	}
 	return nil
 }

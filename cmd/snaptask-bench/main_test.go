@@ -60,3 +60,52 @@ func TestShrink(t *testing.T) {
 		t.Errorf("shrink(1) changed the input:\n%q\n%q", in, got)
 	}
 }
+
+func TestCheckIngestGate(t *testing.T) {
+	committed := ingestReport{
+		Venue: "aalto-library",
+		Sizes: []ingestRow{
+			{Views: 120, FullMS: 300, IncrementalMS: 70, Identical: true},
+			{Views: 1000, FullMS: 880, IncrementalMS: 100, Identical: true},
+		},
+	}
+	// fresh returns a copy of the committed report with the largest-size
+	// row rewritten by edit.
+	fresh := func(edit func(r *ingestReport, last *ingestRow)) *ingestReport {
+		r := committed
+		r.Sizes = append([]ingestRow(nil), committed.Sizes...)
+		edit(&r, &r.Sizes[len(r.Sizes)-1])
+		return &r
+	}
+	tests := []struct {
+		name  string
+		fresh *ingestReport
+		pass  bool
+	}{
+		{"unchanged", fresh(func(*ingestReport, *ingestRow) {}), true},
+		{"faster", fresh(func(_ *ingestReport, l *ingestRow) { l.IncrementalMS = 40 }), true},
+		{"within 2x", fresh(func(_ *ingestReport, l *ingestRow) { l.IncrementalMS = 199 }), true},
+		{"at 2x", fresh(func(_ *ingestReport, l *ingestRow) { l.IncrementalMS = 200 }), true},
+		{"over 2x", fresh(func(_ *ingestReport, l *ingestRow) { l.IncrementalMS = 201 }), false},
+		// Losing the delta path makes every upload pay the full recompute.
+		{"delta path lost", fresh(func(_ *ingestReport, l *ingestRow) { l.IncrementalMS = l.FullMS }), false},
+		{"identical flips", fresh(func(_ *ingestReport, l *ingestRow) { l.Identical = false }), false},
+		{"venue mismatch", fresh(func(r *ingestReport, _ *ingestRow) { r.Venue = "small" }), false},
+		{"quick mismatch", fresh(func(r *ingestReport, _ *ingestRow) { r.Quick = true }), false},
+		{"empty fresh", &ingestReport{Venue: committed.Venue}, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := checkIngestGate(&committed, tt.fresh)
+			if tt.pass && err != nil {
+				t.Errorf("gate failed: %v", err)
+			}
+			if !tt.pass && err == nil {
+				t.Error("gate passed, want failure")
+			}
+		})
+	}
+	if err := checkIngestGate(&ingestReport{}, &committed); err == nil {
+		t.Error("gate passed against an empty committed report")
+	}
+}

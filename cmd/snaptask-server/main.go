@@ -99,8 +99,6 @@ func run(ctx context.Context, args []string) error {
 	venueName := fs.String("venue", "library", "venue: library, small or office")
 	seed := fs.Int64("seed", 42, "world seed (agents must use the same)")
 	margin := fs.Float64("margin", 12, "map margin beyond the venue bounds (m)")
-	partitions := fs.Int("partitions", 1,
-		"spatial SfM partitions reconstructed concurrently and merged per batch; 1 = monolithic model (ignored with -load, which restores the snapshot's partitioning)")
 	statePath := fs.String("load", "", "resume from a snapshot file (see GET /v1/snapshot)")
 	savePath := fs.String("save", "", "write a state snapshot here on graceful shutdown")
 	journalPath := fs.String("journal", "",
@@ -208,10 +206,9 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	def, err := mgr.CreateDefault(campaign.Spec{
-		Venue:      *venueName,
-		Seed:       *seed,
-		Margin:     *margin,
-		Partitions: *partitions,
+		Venue:  *venueName,
+		Seed:   *seed,
+		Margin: *margin,
 	}, sys, *journalPath)
 	if err != nil {
 		return err

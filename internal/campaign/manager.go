@@ -61,8 +61,6 @@ type Spec struct {
 	// Margin is the map margin beyond the venue bounds in metres
 	// (<=0 takes the server default of 12).
 	Margin float64 `json:"margin,omitempty"`
-	// Partitions is the spatial SfM partition count (<=0 means 1).
-	Partitions int `json:"partitions,omitempty"`
 	// Archived is manifest state only: archived campaigns stay listable
 	// and readable but reject mutations and leave the shared pool.
 	Archived bool `json:"archived,omitempty"`
@@ -238,9 +236,6 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool, journalFile
 	if spec.Margin <= 0 {
 		spec.Margin = 12
 	}
-	if spec.Partitions <= 0 {
-		spec.Partitions = 1
-	}
 	v, err := venue.ByName(spec.Venue, spec.Seed)
 	if err != nil {
 		return nil, err
@@ -295,7 +290,7 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool, journalFile
 		}
 	}
 	if sys == nil {
-		sys, err = core.NewSystem(v, world, core.Config{Margin: spec.Margin, Partitions: spec.Partitions})
+		sys, err = core.NewSystem(v, world, core.Config{Margin: spec.Margin})
 		if err != nil {
 			_ = log.Close()
 			return nil, err

@@ -1,10 +1,8 @@
 // Group ingest: fold several workers' upload batches in one owner-path
-// operation. The monolithic model processes the group sequentially; the
-// partitioned model registers batches from different venue regions
-// concurrently (sfm.Partitioned.RegisterBatches) and both amortise the
-// expensive SOR + map-rebuild stage over the whole group instead of paying
-// it per upload — the throughput shape a campaign with many simultaneous
-// workers needs.
+// operation. The batches register into the model in order, then the
+// expensive SOR + map-rebuild stage runs once for the whole group instead
+// of once per upload — the throughput shape a campaign with many
+// simultaneous workers needs.
 //
 // Documented deviation from the strict per-upload Algorithm 1 loop: the
 // coverage-growth check and the task-generation step run once per group
@@ -42,9 +40,8 @@ type GroupOutcome struct {
 }
 
 // ProcessPhotoBatchGroup ingests a group of completed-task uploads as one
-// owner-path operation: every batch registers (concurrently across
-// partitions when partitioned), then one SOR + map rebuild and one
-// task-generation step cover the whole group.
+// owner-path operation: every batch registers in input order, then one SOR
+// + map rebuild and one task-generation step cover the whole group.
 func (s *System) ProcessPhotoBatchGroup(batches []UploadBatch, rng *rand.Rand) (outcome GroupOutcome, retErr error) {
 	if len(batches) == 0 {
 		return GroupOutcome{}, fmt.Errorf("core: empty photo batch group")
@@ -58,26 +55,13 @@ func (s *System) ProcessPhotoBatchGroup(batches []UploadBatch, rng *rand.Rand) (
 	defer func() { retErr = s.endBatch(tr, "photo_group", retErr) }()
 	before := s.progressCells()
 
-	var results []sfm.BatchResult
-	if s.pmodel != nil {
-		bb := make([][]camera.Photo, len(batches))
-		for i, b := range batches {
-			bb[i] = b.Photos
-			s.countPartitionBatch(b.TaskLoc)
-		}
-		var err error
-		results, err = s.pmodel.RegisterBatches(bb, rng)
+	results := make([]sfm.BatchResult, 0, len(batches))
+	for _, b := range batches {
+		res, err := s.model.RegisterBatch(b.Photos, rng)
 		if err != nil {
 			return GroupOutcome{}, fmt.Errorf("core: register group: %w", err)
 		}
-	} else {
-		for _, b := range batches {
-			res, err := s.model.RegisterBatch(b.Photos, rng)
-			if err != nil {
-				return GroupOutcome{}, fmt.Errorf("core: register group: %w", err)
-			}
-			results = append(results, res)
-		}
+		results = append(results, res)
 	}
 
 	var allPhotos []camera.Photo

@@ -15,11 +15,8 @@ import (
 // and maps are stored in a database for further iterations". Maps are
 // recomputed from the model on load rather than stored.
 type systemSnapshot struct {
-	Config Config
-	// Model is the monolithic model state; PModel replaces it (and Model
-	// stays zero) when the system runs partitioned.
+	Config                Config
 	Model                 sfm.Snapshot
-	PModel                *sfm.PartitionedSnapshot
 	Generator             taskgen.Snapshot
 	Pending               []taskgen.Task
 	Covered               bool
@@ -35,6 +32,7 @@ type systemSnapshot struct {
 func (s *System) WriteSnapshot(w io.Writer) error {
 	snap := systemSnapshot{
 		Config:                s.cfg,
+		Model:                 s.model.Snapshot(),
 		Generator:             s.gen.Snapshot(),
 		Pending:               append([]taskgen.Task(nil), s.pending...),
 		Covered:               s.covered,
@@ -42,12 +40,6 @@ func (s *System) WriteSnapshot(w io.Writer) error {
 		PhotoTasksIssued:      s.photoTasksIssued,
 		AnnotationTasksIssued: s.annotationTasksIssued,
 		PhotosProcessed:       s.photosProcessed,
-	}
-	if s.pmodel != nil {
-		ps := s.pmodel.Snapshot()
-		snap.PModel = &ps
-	} else {
-		snap.Model = s.model.Snapshot()
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
@@ -69,24 +61,23 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: decode snapshot: %w", err)
 	}
+	// Every real model holds the full world feature oracle. A snapshot that
+	// decodes to none was written with a model field this build does not
+	// know (gob drops it silently); restoring it would restart the campaign
+	// from an empty model under a journal that says otherwise.
+	if len(snap.Model.Features) == 0 {
+		return nil, fmt.Errorf("core: snapshot carries no model features")
+	}
 
 	s, err := NewSystem(v, world, snap.Config)
 	if err != nil {
 		return nil, err
 	}
-	if snap.PModel != nil {
-		pmodel, err := sfm.FromPartitionedSnapshot(*snap.PModel)
-		if err != nil {
-			return nil, err
-		}
-		s.pmodel, s.model = pmodel, nil
-	} else {
-		model, err := sfm.FromSnapshot(snap.Model)
-		if err != nil {
-			return nil, err
-		}
-		s.model, s.pmodel = model, nil
+	model, err := sfm.FromSnapshot(snap.Model)
+	if err != nil {
+		return nil, err
 	}
+	s.model = model
 	gen, err := taskgen.FromSnapshot(snap.Generator)
 	if err != nil {
 		return nil, err
@@ -100,14 +91,9 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 	s.photosProcessed = snap.PhotosProcessed
 
 	// Restore artificial features into the capture world so future photos
-	// see the imprinted textures. Every partition holds the full feature
-	// oracle, so partition 0's list is the complete one.
-	features := snap.Model.Features
-	if snap.PModel != nil {
-		features = snap.PModel.Parts[0].Features
-	}
+	// see the imprinted textures.
 	var artificial []venue.Feature
-	for _, f := range features {
+	for _, f := range snap.Model.Features {
 		if f.Artificial {
 			artificial = append(artificial, venue.Feature{ID: f.ID, Pos: f.Pos, Artificial: true})
 		}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
 	"snaptask/internal/camera"
 	"snaptask/internal/crowd"
 	"snaptask/internal/metrics"
+	"snaptask/internal/sfm"
 	"snaptask/internal/venue"
 )
 
@@ -123,5 +125,29 @@ func TestLoadSystemValidation(t *testing.T) {
 	world := camera.NewWorld(v, nil)
 	if _, err := LoadSystem(&buf, v, world); err == nil {
 		t.Error("empty snapshot stream accepted")
+	}
+
+	// A snapshot from the retired multi-model layout carried its model in a
+	// PModel field and left Model empty. Gob drops the unknown field, so
+	// the restore must fail loudly instead of resuming with an empty model.
+	type oldModel struct {
+		K     int
+		Parts []sfm.Snapshot
+	}
+	old := struct {
+		Config          Config
+		PModel          *oldModel
+		PhotosProcessed int
+	}{
+		Config:          Config{Margin: 3},
+		PModel:          &oldModel{K: 4, Parts: make([]sfm.Snapshot, 4)},
+		PhotosProcessed: 120,
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSystem(&buf, v, world); err == nil {
+		t.Error("snapshot without a model accepted")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"strconv"
 
 	"snaptask/internal/annotation"
 	"snaptask/internal/camera"
@@ -62,15 +61,8 @@ type Config struct {
 	// instead of reusing cached per-point distances and per-view casts.
 	// The output is identical either way (the incremental path is exact);
 	// the flag exists for benchmarking and for cross-checking the two
-	// paths in tests. In partitioned mode it forces every partition's
-	// filter cache to reset and refilter each batch.
+	// paths in tests.
 	FullRebuild bool
-	// Partitions splits the venue into K spatial sub-regions, each
-	// reconstructed by an independent sub-model concurrently, with
-	// sub-clouds merged per batch over shared boundary features
-	// (DESIGN.md §7c). 0 or 1 selects the monolithic model; K = 1
-	// partitioned output is bit-identical to monolithic.
-	Partitions int
 	// MinCoverageGrowth is the number of new coverage cells a batch must
 	// add to count as "coverage increased" — pose noise alone adds a few
 	// cells, which must not mask a genuinely stuck location. Zero means
@@ -96,13 +88,10 @@ func (c Config) withDefaults() Config {
 // System is the SnapTask backend state. It is not safe for concurrent use;
 // the HTTP server serialises access through a single owner goroutine.
 type System struct {
-	cfg   Config
-	venue *venue.Venue
-	world *camera.World
-	// Exactly one of model/pmodel is non-nil: the monolithic SfM model, or
-	// the K-partition model when Config.Partitions > 1.
+	cfg    Config
+	venue  *venue.Venue
+	world  *camera.World
 	model  *sfm.Model
-	pmodel *sfm.Partitioned
 	gen    *taskgen.Generator
 	layout *grid.Map
 	maps   *mapping.Maps
@@ -114,13 +103,9 @@ type System struct {
 	vis          *mapping.Incremental
 	sor          *pointcloud.IncrementalSOR
 	// mapViews caches the model views converted for the mapping layer;
-	// both model kinds only append views, so rebuildMaps folds just the
-	// new tail instead of re-copying the whole list every batch.
+	// the model only appends views, so rebuildMaps folds just the new tail
+	// instead of re-copying the whole list every batch.
 	mapViews []mapping.View
-	// fullFilterNext forces the next partitioned rebuild to reset and
-	// refilter every partition (set after annotation restructures a
-	// sub-model); the monolithic path resets s.sor directly instead.
-	fullFilterNext bool
 
 	// Counters for the paper's §V-B3 bookkeeping.
 	photoTasksIssued      int
@@ -161,16 +146,9 @@ func NewSystem(v *venue.Venue, world *camera.World, cfg Config) (*System, error)
 		venue:     v,
 		world:     world,
 		gen:       taskgen.NewGenerator(cfg.TaskGen),
+		model:     sfm.NewModel(cfg.SfM, world.Features()),
 		layout:    layout,
 		nextArtID: annotation.ArtificialIDBase,
-	}
-	if cfg.Partitions > 1 {
-		s.pmodel, err = sfm.NewPartitioned(cfg.SfM, world.Features(), v.Bounds(), cfg.Partitions, cfg.SOR)
-		if err != nil {
-			return nil, fmt.Errorf("core: partitioned model: %w", err)
-		}
-	} else {
-		s.model = sfm.NewModel(cfg.SfM, world.Features())
 	}
 	s.vis, err = mapping.NewIncremental(layout, cfg.Mapping)
 	if err != nil {
@@ -285,20 +263,11 @@ func (s *System) beginBatch(kind string) *telemetry.Trace {
 	if tr != nil {
 		tr.SetTraceContext(s.traceCtx)
 		s.curTrace = tr
-		s.setModelTrace(tr)
+		s.model.SetTrace(tr)
 		s.sor.SetTrace(tr)
 		s.vis.SetTrace(tr)
 	}
 	return tr
-}
-
-// setModelTrace points the active model's stage spans at tr.
-func (s *System) setModelTrace(tr *telemetry.Trace) {
-	if s.pmodel != nil {
-		s.pmodel.SetTrace(tr)
-		return
-	}
-	s.model.SetTrace(tr)
 }
 
 // ErrJournalCommit marks a batch whose events failed to reach disk. The
@@ -313,7 +282,7 @@ var ErrJournalCommit = errors.New("core: event journal commit failed")
 func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) error {
 	if tr != nil {
 		s.curTrace = nil
-		s.setModelTrace(nil)
+		s.model.SetTrace(nil)
 		s.sor.SetTrace(nil)
 		s.vis.SetTrace(nil)
 	}
@@ -345,17 +314,6 @@ func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) error {
 		s.ingestM.ModelViews.Set(float64(s.NumViews()))
 		s.ingestM.ModelPoints.Set(float64(s.NumPoints()))
 		s.ingestM.CoverageCells.Set(float64(s.maps.CoverageCells()))
-		if s.pmodel != nil {
-			s.ingestM.Partitions.Set(float64(s.pmodel.K()))
-			for i := 0; i < s.pmodel.K(); i++ {
-				v, p := s.pmodel.PartStats(i)
-				label := strconv.Itoa(i)
-				s.ingestM.PartitionViews.With(label).Set(float64(v))
-				s.ingestM.PartitionPoints.With(label).Set(float64(p))
-			}
-		} else {
-			s.ingestM.Partitions.Set(1)
-		}
 	}
 	tr.SetCount("coverage_cells", s.maps.CoverageCells())
 	tr.Finish()
@@ -387,15 +345,6 @@ func (s *System) recordBatchResult(tr *telemetry.Trace, batch sfm.BatchResult, p
 	}
 }
 
-// countPartitionBatch bumps the routed-batches counter for the partition
-// covering a batch's task location (partitioned mode only).
-func (s *System) countPartitionBatch(loc geom.Vec2) {
-	if s.pmodel == nil || s.ingestM == nil {
-		return
-	}
-	s.ingestM.PartitionBatches.With(strconv.Itoa(s.pmodel.PartitionFor(loc))).Inc()
-}
-
 // observeSharpness feeds the blur-variance histogram with every photo's
 // Laplacian-variance score.
 func (s *System) observeSharpness(photos []camera.Photo) {
@@ -413,53 +362,19 @@ func (s *System) Venue() *venue.Venue { return s.venue }
 // World returns the capture world (shared with clients in-process).
 func (s *System) World() *camera.World { return s.world }
 
-// Model returns the monolithic SfM model, or nil when the system runs
-// partitioned (Config.Partitions > 1) — use the System-level accessors
-// (NumViews, NumPoints, EachCloudPoint) for model-shape-agnostic reads.
+// Model returns the SfM model.
 func (s *System) Model() *sfm.Model { return s.model }
 
-// PartitionedModel returns the partitioned SfM model, or nil when the
-// system runs monolithic.
-func (s *System) PartitionedModel() *sfm.Partitioned { return s.pmodel }
+// NumViews returns the model's registered view count.
+func (s *System) NumViews() int { return s.model.NumViews() }
 
-// NumViews returns the registered view count of whichever model is active.
-func (s *System) NumViews() int {
-	if s.pmodel != nil {
-		return s.pmodel.NumViews()
-	}
-	return s.model.NumViews()
-}
+// NumPoints returns the model's triangulated point count (pre-SOR).
+func (s *System) NumPoints() int { return s.model.NumPoints() }
 
-// NumPoints returns the triangulated point count of whichever model is
-// active (pre-SOR; in partitioned mode boundary features triangulated by
-// several partitions count once per partition).
-func (s *System) NumPoints() int {
-	if s.pmodel != nil {
-		return s.pmodel.NumPoints()
-	}
-	return s.model.NumPoints()
-}
-
-// EachCloudPoint iterates the active model's cloud points (triangulated
-// points, then outliers; per partition in partition order when partitioned)
-// without materialising a copy — the read path for snapshot publication.
-func (s *System) EachCloudPoint(fn func(pointcloud.Point)) {
-	if s.pmodel != nil {
-		for i := 0; i < s.pmodel.K(); i++ {
-			s.pmodel.Part(i).EachCloudPoint(fn)
-		}
-		return
-	}
-	s.model.EachCloudPoint(fn)
-}
-
-// registerBatch folds one photo batch into whichever model is active.
-func (s *System) registerBatch(photos []camera.Photo, rng *rand.Rand) (sfm.BatchResult, error) {
-	if s.pmodel != nil {
-		return s.pmodel.RegisterBatch(photos, rng)
-	}
-	return s.model.RegisterBatch(photos, rng)
-}
+// EachCloudPoint iterates the model's cloud points (triangulated points,
+// then outliers) without materialising a copy — the read path for snapshot
+// publication.
+func (s *System) EachCloudPoint(fn func(pointcloud.Point)) { s.model.EachCloudPoint(fn) }
 
 // Maps returns the current mapping products.
 func (s *System) Maps() *mapping.Maps { return s.maps }
@@ -534,19 +449,11 @@ func (s *System) rebuildMaps() error {
 		err     error
 	)
 	sp := s.curTrace.Span("sor")
-	switch {
-	case s.pmodel != nil:
-		full := s.cfg.FullRebuild || s.fullFilterNext
-		s.fullFilterNext = false
-		if s.cfg.FullRebuild {
-			s.vis.Invalidate()
-		}
-		cloud, removed, err = s.pmodel.FilterMerged(full)
-	case s.cfg.FullRebuild:
+	if s.cfg.FullRebuild {
 		s.vis.Invalidate()
 		s.sor.Reset()
 		cloud, removed, err = pointcloud.StatisticalOutlierRemoval(s.model.Cloud(), s.cfg.SOR)
-	default:
+	} else {
 		full, newPts, newOutliers := s.model.CloudIncremental()
 		cloud, removed, err = s.sor.FilterAppend(full, s.model.NumPoints(), len(newPts), len(newOutliers))
 	}
@@ -559,15 +466,9 @@ func (s *System) rebuildMaps() error {
 	}
 	s.curTrace.SetCount("sor_removed", removed)
 	// Fold only the views registered since the previous rebuild into the
-	// cached mapping view list — both model kinds are append-only, so the
-	// per-batch full-list copy this used to do is pure overhead.
-	var nv []sfm.View
-	if s.pmodel != nil {
-		nv = s.pmodel.ViewsFrom(len(s.mapViews))
-	} else {
-		nv = s.model.ViewsFrom(len(s.mapViews))
-	}
-	for _, v := range nv {
+	// cached mapping view list — the model is append-only, so a per-batch
+	// full-list copy would be pure overhead.
+	for _, v := range s.model.ViewsFrom(len(s.mapViews)) {
 		s.mapViews = append(s.mapViews, mapping.View{Pose: v.Pose, Intrinsics: v.Intrinsics})
 	}
 	maps, err := s.vis.Update(cloud, s.mapViews)
@@ -720,7 +621,7 @@ func (s *System) ProcessBootstrap(photos []camera.Photo, rng *rand.Rand) (outcom
 	}
 	tr := s.beginBatch("bootstrap")
 	defer func() { retErr = s.endBatch(tr, "bootstrap", retErr) }()
-	batch, err := s.registerBatch(photos, rng)
+	batch, err := s.model.RegisterBatch(photos, rng)
 	if err != nil {
 		return BatchOutcome{}, fmt.Errorf("core: bootstrap register: %w", err)
 	}
@@ -757,8 +658,7 @@ func (s *System) ProcessPhotoBatch(taskLoc, taskSeed geom.Vec2, photos []camera.
 	tr := s.beginBatch("photo_batch")
 	defer func() { retErr = s.endBatch(tr, "photo_batch", retErr) }()
 	before := s.progressCells()
-	s.countPartitionBatch(taskLoc)
-	batch, err := s.registerBatch(photos, rng)
+	batch, err := s.model.RegisterBatch(photos, rng)
 	if err != nil {
 		return BatchOutcome{}, fmt.Errorf("core: register batch: %w", err)
 	}
@@ -820,25 +720,11 @@ func (s *System) ProcessAnnotation(task annotation.Task, taskSeed geom.Vec2, ann
 	if err != nil {
 		return AnnotationOutcome{}, fmt.Errorf("core: bounds: %w", err)
 	}
-	// In partitioned mode the annotation reconstructs into the sub-model
-	// owning the task's region; the injected artificial features are then
-	// broadcast so other partitions' future photos can match them too.
-	reconModel := s.model
-	featsBefore := s.world.NumFeatures()
-	if s.pmodel != nil {
-		reconModel = s.pmodel.Part(s.pmodel.PartitionFor(task.Location))
-	}
 	sp = tr.Span("annotation.reconstruct")
-	recon, err := annotation.Reconstruct(reconModel, s.world, task, bounds, imaging.TextureDB{}, s.cfg.Recon, &s.nextArtID, rng)
+	recon, err := annotation.Reconstruct(s.model, s.world, task, bounds, imaging.TextureDB{}, s.cfg.Recon, &s.nextArtID, rng)
 	sp.End()
 	if err != nil {
 		return AnnotationOutcome{}, fmt.Errorf("core: reconstruct: %w", err)
-	}
-	if s.pmodel != nil {
-		s.pmodel.FoldViews()
-		if nf := s.world.Features(); len(nf) > featsBefore {
-			s.pmodel.AddWorldFeatures(nf[featsBefore:])
-		}
 	}
 	s.photosProcessed += len(task.Photos)
 	tr.SetCount("photos", len(task.Photos))
@@ -852,11 +738,7 @@ func (s *System) ProcessAnnotation(task annotation.Task, taskSeed geom.Vec2, ann
 	// beyond plain view registration; drop the cast and SOR caches and take
 	// the full-rebuild path rather than reason about incremental validity.
 	s.vis.Invalidate()
-	if s.pmodel != nil {
-		s.fullFilterNext = true
-	} else {
-		s.sor.Reset()
-	}
+	s.sor.Reset()
 	if err := s.rebuildMaps(); err != nil {
 		return AnnotationOutcome{}, err
 	}

@@ -234,23 +234,6 @@ func (m *Model) EachCloudPoint(fn func(pointcloud.Point)) {
 	}
 }
 
-// PointByFeature returns the triangulated point for a feature ID, if the
-// feature has been promoted to a 3D point.
-func (m *Model) PointByFeature(id uint64) (pointcloud.Point, bool) {
-	if i, ok := m.ptIdx[id]; ok {
-		return m.pts[i], true
-	}
-	return pointcloud.Point{}, false
-}
-
-// ResetCloudMarks rewinds the CloudIncremental watermark so the next call
-// reports every point as new — used when a downstream incremental filter
-// cache has been reset and must be rebuilt from scratch.
-func (m *Model) ResetCloudMarks() {
-	m.cloudMarkPts = 0
-	m.cloudMarkOut = 0
-}
-
 // Cloud returns the reconstructed point cloud, including any spurious
 // outlier points (callers filter with pointcloud.StatisticalOutlierRemoval,
 // as Algorithm 1 does). The returned cloud is an independent copy.

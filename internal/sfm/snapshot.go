@@ -66,119 +66,6 @@ func (m *Model) Snapshot() Snapshot {
 	return s
 }
 
-// PartitionedSnapshot is the serialisable state of a Partitioned model: the
-// per-partition sub-model snapshots plus the merge bookkeeping (sticky
-// feature ownership, frozen alignment translations, and the view-log
-// interleaving). Like Snapshot, maps serialise in sorted-ID order so equal
-// states encode to equal bytes.
-type PartitionedSnapshot struct {
-	K           int
-	Bounds      geom.AABB
-	SOR         pointcloud.SOROptions
-	Parts       []Snapshot
-	OwnerIDs    []uint64
-	OwnerPart   []int32
-	T           []geom.Vec3
-	Aligned     []bool
-	ViewSrc     []int32
-	NextPhotoID int
-}
-
-// Snapshot captures the partitioned model's complete state. Transient
-// filter caches (per-partition SOR state, latest filtered clouds) are not
-// serialised; the first FilterMerged(true) after restore rebuilds them.
-func (pm *Partitioned) Snapshot() PartitionedSnapshot {
-	s := PartitionedSnapshot{
-		K:           pm.k,
-		Bounds:      pm.bounds,
-		SOR:         pm.sorOpt,
-		T:           make([]geom.Vec3, pm.k),
-		Aligned:     make([]bool, pm.k),
-		ViewSrc:     append([]int32(nil), pm.viewSrc...),
-		NextPhotoID: pm.nextPhotoID,
-	}
-	for i, p := range pm.parts {
-		s.Parts = append(s.Parts, p.model.Snapshot())
-		s.T[i] = p.t
-		s.Aligned[i] = p.aligned
-	}
-	ids := make([]uint64, 0, len(pm.owner))
-	for id := range pm.owner {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		s.OwnerIDs = append(s.OwnerIDs, id)
-		s.OwnerPart = append(s.OwnerPart, int32(pm.owner[id]))
-	}
-	return s
-}
-
-// FromPartitionedSnapshot reconstructs a partitioned model from a snapshot.
-func FromPartitionedSnapshot(s PartitionedSnapshot) (*Partitioned, error) {
-	if s.K < 1 || len(s.Parts) != s.K || len(s.T) != s.K || len(s.Aligned) != s.K {
-		return nil, fmt.Errorf("sfm: partitioned snapshot arity mismatch: k=%d parts=%d t=%d aligned=%d",
-			s.K, len(s.Parts), len(s.T), len(s.Aligned))
-	}
-	if len(s.OwnerIDs) != len(s.OwnerPart) {
-		return nil, fmt.Errorf("sfm: partitioned snapshot owner arrays mismatch: %d vs %d",
-			len(s.OwnerIDs), len(s.OwnerPart))
-	}
-	pm := &Partitioned{
-		sorOpt:      s.SOR,
-		bounds:      s.Bounds,
-		k:           s.K,
-		owner:       make(map[uint64]int, len(s.OwnerIDs)),
-		nextPhotoID: s.NextPhotoID,
-	}
-	totalViews := 0
-	for i := 0; i < s.K; i++ {
-		m, err := FromSnapshot(s.Parts[i])
-		if err != nil {
-			return nil, fmt.Errorf("sfm: partition %d: %w", i, err)
-		}
-		sor, err := pointcloud.NewIncrementalSOR(s.SOR)
-		if err != nil {
-			return nil, fmt.Errorf("sfm: partition %d SOR: %w", i, err)
-		}
-		pm.parts = append(pm.parts, &partition{
-			model:   m,
-			sor:     sor,
-			t:       s.T[i],
-			aligned: s.Aligned[i],
-		})
-		totalViews += m.NumViews()
-	}
-	pm.cfg = pm.parts[0].model.Config()
-	if len(s.ViewSrc) != totalViews {
-		return nil, fmt.Errorf("sfm: partitioned snapshot view log %d entries for %d views",
-			len(s.ViewSrc), totalViews)
-	}
-	// Replay the view-log interleaving: each entry consumes the source
-	// partition's next unfolded view.
-	for _, src := range s.ViewSrc {
-		if src < 0 || int(src) >= s.K {
-			return nil, fmt.Errorf("sfm: partitioned snapshot view source %d of %d", src, s.K)
-		}
-		p := pm.parts[src]
-		v := p.model.ViewsFrom(p.viewMark)
-		if len(v) == 0 {
-			return nil, fmt.Errorf("sfm: partitioned snapshot view log overruns partition %d", src)
-		}
-		pm.viewLog = append(pm.viewLog, v[0])
-		pm.viewSrc = append(pm.viewSrc, src)
-		p.viewMark++
-	}
-	for i, id := range s.OwnerIDs {
-		o := int(s.OwnerPart[i])
-		if o < 0 || o >= s.K {
-			return nil, fmt.Errorf("sfm: partitioned snapshot owner %d of %d", o, s.K)
-		}
-		pm.owner[id] = o
-	}
-	return pm, nil
-}
-
 // FromSnapshot reconstructs a model from a snapshot.
 func FromSnapshot(s Snapshot) (*Model, error) {
 	if len(s.TrackIDs) != len(s.TrackViews) {

@@ -25,12 +25,10 @@ type HTTPMetrics struct {
 	Requests *CounterVec
 	// Duration observes per-route request latency in seconds.
 	Duration *HistogramVec
-	// InFlight gauges requests currently being served per route.
-	InFlight *GaugeVec
-	// InFlightTotal gauges requests currently being served across every
-	// route — the single saturation number dashboards watch next to
+	// InFlight gauges requests currently being served per route; summed
+	// over routes it is the saturation number dashboards watch next to
 	// snaptask_admission_queue_depth.
-	InFlightTotal *Gauge
+	InFlight *GaugeVec
 }
 
 // NewHTTPMetrics registers the HTTP instrument set on reg. With a nil
@@ -43,8 +41,6 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 			"HTTP request latency.", DurationBuckets(), "route"),
 		InFlight: reg.GaugeVec("snaptask_http_in_flight_requests",
 			"Requests currently being served.", "route"),
-		InFlightTotal: reg.Gauge("snaptask_http_inflight_requests",
-			"Requests currently being served across all routes."),
 	}
 }
 
@@ -126,13 +122,11 @@ func (h *HTTP) Route(route string, next http.Handler) http.Handler {
 		return next
 	}
 	var (
-		inFlight      *Gauge
-		inFlightTotal *Gauge
-		duration      *Histogram
+		inFlight *Gauge
+		duration *Histogram
 	)
 	if h.metrics != nil {
 		inFlight = h.metrics.InFlight.With(route)
-		inFlightTotal = h.metrics.InFlightTotal
 		duration = h.metrics.Duration.With(route)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -165,10 +159,8 @@ func (h *HTTP) Route(route string, next http.Handler) http.Handler {
 
 		start := time.Now()
 		inFlight.Inc()
-		inFlightTotal.Inc()
 		rec := &statusRecorder{ResponseWriter: w}
 		next.ServeHTTP(rec, r)
-		inFlightTotal.Dec()
 		inFlight.Dec()
 		if rec.status == 0 {
 			// Handler wrote nothing; net/http sends 200 on return.

@@ -14,10 +14,8 @@
 // /debug/traces handler serves the deduplicated union, filterable with
 // ?min_ms= and ?endpoint=.
 //
-// A Trace may be written from several goroutines at once (the partitioned
-// ingest path opens per-partition spans concurrently), so the in-flight
-// record is guarded by a small mutex shared between a trace and the
-// prefixed child views returned by Sub. Active tracing still adds only two
+// The in-flight record is guarded by a small mutex, so a Trace stays safe to
+// record from more than one goroutine. Active tracing still adds only two
 // time.Now calls, one short critical section and one histogram observation
 // per stage. Every method is nil-receiver safe: with no Tracer configured,
 // Start returns a nil Trace and the entire span tree degrades to no-ops
@@ -116,10 +114,9 @@ func NewTracer(reg *Registry, capacity int) *Tracer {
 // trace mutex); Finish must be called exactly once, after all recording
 // goroutines are done. A nil Trace is a valid no-op.
 type Trace struct {
-	t      *Tracer
-	mu     *sync.Mutex
-	rec    *TraceRecord
-	prefix string
+	t   *Tracer
+	mu  sync.Mutex
+	rec *TraceRecord
 	// request marks request-scoped traces (locate, claim) that must not
 	// feed the ingest batch duration histogram.
 	request bool
@@ -130,7 +127,7 @@ func (t *Tracer) Start(kind, requestID string) *Trace {
 	if t == nil {
 		return nil
 	}
-	return &Trace{t: t, mu: &sync.Mutex{}, rec: &TraceRecord{
+	return &Trace{t: t, rec: &TraceRecord{
 		Kind:      kind,
 		RequestID: requestID,
 		Start:     time.Now(),
@@ -162,17 +159,6 @@ func (tr *Trace) SetTraceContext(tc TraceContext) {
 	tr.mu.Unlock()
 }
 
-// Sub returns a child view of the trace whose span stage names and counter
-// keys are prefixed (e.g. "p3." for partition 3). The child shares the
-// parent's record and lock, so concurrent recording through different Sub
-// views is safe; only the parent should call Finish.
-func (tr *Trace) Sub(prefix string) *Trace {
-	if tr == nil {
-		return nil
-	}
-	return &Trace{t: tr.t, mu: tr.mu, rec: tr.rec, prefix: tr.prefix + prefix, request: tr.request}
-}
-
 // Span is one in-flight stage measurement.
 type Span struct {
 	tr    *Trace
@@ -195,18 +181,16 @@ func (sp *Span) End() {
 		return
 	}
 	d := time.Since(sp.start)
-	stage := sp.tr.prefix + sp.stage
 	sp.tr.mu.Lock()
 	sp.tr.rec.Stages = append(sp.tr.rec.Stages, StageRecord{
-		Stage:      stage,
+		Stage:      sp.stage,
 		DurationMS: float64(d) / 1e6,
 	})
 	sp.tr.mu.Unlock()
-	sp.tr.t.stageDur.With(stage).Observe(d.Seconds())
+	sp.tr.t.stageDur.With(sp.stage).Observe(d.Seconds())
 }
 
-// SetCount attaches an outcome counter to the trace. The trace's Sub
-// prefix, if any, is applied to the key.
+// SetCount attaches an outcome counter to the trace.
 func (tr *Trace) SetCount(key string, v int) {
 	if tr == nil {
 		return
@@ -215,7 +199,7 @@ func (tr *Trace) SetCount(key string, v int) {
 	if tr.rec.Counts == nil {
 		tr.rec.Counts = make(map[string]int, 8)
 	}
-	tr.rec.Counts[tr.prefix+key] = v
+	tr.rec.Counts[key] = v
 	tr.mu.Unlock()
 }
 

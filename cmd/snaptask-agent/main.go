@@ -61,7 +61,7 @@ func run(args []string) error {
 	thinkSigma := fs.Float64("think-sigma", 1.0,
 		"lognormal spread of -think (1.0 gives a ~7x p99/median ratio)")
 	tailEvents := fs.Bool("events", false,
-		"tail the server's campaign event stream (GET /v1/events) while running; requires snaptask-server -journal")
+		"tail the server's campaign event stream (GET /v1/events) while running; requires snaptask-server -journal-dir")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	if err := fs.Parse(args); err != nil {

@@ -17,11 +17,12 @@
 // BENCH_ingest.json used to track the perf trajectory across PRs;
 // -ingest-gate compares the run against a committed BENCH_ingest.json and
 // fails on regression (identical flipping false, or the largest-size
-// incremental latency rising above twice the committed value).
+// incremental latency rising above twice the committed value). Both gates
+// refuse a run whose GOMAXPROCS differs from the committed file's.
 //
 // The extra experiment `restart` (also not part of 'all') benchmarks server
-// restart cost over the checkpointing event store versus a full journal
-// replay, at 1x and 100x dispatch-churn event volume. With -restart-out it
+// restart cost over a checkpointed event store versus a full replay of one
+// that was never checkpointed, at 1x and 100x dispatch-churn event volume. With -restart-out it
 // writes BENCH_restart.json; -restart-gate compares a fresh run against the
 // committed baseline and fails when the checkpointed restart stops being
 // flat (100x/1x ratio above 2).
@@ -112,10 +113,10 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "small venue, fast smoke run")
 	ingestOut := fs.String("ingest-out", "", "write the ingest experiment's JSON report to this file")
 	ingestGate := fs.String("ingest-gate", "",
-		"regression gate: compare the ingest experiment against this committed BENCH_ingest.json and fail on identical=false or a largest-size incremental latency above twice the committed value")
+		"regression gate: compare the ingest experiment against this committed BENCH_ingest.json and fail on identical=false or a largest-size incremental latency above twice the committed value; the run must use the committed GOMAXPROCS")
 	restartOut := fs.String("restart-out", "", "write the restart experiment's JSON report to this file")
 	restartGate := fs.String("restart-gate", "",
-		"regression gate: compare the restart experiment against this committed BENCH_restart.json and fail when the checkpointed 100x/1x restart ratio exceeds 2 (restart no longer flat)")
+		"regression gate: compare the restart experiment against this committed BENCH_restart.json and fail when the checkpointed 100x/1x restart ratio exceeds 2 (restart no longer flat); the run must use the committed GOMAXPROCS")
 	overheadOut := fs.String("overhead-out", "", "write the overhead experiment's JSON report to this file")
 	overheadGate := fs.Float64("overhead-gate", 0,
 		"regression gate: fail the overhead experiment when the instrumented-ingest overhead exceeds this fraction (e.g. 0.02 = the 2% budget in EXPERIMENTS.md); 0 disables")
@@ -767,15 +768,17 @@ func (b *bench) ingest() error {
 // size — the cost every served upload pays — may not exceed twice the
 // committed value (twice, not equal, because CI runners are noisy; losing
 // the delta path costs more than that, since the committed full-recompute
-// time is several times the incremental one).
+// time is several times the incremental one). The run must match the
+// committed venue, -quick and GOMAXPROCS: at a higher GOMAXPROCS the full
+// path alone can fit under the bound.
 func checkIngestGate(committed, fresh *ingestReport) error {
 	if len(committed.Sizes) == 0 || len(fresh.Sizes) == 0 {
 		return fmt.Errorf("ingest gate: empty report (committed %d sizes, fresh %d)",
 			len(committed.Sizes), len(fresh.Sizes))
 	}
-	if committed.Quick != fresh.Quick || committed.Venue != fresh.Venue {
-		return fmt.Errorf("ingest gate: baseline ran venue=%q quick=%v but this run is venue=%q quick=%v — not comparable",
-			committed.Venue, committed.Quick, fresh.Venue, fresh.Quick)
+	if committed.Quick != fresh.Quick || committed.Venue != fresh.Venue || committed.GoMaxProcs != fresh.GoMaxProcs {
+		return fmt.Errorf("ingest gate: baseline ran venue=%q quick=%v gomaxprocs=%d but this run is venue=%q quick=%v gomaxprocs=%d — not comparable",
+			committed.Venue, committed.Quick, committed.GoMaxProcs, fresh.Venue, fresh.Quick, fresh.GoMaxProcs)
 	}
 	base := committed.Sizes[len(committed.Sizes)-1]
 	cur := fresh.Sizes[len(fresh.Sizes)-1]
@@ -797,8 +800,9 @@ type restartRow struct {
 	// CheckpointMS: open the checkpointing directory store and replay —
 	// newest checkpoint + tail only.
 	CheckpointMS float64 `json:"checkpoint_restart_ms"`
-	// FullReplayMS: open the single-file journal and fold every event from
-	// seq 1 — the O(lifetime) path the checkpoint store replaces.
+	// FullReplayMS: open a directory store that was never checkpointed and
+	// fold every event from seq 1 — the O(lifetime) restart that
+	// checkpoints replace.
 	FullReplayMS float64 `json:"full_replay_restart_ms"`
 }
 
@@ -821,8 +825,8 @@ type restartReport struct {
 // venue converges once) followed by dispatch churn — claims, expiries,
 // requeues — that keeps growing for as long as the deployment runs. The
 // churn phase is scaled 1x vs 100x and the restart (open + replay) is timed
-// over the checkpointing directory store and over a plain single-file
-// journal. The journal restart is O(lifetime); the checkpointed restart
+// over a checkpointed directory store and over one that never checkpoints.
+// The never-checkpointed restart is O(lifetime); the checkpointed restart
 // replays only the tail after the newest checkpoint and must stay flat.
 func (b *bench) restart() error {
 	// Load the committed baseline before anything is written: -restart-gate
@@ -851,7 +855,7 @@ func (b *bench) restart() error {
 		ChurnBase:      churnBase,
 	}
 
-	fmt.Println("Restart cost — checkpointed store vs full journal replay:")
+	fmt.Println("Restart cost — checkpointed store vs full replay:")
 	fmt.Println("  churn      events   tail  checkpoint(ms)  full-replay(ms)")
 	for _, mult := range []int{1, 100} {
 		row, err := b.restartAt(mult, campaignN, churnBase*mult)
@@ -893,7 +897,8 @@ func (b *bench) restart() error {
 }
 
 // restartAt builds one synthetic campaign history at the given churn volume
-// in both store layouts and returns the median restart timings.
+// in two directory stores, one checkpointed and one not, and returns the
+// median restart timings.
 func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 	dir, err := os.MkdirTemp("", "snaptask-restart-*")
 	if err != nil {
@@ -901,24 +906,23 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 	}
 	defer os.RemoveAll(dir)
 	ckptDir := dir + "/campaign.d"
-	journalPath := dir + "/campaign.jsonl"
+	fullDir := dir + "/full.d"
+	opts := events.DirStoreOptions{SegmentMaxBytes: 1 << 20}
 
 	// The checkpointing store compacts as it goes, so even the 100x history
-	// stays small on disk; the flat journal keeps everything.
-	lc, err := events.OpenDir(ckptDir, nil,
-		events.DirStoreOptions{SegmentMaxBytes: 1 << 20},
-		events.CheckpointPolicy{Every: 4096})
+	// stays small on disk; the never-checkpointed store keeps everything.
+	lc, err := events.OpenDir(ckptDir, nil, opts, events.CheckpointPolicy{Every: 4096})
 	if err != nil {
 		return restartRow{}, err
 	}
-	lj, err := events.Open(journalPath, nil)
+	lf, err := events.OpenDir(fullDir, nil, opts, events.CheckpointPolicy{})
 	if err != nil {
 		return restartRow{}, err
 	}
 
 	emit := func(e events.Event) {
 		lc.Emit(e)
-		lj.Emit(e)
+		lf.Emit(e)
 	}
 	sync := func() error {
 		if err := lc.Commit(); err != nil {
@@ -929,7 +933,7 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 				return err
 			}
 		}
-		return lj.Commit()
+		return lf.Commit()
 	}
 	// Fixed mapping phase: tasks issued, batches accepted, coverage grows.
 	for i := 0; i < campaignN/4; i++ {
@@ -982,7 +986,7 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 	if err := lc.Close(); err != nil {
 		return restartRow{}, err
 	}
-	if err := lj.Close(); err != nil {
+	if err := lf.Close(); err != nil {
 		return restartRow{}, err
 	}
 
@@ -995,9 +999,7 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 	var ckptTimes, fullTimes []time.Duration
 	for i := 0; i < trials; i++ {
 		t0 := time.Now()
-		l, err := events.OpenDir(ckptDir, nil,
-			events.DirStoreOptions{SegmentMaxBytes: 1 << 20},
-			events.CheckpointPolicy{Every: 4096})
+		l, err := events.OpenDir(ckptDir, nil, opts, events.CheckpointPolicy{Every: 4096})
 		if err != nil {
 			return restartRow{}, err
 		}
@@ -1014,7 +1016,7 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 		}
 
 		t0 = time.Now()
-		l, err = events.Open(journalPath, nil)
+		l, err = events.OpenDir(fullDir, nil, opts, events.CheckpointPolicy{})
 		if err != nil {
 			return restartRow{}, err
 		}
@@ -1023,7 +1025,7 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 		}
 		fullTimes = append(fullTimes, time.Since(t0))
 		if l.LastSeq() != total {
-			return restartRow{}, fmt.Errorf("journal replay lost events: %d != %d", l.LastSeq(), total)
+			return restartRow{}, fmt.Errorf("full replay lost events: %d != %d", l.LastSeq(), total)
 		}
 		if err := l.Close(); err != nil {
 			return restartRow{}, err
@@ -1041,15 +1043,16 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 // checkRestartGate fails when the fresh restart report breaks the flat-
 // restart invariant: the checkpointed restart at 100x event volume may not
 // exceed 2x the 1x baseline (the ratio is computed within one run, so CI
-// machine speed cancels out). Baselines must be comparable (same -quick).
+// machine speed cancels out). Baselines must be comparable (same -quick
+// and GOMAXPROCS).
 func checkRestartGate(committed, fresh *restartReport) error {
 	if len(committed.Rows) == 0 || len(fresh.Rows) == 0 {
 		return fmt.Errorf("restart gate: empty report (committed %d rows, fresh %d)",
 			len(committed.Rows), len(fresh.Rows))
 	}
-	if committed.Quick != fresh.Quick {
-		return fmt.Errorf("restart gate: baseline ran quick=%v but this run is quick=%v — not comparable",
-			committed.Quick, fresh.Quick)
+	if committed.Quick != fresh.Quick || committed.GoMaxProcs != fresh.GoMaxProcs {
+		return fmt.Errorf("restart gate: baseline ran quick=%v gomaxprocs=%d but this run is quick=%v gomaxprocs=%d — not comparable",
+			committed.Quick, committed.GoMaxProcs, fresh.Quick, fresh.GoMaxProcs)
 	}
 	if fresh.Ratio > 2.0 {
 		return fmt.Errorf("restart gate: checkpointed restart at %dx volume is %.2fx the 1x baseline (limit 2.0) — restart cost is no longer flat",

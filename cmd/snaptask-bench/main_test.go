@@ -63,7 +63,8 @@ func TestShrink(t *testing.T) {
 
 func TestCheckIngestGate(t *testing.T) {
 	committed := ingestReport{
-		Venue: "aalto-library",
+		Venue:      "aalto-library",
+		GoMaxProcs: 1,
 		Sizes: []ingestRow{
 			{Views: 120, FullMS: 300, IncrementalMS: 70, Identical: true},
 			{Views: 1000, FullMS: 880, IncrementalMS: 100, Identical: true},
@@ -92,7 +93,8 @@ func TestCheckIngestGate(t *testing.T) {
 		{"identical flips", fresh(func(_ *ingestReport, l *ingestRow) { l.Identical = false }), false},
 		{"venue mismatch", fresh(func(r *ingestReport, _ *ingestRow) { r.Venue = "small" }), false},
 		{"quick mismatch", fresh(func(r *ingestReport, _ *ingestRow) { r.Quick = true }), false},
-		{"empty fresh", &ingestReport{Venue: committed.Venue}, false},
+		{"gomaxprocs mismatch", fresh(func(r *ingestReport, _ *ingestRow) { r.GoMaxProcs = 4 }), false},
+		{"empty fresh", &ingestReport{Venue: committed.Venue, GoMaxProcs: committed.GoMaxProcs}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -106,6 +108,51 @@ func TestCheckIngestGate(t *testing.T) {
 		})
 	}
 	if err := checkIngestGate(&ingestReport{}, &committed); err == nil {
+		t.Error("gate passed against an empty committed report")
+	}
+}
+
+func TestCheckRestartGate(t *testing.T) {
+	committed := restartReport{
+		GoMaxProcs: 1,
+		Rows: []restartRow{
+			{Mult: 1, CheckpointMS: 20, FullReplayMS: 40},
+			{Mult: 100, CheckpointMS: 14, FullReplayMS: 2700},
+		},
+		Ratio: 0.7,
+	}
+	// fresh returns a copy of the committed report rewritten by edit.
+	fresh := func(edit func(r *restartReport)) *restartReport {
+		r := committed
+		r.Rows = append([]restartRow(nil), committed.Rows...)
+		edit(&r)
+		return &r
+	}
+	tests := []struct {
+		name  string
+		fresh *restartReport
+		pass  bool
+	}{
+		{"unchanged", fresh(func(*restartReport) {}), true},
+		{"within 2.0", fresh(func(r *restartReport) { r.Ratio = 1.9 }), true},
+		{"at 2.0", fresh(func(r *restartReport) { r.Ratio = 2.0 }), true},
+		{"above 2.0", fresh(func(r *restartReport) { r.Ratio = 2.1 }), false},
+		{"quick mismatch", fresh(func(r *restartReport) { r.Quick = true }), false},
+		{"gomaxprocs mismatch", fresh(func(r *restartReport) { r.GoMaxProcs = 4 }), false},
+		{"empty rows", fresh(func(r *restartReport) { r.Rows = nil }), false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := checkRestartGate(&committed, tt.fresh)
+			if tt.pass && err != nil {
+				t.Errorf("gate failed: %v", err)
+			}
+			if !tt.pass && err == nil {
+				t.Error("gate passed, want failure")
+			}
+		})
+	}
+	if err := checkRestartGate(&restartReport{GoMaxProcs: 1}, &committed); err == nil {
 		t.Error("gate passed against an empty committed report")
 	}
 }

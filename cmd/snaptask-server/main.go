@@ -34,24 +34,23 @@
 // are counted in snaptask_requests_shed_total{cause}, retained as error
 // traces, and coalesced onto the event bus as load_shed events.
 //
-// Pass -journal campaign.jsonl to record every campaign lifecycle
-// transition to an append-only JSONL journal: GET /v1/events streams the
-// feed live over SSE (resumable via Last-Event-ID), GET /v1/progress serves
-// the derived coverage/photos/tasks time series, and restarting over the
-// same journal restores campaign counters and history exactly. Pair it with
-// -load/-save, which persist the model itself.
-//
-// Pass -journal-dir campaign.d instead for the checkpointing store: events
-// land in rotating segments, a checkpoint of the folded campaign and
-// dispatch state is written periodically (-checkpoint-interval,
-// -checkpoint-every), fully covered segments are compacted away, and a
-// restart replays only the tail after the newest checkpoint — restart cost
-// stays flat no matter how long the campaign has run.
+// Pass -journal-dir campaign.d to persist the campaign: every lifecycle
+// transition lands in rotating JSONL segments, GET /v1/events streams the
+// feed live over SSE (resumable via Last-Event-ID), and GET /v1/progress
+// serves the derived coverage/photos/tasks time series. A checkpoint of the
+// folded campaign and dispatch state is written periodically
+// (-checkpoint-interval, -checkpoint-every), fully covered segments are
+// compacted away, and a restart replays only the tail after the newest
+// checkpoint — restart cost stays flat no matter how long the campaign has
+// run.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
-// on both listeners drain (bounded by -shutdown-timeout) and, when -save
-// is given, the final backend state is written there so a later run can
-// resume it via -load.
+// on both listeners drain (bounded by -shutdown-timeout) and, with
+// -journal-dir, a final checkpoint writes each campaign's model to
+// model.snap in its journal directory, so the next start resumes it. A
+// failed final checkpoint makes the process exit non-zero. -load imports
+// a model snapshot (GET /v1/snapshot exports one) into the default
+// campaign.
 //
 // Usage:
 //
@@ -100,11 +99,8 @@ func run(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", 42, "world seed (agents must use the same)")
 	margin := fs.Float64("margin", 12, "map margin beyond the venue bounds (m)")
 	statePath := fs.String("load", "", "resume from a snapshot file (see GET /v1/snapshot)")
-	savePath := fs.String("save", "", "write a state snapshot here on graceful shutdown")
-	journalPath := fs.String("journal", "",
-		"append campaign lifecycle events to this JSONL journal; on startup an existing journal is replayed to restore campaign counters and progress history (enables GET /v1/events and /v1/progress)")
 	journalDir := fs.String("journal-dir", "",
-		"checkpointing event store directory (segments + periodic checkpoints): restart replays only the tail after the newest checkpoint instead of the full history; mutually exclusive with -journal")
+		"checkpointing event store directory (segments + periodic checkpoints, and model.snap written at shutdown): restart replays only the tail after the newest checkpoint instead of the full history")
 	checkpointInterval := fs.Duration("checkpoint-interval", time.Minute,
 		"with -journal-dir: write a checkpoint when this much time has passed since the last one (0 disables the time trigger)")
 	checkpointEvery := fs.Uint64("checkpoint-every", 4096,
@@ -147,9 +143,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	tel := telemetry.New(logger, *traceCap)
 
-	if *journalPath != "" && *journalDir != "" {
-		return fmt.Errorf("-journal and -journal-dir are mutually exclusive")
-	}
 	// -load restores the default campaign's model from an explicit snapshot
 	// file; otherwise the manager restores <journal-dir>/model.snap when
 	// present, or builds a fresh system from the spec.
@@ -209,7 +202,7 @@ func run(ctx context.Context, args []string) error {
 		Venue:  *venueName,
 		Seed:   *seed,
 		Margin: *margin,
-	}, sys, *journalPath)
+	}, sys)
 	if err != nil {
 		return err
 	}
@@ -228,15 +221,11 @@ func run(ctx context.Context, args []string) error {
 			slog.String("profile_dir", *profileDir),
 			slog.Duration("stall_threshold", *stallThreshold))
 	}
-	if *journalPath != "" || *journalDir != "" {
-		path := *journalPath
-		if *journalDir != "" {
-			path = *journalDir
-		}
+	if *journalDir != "" {
 		evlog := def.Log()
 		c := evlog.Campaign().Counters()
 		logger.Info("journal replayed",
-			slog.String("path", path),
+			slog.String("path", *journalDir),
 			slog.Uint64("events", evlog.LastSeq()),
 			slog.Uint64("checkpoint_seq", evlog.CheckpointSeq()),
 			slog.Int("batches_accepted", c.BatchesAccepted),
@@ -326,28 +315,11 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *journalDir != "" {
 		// A final checkpoint (event-log checkpoint + model snapshot, per
-		// campaign) makes the next start replay an empty tail.
+		// campaign) makes the next start replay an empty tail. It is the
+		// only place the model is persisted, so its failure fails the run.
 		if err := mgr.Checkpoint(); err != nil {
-			logger.Error("shutdown checkpoint failed", slog.String("err", err.Error()))
+			return fmt.Errorf("shutdown checkpoint: %w", err)
 		}
-	}
-	if *savePath != "" {
-		if err := saveState(def.Server(), *savePath); err != nil {
-			return err
-		}
-		logger.Info("state saved", slog.String("path", *savePath))
-	}
-	return nil
-}
-
-// saveState writes the backend snapshot atomically and durably: temp file
-// in the target directory, fsync, rename, parent-directory fsync. A bare
-// rename is only atomic against process crashes — without the fsyncs a
-// machine crash around the rename can publish a truncated or empty
-// snapshot.
-func saveState(srv *server.Server, path string) error {
-	if err := events.WriteFileAtomic(path, srv.WriteState); err != nil {
-		return fmt.Errorf("save snapshot: %w", err)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,21 +56,20 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(ctx, []string{"-log-format", "xml"}); err == nil {
 		t.Error("bogus log format accepted")
 	}
+	// -journal-dir is the only way a campaign persists; -journal and
+	// -save are unknown flags.
+	for _, flag := range []string{"-journal", "-save"} {
+		if err := run(ctx, []string{flag, "x"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s x: err = %v, want unknown flag", flag, err)
+		}
+	}
 }
 
-// TestGracefulShutdown cancels the serve context (the SIGINT/SIGTERM path)
-// and expects run to drain, save the -save snapshot, and return nil rather
-// than ErrServerClosed.
 // TestPprofEndpoint starts the server with -pprof-addr and expects the
 // profiling index to come up on the side listener (and only there — the
 // default is off, covered by the main API mux having no /debug routes).
 func TestPprofEndpoint(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pprofAddr := l.Addr().String()
-	l.Close()
+	pprofAddr := freeAddr(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -111,12 +111,15 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
+// TestGracefulShutdown cancels the serve context (the SIGINT/SIGTERM path)
+// and expects run to drain, write the shutdown checkpoint's model.snap into
+// the -journal-dir, and return nil rather than ErrServerClosed.
 func TestGracefulShutdown(t *testing.T) {
-	save := filepath.Join(t.TempDir(), "state.snap")
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-venue", "small", "-save", save})
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-venue", "small", "-journal-dir", dir})
 	}()
 	// Shutdown-before-Serve is handled by net/http (Serve returns
 	// ErrServerClosed immediately), so an early cancel is safe too.
@@ -131,10 +134,10 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("run did not return after context cancellation")
 	}
 
-	// The saved snapshot restores into a working system.
-	f, err := os.Open(save)
+	// The checkpointed model restores into a working system.
+	f, err := os.Open(filepath.Join(dir, "model.snap"))
 	if err != nil {
-		t.Fatalf("snapshot not saved: %v", err)
+		t.Fatalf("model not checkpointed: %v", err)
 	}
 	defer f.Close()
 	v, err := venue.ByName("small", 42)
@@ -143,7 +146,40 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	world := camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(42))))
 	if _, err := core.LoadSystem(f, v, world); err != nil {
-		t.Fatalf("saved state does not load: %v", err)
+		t.Fatalf("checkpointed model does not load: %v", err)
+	}
+}
+
+// TestShutdownCheckpointFailureFailsRun pins that a shutdown checkpoint
+// that cannot write the model is an error, not a log line: a non-empty
+// directory squats on <journal-dir>/model.snap, so the atomic rename
+// fails, and run must return an error naming the path.
+func TestShutdownCheckpointFailureFailsRun(t *testing.T) {
+	addr := freeAddr(t)
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", addr, "-venue", "small", "-journal-dir", dir, "-log-level", "error"})
+	}()
+	waitOK(t, addr, "/healthz")
+
+	snap := filepath.Join(dir, "model.snap")
+	if err := os.MkdirAll(filepath.Join(snap, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("run returned nil although the shutdown checkpoint could not write the model")
+		}
+		if !strings.Contains(err.Error(), snap) {
+			t.Fatalf("run error %q does not name %s", err, snap)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after context cancellation")
 	}
 }
 
@@ -152,22 +188,16 @@ func TestGracefulShutdown(t *testing.T) {
 // stops heartbeating, blur exclusion, and a restart over the journal that
 // restores the /v1/status dispatch section byte-identically.
 func TestLeaseLifecycleE2E(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	addr := freeAddr(t)
 	args := []string{
-		"-addr", addr, "-venue", "small", "-journal", journal,
+		"-addr", addr, "-venue", "small", "-journal-dir", t.TempDir(),
 		"-lease-ttl", "1s", "-log-level", "error",
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, args) }()
-	waitReady(t, addr)
+	waitOK(t, addr, "/readyz")
 
 	// The same simulated world the server derives from -venue/-seed.
 	v, err := venue.ByName("small", 42)
@@ -256,7 +286,7 @@ func TestLeaseLifecycleE2E(t *testing.T) {
 			t.Fatal("second run did not stop")
 		}
 	}()
-	waitReady(t, addr)
+	waitOK(t, addr, "/readyz")
 
 	after := dispatchStatusJSON(t, addr)
 	if before != after {
@@ -264,12 +294,24 @@ func TestLeaseLifecycleE2E(t *testing.T) {
 	}
 }
 
-// waitReady polls /readyz until the server answers.
-func waitReady(t *testing.T, addr string) {
+// freeAddr returns a loopback address with a port that was free a moment
+// ago.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// waitOK polls path until the server answers it with 200.
+func waitOK(t *testing.T, addr, path string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/readyz")
+		resp, err := http.Get("http://" + addr + path)
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -277,7 +319,7 @@ func waitReady(t *testing.T, addr string) {
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server never became ready: %v", err)
+			t.Fatalf("server never answered %s: %v", path, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
+	"strings"
 
 	"snaptask/internal/server"
 )
@@ -133,17 +135,14 @@ func (m *Manager) handleDelegate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDefaultAlias keeps every legacy route working: anything not
-// claimed by a manager-level pattern goes to the default campaign
-// (override with ?campaign=<id>, which is also the SSE filter — each
-// campaign owns its own event log, so filtering is routing).
+// claimed by a manager-level pattern goes to the default campaign.
 func (m *Manager) handleDefaultAlias(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("campaign")
-	if id == "" {
-		id = DefaultID
+	if rejectCampaignQuery(w, r) {
+		return
 	}
-	c := m.Get(id)
+	c := m.Default()
 	if c == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrNotFound, id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrNotFound, DefaultID))
 		return
 	}
 	if c.Archived() && r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -153,17 +152,25 @@ func (m *Manager) handleDefaultAlias(w http.ResponseWriter, r *http.Request) {
 	m.forward(c, w, r, r.URL.Path)
 }
 
+// rejectCampaignQuery answers 400 for a bare route that names a campaign
+// in its query. Campaigns are addressed only by /v1/campaigns/{id}/...;
+// serving the default campaign instead would hand the caller another
+// campaign's data.
+func rejectCampaignQuery(w http.ResponseWriter, r *http.Request) bool {
+	q := r.URL.Query()
+	if !q.Has("campaign") {
+		return false
+	}
+	id := q.Get("campaign")
+	writeError(w, http.StatusBadRequest, fmt.Errorf("the campaign query parameter is not supported: address campaign %q as /v1/campaigns/%s%s",
+		id, url.PathEscape(id), strings.TrimPrefix(r.URL.Path, "/v1")))
+	return true
+}
+
 // handleStatus implements GET /v1/status: the default campaign's status
-// extended with the cross-campaign rollup (?campaign= serves one
-// campaign's plain status instead).
+// extended with the cross-campaign rollup.
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("campaign"); id != "" {
-		c := m.Get(id)
-		if c == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrNotFound, id))
-			return
-		}
-		m.forward(c, w, r, r.URL.Path)
+	if rejectCampaignQuery(w, r) {
 		return
 	}
 	var resp ManagerStatus

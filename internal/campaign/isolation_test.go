@@ -15,8 +15,8 @@ import (
 )
 
 // blockWriter blocks the first Write until released — handed to
-// Server.WriteState it pins the campaign's owner lock, simulating a stuck
-// owner path in exactly one shard.
+// Server.CheckpointState it pins the campaign's owner lock, simulating a
+// stuck owner path in exactly one shard.
 type blockWriter struct {
 	gate    chan struct{}
 	entered chan struct{}
@@ -35,7 +35,7 @@ func (b *blockWriter) Write(p []byte) (int, error) {
 
 func (b *blockWriter) release() { close(b.gate) }
 
-// blockOwner pins a campaign's owner lock via WriteState until the
+// blockOwner pins a campaign's owner lock via CheckpointState until the
 // returned release func is called.
 func blockOwner(t *testing.T, c *Campaign) (release func()) {
 	t.Helper()
@@ -43,7 +43,7 @@ func blockOwner(t *testing.T, c *Campaign) (release func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = c.Server().WriteState(bw)
+		_ = c.Server().CheckpointState(bw)
 	}()
 	select {
 	case <-bw.entered:

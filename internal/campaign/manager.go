@@ -175,19 +175,18 @@ func (m *Manager) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // CreateDefault installs the default campaign the legacy single-campaign
-// routes alias to. Its journal lives at the manager's journal root itself
-// (or at journalFile for the legacy single-file store), preserving the
-// pre-multi-campaign layout. sys, when non-nil, is a pre-built or
+// routes alias to. Its journal lives at the manager's journal root itself,
+// preserving the pre-multi-campaign layout. sys, when non-nil, is a pre-built or
 // pre-loaded model (the CLI's -load path); otherwise the model is restored
 // from <root>/model.snap when present, or built fresh from the spec.
-func (m *Manager) CreateDefault(spec Spec, sys *core.System, journalFile string) (*Campaign, error) {
+func (m *Manager) CreateDefault(spec Spec, sys *core.System) (*Campaign, error) {
 	spec.ID = DefaultID
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.campaigns[DefaultID]; ok {
 		return nil, fmt.Errorf("campaign: default campaign already installed")
 	}
-	c, err := m.build(spec, sys, true, journalFile)
+	c, err := m.build(spec, sys, true)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +216,7 @@ func (m *Manager) create(spec Spec, sys *core.System) (*Campaign, error) {
 	if _, ok := m.campaigns[spec.ID]; ok {
 		return nil, fmt.Errorf("campaign: %w: %q", ErrExists, spec.ID)
 	}
-	c, err := m.build(spec, sys, false, "")
+	c, err := m.build(spec, sys, false)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +231,7 @@ func (m *Manager) create(spec Spec, sys *core.System) (*Campaign, error) {
 // labelled with the campaign ID, its own journal (replayed inside
 // server.New), dispatcher, admission instance and SLO tracker. Caller
 // holds m.mu.
-func (m *Manager) build(spec Spec, sys *core.System, isDefault bool, journalFile string) (*Campaign, error) {
+func (m *Manager) build(spec Spec, sys *core.System, isDefault bool) (*Campaign, error) {
 	if spec.Margin <= 0 {
 		spec.Margin = 12
 	}
@@ -258,8 +257,7 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool, journalFile
 
 	var log *events.Log
 	em := telemetry.NewEventMetrics(reg)
-	switch {
-	case m.cfg.JournalRoot != "":
+	if m.cfg.JournalRoot != "" {
 		dir := m.cfg.JournalRoot
 		if !isDefault {
 			dir = campaignDir(m.cfg.JournalRoot, spec.ID)
@@ -272,12 +270,7 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool, journalFile
 		if err != nil {
 			return nil, err
 		}
-	case journalFile != "":
-		log, err = events.Open(journalFile, em)
-		if err != nil {
-			return nil, err
-		}
-	default:
+	} else {
 		log = events.NewLog(em)
 	}
 	log.SetCampaignID(spec.ID)

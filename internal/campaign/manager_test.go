@@ -39,7 +39,7 @@ func newTestManager(t *testing.T, cfg ManagerConfig) (*Manager, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CreateDefault(Spec{Venue: "small", Seed: 1}, nil, ""); err != nil {
+	if _, err := m.CreateDefault(Spec{Venue: "small", Seed: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
@@ -256,13 +256,28 @@ func TestStatusRollupAndMetrics(t *testing.T) {
 		t.Fatalf("east-wing rollup after bootstrap: %+v", east)
 	}
 
-	// ?campaign= scopes the bare route to one campaign (plain status shape).
+	// The scoped route serves one campaign's plain status.
 	var st server.StatusResponse
-	if code := getJSON(t, ts.URL+"/v1/status?campaign=east-wing", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/campaigns/east-wing/status", &st); code != http.StatusOK {
 		t.Fatalf("scoped status: code %d", code)
 	}
 	if st.PhotosProcessed != east.PhotosProcessed {
 		t.Fatalf("scoped status photos %d, rollup %d", st.PhotosProcessed, east.PhotosProcessed)
+	}
+
+	// A bare route naming a campaign in its query is refused with the
+	// scoped route, never answered from the default campaign.
+	for path, scoped := range map[string]string{
+		"/v1/status?campaign=east-wing": "/v1/campaigns/east-wing/status",
+		"/v1/task?campaign=east-wing":   "/v1/campaigns/east-wing/task",
+	} {
+		var e map[string]string
+		if code := getJSON(t, ts.URL+path, &e); code != http.StatusBadRequest {
+			t.Fatalf("GET %s: code %d, want 400", path, code)
+		}
+		if !strings.Contains(e["error"], scoped) {
+			t.Fatalf("GET %s: error %q does not name %s", path, e["error"], scoped)
+		}
 	}
 
 	// /metrics: per-campaign labels on existing families plus the

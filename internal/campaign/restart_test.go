@@ -43,7 +43,7 @@ func buildJournaledManager(t *testing.T, root string) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CreateDefault(Spec{Venue: "small", Seed: 1}, nil, ""); err != nil {
+	if _, err := m.CreateDefault(Spec{Venue: "small", Seed: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return m

@@ -34,7 +34,7 @@ func TestSSECampaignFramesAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CreateDefault(Spec{Venue: "small", Seed: 1}, nil, ""); err != nil {
+	if _, err := m.CreateDefault(Spec{Venue: "small", Seed: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
@@ -134,13 +134,13 @@ func TestSSECampaignFramesAndEviction(t *testing.T) {
 		t.Fatalf("reader stopped at seq %d, want %d", last, f)
 	}
 
-	// The bare legacy route filters (= routes) by ?campaign: frames on
-	// /v1/events?campaign=right all belong to right.
+	// The campaign-scoped stream carries only that campaign's frames:
+	// frames on /v1/campaigns/right/events all belong to right.
 	func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			ts.URL+"/v1/events?campaign=right&after=0", nil)
+			ts.URL+"/v1/campaigns/right/events?after=0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestSSECampaignFramesAndEviction(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("filtered events: code %d", resp.StatusCode)
+			t.Fatalf("scoped events: code %d", resp.StatusCode)
 		}
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -162,15 +162,15 @@ func TestSSECampaignFramesAndEviction(t *testing.T) {
 			}
 			var e events.Event
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
-				t.Fatalf("decode filtered frame: %v", err)
+				t.Fatalf("decode scoped frame: %v", err)
 			}
 			if e.Campaign != "right" {
-				t.Fatalf("?campaign=right frame belongs to %q", e.Campaign)
+				t.Fatalf("/v1/campaigns/right/events frame belongs to %q", e.Campaign)
 			}
 			seen++
 		}
 		if seen == 0 {
-			t.Fatal("no frames on the filtered stream")
+			t.Fatal("no frames on the scoped stream")
 		}
 	}()
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"snaptask/internal/camera"
@@ -19,7 +18,7 @@ import (
 // of the bare one — per batch it is a handful of small JSON marshals into a
 // buffered writer plus a single fsync.
 func BenchmarkIngestJournaled(b *testing.B) {
-	for _, mode := range []string{"off", "on", "dir"} {
+	for _, mode := range []string{"off", "dir"} {
 		b.Run("journal="+mode, func(b *testing.B) {
 			snap := ingestBase(b, 500, 4)
 			sys, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w)
@@ -27,17 +26,14 @@ func BenchmarkIngestJournaled(b *testing.B) {
 				b.Fatal(err)
 			}
 			var evlog *events.Log
-			switch mode {
-			case "on":
-				evlog, err = events.Open(filepath.Join(b.TempDir(), "journal.jsonl"), nil)
-			case "dir":
+			if mode == "dir" {
 				// The checkpointing store with rotation in play: segment
 				// rollover must not cost the hot path anything measurable.
 				evlog, err = events.OpenDir(b.TempDir(), nil,
 					events.DirStoreOptions{SegmentMaxBytes: 1 << 20}, events.CheckpointPolicy{})
-			}
-			if err != nil {
-				b.Fatal(err)
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 			if evlog != nil {
 				defer func() {

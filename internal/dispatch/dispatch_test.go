@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -411,8 +410,7 @@ func TestExpiryReleasesReservation(t *testing.T) {
 // real journal, then folds the journal into a fresh dispatcher and demands
 // the JSON-rendered Status be byte-identical.
 func TestRestoreReproducesStatus(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	log, err := events.Open(path, nil)
+	log, err := events.OpenDir(t.TempDir(), nil, events.DirStoreOptions{}, events.CheckpointPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

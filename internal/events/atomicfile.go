@@ -13,9 +13,9 @@ import (
 // truncated or empty file. The write callback streams into a temp file in
 // the target directory; the temp file is fsynced, closed, renamed into
 // place, and the parent directory is fsynced so the rename itself survives
-// a power loss. Checkpoints and the -save model snapshot both go through
-// this helper: a rename without the two fsyncs is only atomic against
-// process crashes, not machine crashes.
+// a power loss. Checkpoints and the shutdown model snapshot (model.snap)
+// both go through this helper: a rename without the two fsyncs is only
+// atomic against process crashes, not machine crashes.
 func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tmpSuffix)

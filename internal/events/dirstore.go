@@ -22,7 +22,7 @@ import (
 //	checkpoint-0000000000004096.json  folded state covering Seq <= 4096
 //	checkpoint-0000000000008192.json  folded state covering Seq <= 8192
 //
-// Each segment is a Journal file named after the sequence number of its
+// Each segment is a journal file named after the sequence number of its
 // first event; the highest-named segment is the active one and rotates
 // when it exceeds SegmentMaxBytes. A checkpoint at seq S is written
 // atomically (temp file, fsync, rename, directory fsync) and makes every
@@ -42,7 +42,7 @@ type DirStore struct {
 	opts DirStoreOptions
 
 	segs   []segment // ascending by first seq; the last one is active
-	active *Journal  // journal over segs[len(segs)-1]
+	active *journal  // journal over segs[len(segs)-1]
 
 	ckpt     *Checkpoint // newest valid checkpoint, nil when none
 	ckptSeqs []uint64    // valid checkpoint files on disk, ascending
@@ -176,7 +176,7 @@ func OpenDirStore(dir string, opts DirStoreOptions) (*DirStore, error) {
 		ds.segs = append(ds.segs, segment{first: first, path: filepath.Join(dir, segName(first))})
 	}
 	last := ds.segs[len(ds.segs)-1]
-	ds.active, err = OpenJournal(last.path)
+	ds.active, err = openJournal(last.path)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func (ds *DirStore) rotateLocked() error {
 	}
 	first := ds.lastSeq + 1
 	path := filepath.Join(ds.dir, segName(first))
-	j, err := OpenJournal(path)
+	j, err := openJournal(path)
 	if err != nil {
 		return err
 	}
@@ -424,7 +424,4 @@ func (ds *DirStore) Close() error {
 	return ds.active.Close()
 }
 
-var (
-	_ Store           = (*DirStore)(nil)
-	_ CheckpointStore = (*DirStore)(nil)
-)
+var _ Store = (*DirStore)(nil)

@@ -386,7 +386,7 @@ func TestDirStoreSealedSegmentTornFragmentIsCorrupt(t *testing.T) {
 }
 
 func TestJournalAppendSeqRegressionPoisons(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.jsonl"))
+	j, err := openJournal(filepath.Join(t.TempDir(), "j.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestJournalAppendSeqRegressionPoisons(t *testing.T) {
 		t.Fatalf("flush after poisoning: %v", err)
 	}
 
-	j2, err := OpenJournal(filepath.Join(t.TempDir(), "j2.jsonl"))
+	j2, err := openJournal(filepath.Join(t.TempDir(), "j2.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,13 +418,11 @@ func TestJournalAppendSeqRegressionPoisons(t *testing.T) {
 }
 
 func TestReadAfterSurfacesMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
 	reg := telemetry.NewRegistry()
 	m := telemetry.NewEventMetrics(reg)
-	l, err := Open(path, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openTestDir(t, dir, m)
 	defer l.Close()
 	emitAll(t, l, sampleEvents())
 
@@ -547,17 +545,13 @@ func TestLogCheckpointDueTriggers(t *testing.T) {
 		t.Fatal("not due after the interval elapsed")
 	}
 
-	// A plain journal-backed log never checkpoints.
-	lj, err := Open(filepath.Join(t.TempDir(), "j.jsonl"), nil)
-	if err != nil {
-		t.Fatal(err)
+	// A store-less log never checkpoints.
+	ln := NewLog(nil)
+	emitAll(t, ln, sampleEvents())
+	if ln.CheckpointDue() {
+		t.Fatal("store-less log reports checkpoint due")
 	}
-	defer lj.Close()
-	emitAll(t, lj, sampleEvents())
-	if lj.CheckpointDue() {
-		t.Fatal("journal-backed log reports checkpoint due")
-	}
-	if err := lj.WriteCheckpoint(nil); err != nil {
-		t.Fatalf("WriteCheckpoint on journal store: %v (want nil no-op)", err)
+	if err := ln.WriteCheckpoint(nil); err != nil {
+		t.Fatalf("WriteCheckpoint without a store: %v (want nil no-op)", err)
 	}
 }

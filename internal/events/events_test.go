@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"snaptask/internal/telemetry"
 )
 
 // fixedTime returns a deterministic timestamp for event i, so journal bytes
@@ -41,16 +43,25 @@ func emitAll(t *testing.T, l *Log, evs []Event) {
 	}
 }
 
-func TestJournalTruncatedFinalLineRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	l, err := Open(path, nil)
+// openTestDir opens a Log over a fresh or existing directory store with
+// default options and no checkpoint policy.
+func openTestDir(t *testing.T, dir string, m *telemetry.EventMetrics) *Log {
+	t.Helper()
+	l, err := OpenDir(dir, m, DirStoreOptions{}, CheckpointPolicy{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	return l
+}
+
+func TestJournalTruncatedFinalLineRecovery(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestDir(t, dir, nil)
 	emitAll(t, l, sampleEvents())
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	path := filepath.Join(dir, segName(1))
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
@@ -62,42 +73,25 @@ func TestJournalTruncatedFinalLineRecovery(t *testing.T) {
 		t.Fatalf("write torn: %v", err)
 	}
 
-	j, err := OpenJournal(path)
+	ds, err := OpenDirStore(dir, DirStoreOptions{})
 	if err != nil {
 		t.Fatalf("reopen torn: %v", err)
 	}
-	defer j.Close()
+	defer ds.Close()
 	wantEvents := len(sampleEvents()) - 1
-	if j.Len() != wantEvents {
-		t.Fatalf("after torn-tail recovery Len = %d, want %d", j.Len(), wantEvents)
+	if ds.LastSeq() != uint64(wantEvents) {
+		t.Fatalf("after torn-tail recovery LastSeq = %d, want %d", ds.LastSeq(), wantEvents)
 	}
-	if j.LastSeq() != uint64(wantEvents) {
-		t.Fatalf("after torn-tail recovery LastSeq = %d, want %d", j.LastSeq(), wantEvents)
-	}
-	var got []Event
-	if err := j.ReadAfter(0, func(e Event) error { got = append(got, e); return nil }); err != nil {
-		t.Fatalf("read after recovery: %v", err)
-	}
-	if len(got) != wantEvents {
-		t.Fatalf("recovered %d events, want %d", len(got), wantEvents)
-	}
-	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, i+1)
-		}
-	}
+	wantContiguous(t, readSeqs(t, ds, 0), 1, wantEvents)
 }
 
 func TestJournalReplayThenAppendByteIdentical(t *testing.T) {
 	evs := sampleEvents()
 	split := 6
 
-	// Uninterrupted run: all events through one journal.
-	unPath := filepath.Join(t.TempDir(), "uninterrupted.jsonl")
-	un, err := Open(unPath, nil)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	// Uninterrupted run: all events through one store.
+	unDir := t.TempDir()
+	un := openTestDir(t, unDir, nil)
 	emitAll(t, un, evs)
 	if err := un.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -105,19 +99,13 @@ func TestJournalReplayThenAppendByteIdentical(t *testing.T) {
 
 	// Interrupted run: emit a prefix, close ("crash" after fsync), reopen
 	// with replay, emit the rest.
-	rePath := filepath.Join(t.TempDir(), "restarted.jsonl")
-	first, err := Open(rePath, nil)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	reDir := t.TempDir()
+	first := openTestDir(t, reDir, nil)
 	emitAll(t, first, evs[:split])
 	if err := first.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	second, err := Open(rePath, nil)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	second := openTestDir(t, reDir, nil)
 	if err := second.Replay(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -135,11 +123,11 @@ func TestJournalReplayThenAppendByteIdentical(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	a, err := os.ReadFile(unPath)
+	a, err := os.ReadFile(filepath.Join(unDir, segName(1)))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	b, err := os.ReadFile(rePath)
+	b, err := os.ReadFile(filepath.Join(reDir, segName(1)))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -221,11 +209,7 @@ func TestBusEvictsSlowSubscriber(t *testing.T) {
 }
 
 func TestReadAfterSkipsServedPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	l, err := Open(path, nil)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	l := openTestDir(t, t.TempDir(), nil)
 	defer l.Close()
 	evs := sampleEvents()
 	emitAll(t, l, evs)

@@ -10,21 +10,21 @@ import (
 	"sync"
 )
 
-// Journal is the append-only JSONL event file: one event per line, encoded
-// with encoding/json (deterministic field order), so the file is greppable,
-// diffable, and byte-reproducible — replaying a journal and appending to it
-// produces exactly the bytes an uninterrupted run would have written.
+// journal is one append-only JSONL segment file of a DirStore: one event
+// per line, encoded with encoding/json (deterministic field order), so the
+// file is greppable, diffable, and byte-reproducible — replaying a journal
+// and appending to it produces exactly the bytes an uninterrupted run would
+// have written.
 //
 // Crash safety: appends are buffered and pushed to the OS on Flush; Sync
 // additionally fsyncs (the model owner calls it once per processed batch, so
 // a crash loses at most the in-flight batch's events). A torn final line —
 // the signature of a crash mid-append — is detected and truncated away on
-// Open, restoring the longest valid prefix.
-type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	path string
+// open, restoring the longest valid prefix.
+type journal struct {
+	mu sync.Mutex
+	f  *os.File
+	w  *bufio.Writer
 	// size is the validated file length (end of the last complete line);
 	// appends grow it.
 	size int64
@@ -36,16 +36,16 @@ type Journal struct {
 	err   error // first append/flush error; poisons further writes
 }
 
-// OpenJournal opens (or creates) the journal at path, scans it for
+// openJournal opens (or creates) the journal at path, scans it for
 // integrity, and truncates a torn final line if the previous process died
 // mid-append. The scan also recovers the last assigned sequence number so
 // new events continue the contiguous numbering.
-func OpenJournal(path string) (*Journal, error) {
+func openJournal(path string) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("events: open journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := &journal{f: f}
 	valid, lastSeq, count, err := scanJournal(f)
 	if err != nil {
 		f.Close()
@@ -108,32 +108,25 @@ func scanJournal(f *os.File) (valid int64, lastSeq uint64, count int, err error)
 
 // LastSeq returns the sequence number of the last stored event (0 when the
 // journal is empty).
-func (j *Journal) LastSeq() uint64 {
+func (j *journal) LastSeq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.lastSeq
 }
 
 // Len returns the number of stored events.
-func (j *Journal) Len() int {
+func (j *journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.count
 }
 
 // Size returns the validated byte length of the file plus buffered appends.
-func (j *Journal) Size() int64 {
+func (j *journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.size
 }
-
-// Horizon is always 0: the single-file journal never compacts, every event
-// since seq 1 stays readable (that unbounded growth is exactly what the
-// DirStore backend exists to fix).
-func (j *Journal) Horizon() uint64 { return 0 }
-
-var _ Store = (*Journal)(nil)
 
 // Append buffers one event line. The write reaches the OS on Flush/Sync.
 // Sequence numbers are validated: on a non-empty journal e.Seq must be
@@ -142,7 +135,7 @@ var _ Store = (*Journal)(nil)
 // poisons the journal — ReadAfter ordering and Last-Event-ID resume both
 // depend on contiguous seqs, so a caller bug must fail loudly rather than
 // corrupt the resume invariants.
-func (j *Journal) Append(e Event) error {
+func (j *journal) Append(e Event) error {
 	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("events: encode event: %w", err)
@@ -172,13 +165,13 @@ func (j *Journal) Append(e Event) error {
 
 // Flush pushes buffered appends to the OS (no fsync). Readers opening the
 // file afterwards see every appended event.
-func (j *Journal) Flush() error {
+func (j *journal) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.flushLocked()
 }
 
-func (j *Journal) flushLocked() error {
+func (j *journal) flushLocked() error {
 	if j.err != nil {
 		return j.err
 	}
@@ -190,7 +183,7 @@ func (j *Journal) flushLocked() error {
 
 // Sync flushes and fsyncs: after it returns, every appended event survives a
 // machine crash. The model owner calls it once per processed batch.
-func (j *Journal) Sync() error {
+func (j *journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.flushLocked(); err != nil {
@@ -202,32 +195,18 @@ func (j *Journal) Sync() error {
 	return j.err
 }
 
-// ReadAfter streams every stored event with Seq > after to fn, in order.
-// It flushes pending appends first and reads through an independent handle,
-// so it is safe to call while the owner keeps appending: the scan simply
-// stops at the last complete line present when it gets there. fn returning
-// an error aborts the scan and is returned.
+// readSegmentFile streams events with Seq > after from one JSONL file,
+// through its own handle so the owner can keep appending meanwhile. fn
+// returning an error aborts the scan and is returned.
 //
 // Only a *final fragment without a newline* is benign (a concurrent append
-// the buffered writer cut mid-line); a complete line that fails to parse is
-// mid-file corruption — OpenJournal already truncated any crash-torn tail,
-// so garbage inside the validated region means the file was damaged after
-// the fact. That case fails with ErrCorrupt instead of silently truncating
-// the replay.
-func (j *Journal) ReadAfter(after uint64, fn func(Event) error) error {
-	j.mu.Lock()
-	if err := j.flushLocked(); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	path := j.path
-	j.mu.Unlock()
-	return readSegmentFile(path, after, false, fn)
-}
-
-// readSegmentFile streams events with Seq > after from one JSONL file.
-// sealed marks a rotated-out segment: it can never have a concurrent
-// appender, so even a trailing fragment is corruption there.
+// the buffered writer cut mid-line); sealed marks a rotated-out segment,
+// which can never have a concurrent appender, so even a trailing fragment
+// is corruption there. A complete line that fails to parse is mid-file
+// corruption — openJournal already truncated any crash-torn tail, so
+// garbage inside the validated region means the file was damaged after the
+// fact. That case fails with ErrCorrupt instead of silently truncating the
+// replay.
 func readSegmentFile(path string, after uint64, sealed bool, fn func(Event) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -265,7 +244,7 @@ func readSegmentFile(path string, after uint64, sealed bool, fn func(Event) erro
 }
 
 // Close flushes, fsyncs and closes the file.
-func (j *Journal) Close() error {
+func (j *journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	flushErr := j.flushLocked()

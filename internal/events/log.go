@@ -31,7 +31,7 @@ type Log struct {
 	// single-campaign journals byte-identical).
 	campaignID string
 
-	// Checkpointing state (meaningful only when store is a CheckpointStore).
+	// Checkpointing state (meaningful only with a store).
 	policy       CheckpointPolicy
 	now          func() time.Time
 	ckptSeq      uint64          // seq covered by the newest checkpoint
@@ -49,17 +49,6 @@ type CheckpointPolicy struct {
 	// Every triggers a checkpoint after this many events since the last
 	// one.
 	Every uint64
-}
-
-// Open opens (or creates) the single-file journal at path and returns a hub
-// over it. Call Replay before serving to fold stored history into the
-// campaign aggregate. metrics may be nil.
-func Open(path string, m *telemetry.EventMetrics) (*Log, error) {
-	j, err := OpenJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	return OpenStore(j, m), nil
 }
 
 // OpenDir opens (or initialises) the checkpointing directory store at dir
@@ -113,11 +102,9 @@ func (l *Log) Replay() error {
 		return nil
 	}
 	from := uint64(0)
-	if cs, ok := l.store.(CheckpointStore); ok {
-		if c, ok := cs.Checkpoint(); ok {
-			l.camp.Restore(c.Counters, c.Points)
-			from = c.Seq
-		}
+	if c, ok := l.store.Checkpoint(); ok {
+		l.camp.Restore(c.Counters, c.Points)
+		from = c.Seq
 	}
 	err := l.store.ReadAfter(from, func(e Event) error {
 		l.camp.Apply(e)
@@ -189,12 +176,9 @@ func (l *Log) Commit() error {
 
 // CheckpointDue reports whether the policy calls for a new checkpoint:
 // events were folded since the last one, and either the count or the time
-// trigger fired. Always false for non-checkpointing stores.
+// trigger fired. Always false without a store.
 func (l *Log) CheckpointDue() bool {
-	if l == nil {
-		return false
-	}
-	if _, ok := l.store.(CheckpointStore); !ok {
+	if l == nil || l.store == nil {
 		return false
 	}
 	l.mu.Lock()
@@ -217,14 +201,10 @@ func (l *Log) CheckpointDue() bool {
 // checkpointed state (the server holds the owner and dispatcher locks).
 // The tail is fsynced first, so the checkpoint never covers events that
 // could be lost, and the write is atomic (temp file, fsync, rename).
-// A no-op when nothing was folded since the last checkpoint, or when the
-// store cannot checkpoint.
+// A no-op when nothing was folded since the last checkpoint, or without a
+// store.
 func (l *Log) WriteCheckpoint(dispatch json.RawMessage) error {
-	if l == nil {
-		return nil
-	}
-	cs, ok := l.store.(CheckpointStore)
-	if !ok {
+	if l == nil || l.store == nil {
 		return nil
 	}
 	l.mu.Lock()
@@ -243,7 +223,7 @@ func (l *Log) WriteCheckpoint(dispatch json.RawMessage) error {
 		Dispatch: dispatch,
 	}
 	start := time.Now()
-	if err := cs.WriteCheckpoint(c); err != nil {
+	if err := l.store.WriteCheckpoint(c); err != nil {
 		return err
 	}
 	l.m.Checkpoints.Inc()
@@ -279,8 +259,7 @@ func (l *Log) CheckpointDispatch() json.RawMessage {
 }
 
 // Horizon returns the store's compaction horizon: events with Seq <=
-// Horizon() are no longer individually readable. 0 for stores that never
-// compact.
+// Horizon() are no longer individually readable. 0 without a store.
 func (l *Log) Horizon() uint64 {
 	if l == nil || l.store == nil {
 		return 0

@@ -6,13 +6,11 @@ import (
 	"time"
 )
 
-// Store is the persistence backend behind the Log. Two implementations
-// exist: the single-file Journal (the original append-only JSONL file,
-// unbounded, full replay on restart) and the DirStore (a directory of
-// JSONL segments plus periodic checkpoints, with compaction of segments
-// the newest checkpoints fully cover). The Log, the SSE catch-up path and
-// /v1/progress all route through this interface, so swapping backends
-// never touches a caller.
+// Store is the persistence backend behind the Log: the DirStore (a
+// directory of JSONL segments plus periodic checkpoints, with compaction
+// of segments the newest checkpoints fully cover). The Log, the SSE
+// catch-up path and /v1/progress all route through this interface; tests
+// wrap it to inject storage faults.
 type Store interface {
 	// Append buffers one event line. Appends must be contiguous: an event
 	// whose Seq is not exactly LastSeq()+1 is rejected (a caller bug there
@@ -26,27 +24,21 @@ type Store interface {
 	// for history older than Horizon() fails with ErrTruncated; a stored
 	// line that no longer parses fails with ErrCorrupt.
 	ReadAfter(after uint64, fn func(Event) error) error
-	// LastSeq is the sequence number of the newest stored event (for a
-	// checkpointing store, at least the newest checkpoint's seq).
+	// LastSeq is the sequence number of the newest stored event (at least
+	// the newest checkpoint's seq).
 	LastSeq() uint64
 	// Horizon is the compaction horizon: events with Seq <= Horizon() are
 	// no longer individually readable (their folded effect lives in the
-	// newest checkpoint). Always 0 for the single-file Journal.
+	// newest checkpoint).
 	Horizon() uint64
-	// Close flushes, fsyncs and releases the backing files.
-	Close() error
-}
-
-// CheckpointStore is implemented by backends that can persist and recover
-// folded state, bounding both disk usage and restart time.
-type CheckpointStore interface {
-	Store
 	// WriteCheckpoint durably persists a checkpoint and compacts segments
 	// the retained checkpoints fully cover.
 	WriteCheckpoint(c Checkpoint) error
 	// Checkpoint returns the newest valid checkpoint (loaded at open or
 	// written since), if any.
 	Checkpoint() (Checkpoint, bool)
+	// Close flushes, fsyncs and releases the backing files.
+	Close() error
 }
 
 // Checkpoint is a folded snapshot of everything the journal prefix up to

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -39,9 +38,10 @@ func (c *testClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// newDispatchServer builds a backend with an injected dispatch clock and a
-// journal, returning the pieces the lease tests need.
-func newDispatchServer(t *testing.T, journalPath string, cfg dispatch.Config) (*httptest.Server, *events.Log, *camera.World, *venue.Venue) {
+// newDispatchServer builds a backend with an injected dispatch clock and,
+// when journalDir is set, an event log over that directory store,
+// returning the pieces the lease tests need.
+func newDispatchServer(t *testing.T, journalDir string, cfg dispatch.Config) (*httptest.Server, *events.Log, *camera.World, *venue.Venue) {
 	t.Helper()
 	v, err := venue.SmallRoom()
 	if err != nil {
@@ -55,8 +55,8 @@ func newDispatchServer(t *testing.T, journalPath string, cfg dispatch.Config) (*
 	}
 	var evlog *events.Log
 	opts := []Option{WithDispatch(dispatch.New(cfg))}
-	if journalPath != "" {
-		evlog, err = events.Open(journalPath, nil)
+	if journalDir != "" {
+		evlog, err = events.OpenDir(journalDir, nil, events.DirStoreOptions{}, events.CheckpointPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestUploadLeaseValidation(t *testing.T) {
 // and completes it — all observable in the journal and /v1/status.
 func TestCrashedWorkerTaskRequeues(t *testing.T) {
 	clk := newTestClock()
-	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	journal := t.TempDir()
 	ts, evlog, w, v := newDispatchServer(t, journal,
 		dispatch.Config{LeaseTTL: 30 * time.Second, Now: clk.Now})
 	bootstrapServer(t, ts.URL, w, v)
@@ -422,7 +422,7 @@ func TestBlurExcludedWorkerNeverGetsTaskBack(t *testing.T) {
 // registry, per-worker counters, requeue depth and budget accounting.
 func TestDispatchStateSurvivesRestart(t *testing.T) {
 	clk := newTestClock()
-	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	journal := t.TempDir()
 	cfg := dispatch.Config{LeaseTTL: 30 * time.Second, Budget: 500, Now: clk.Now}
 	ts, evlog, w, v := newDispatchServer(t, journal, cfg)
 	bootstrapServer(t, ts.URL, w, v)

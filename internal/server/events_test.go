@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -28,9 +27,10 @@ import (
 	"snaptask/internal/venue"
 )
 
-// newEventsTestServer builds a backend over the small test room with a
-// journal-backed event log (and telemetry, so events carry request IDs).
-func newEventsTestServer(t *testing.T, journalPath string) (*httptest.Server, *Server, *events.Log, *camera.World, *venue.Venue) {
+// newEventsTestServer builds a backend over the small test room with an
+// event log over a directory store that is never checkpointed (and
+// telemetry, so events carry request IDs).
+func newEventsTestServer(t *testing.T, dir string) (*httptest.Server, *Server, *events.Log, *camera.World, *venue.Venue) {
 	t.Helper()
 	v, err := venue.SmallRoom()
 	if err != nil {
@@ -43,7 +43,8 @@ func newEventsTestServer(t *testing.T, journalPath string) (*httptest.Server, *S
 		t.Fatal(err)
 	}
 	tel := telemetry.New(slog.New(slog.NewTextHandler(io.Discard, nil)), 8)
-	log, err := events.Open(journalPath, telemetry.NewEventMetrics(tel.Registry))
+	log, err := events.OpenDir(dir, telemetry.NewEventMetrics(tel.Registry),
+		events.DirStoreOptions{}, events.CheckpointPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +233,7 @@ func readSSE(t *testing.T, body io.Reader, want int) []sseFrame {
 // sequence numbers from 1, the expected kinds present, batch events tagged
 // with their request IDs, and the final campaign_covered transition.
 func TestEventsStreamFullCampaign(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ts, _, log, w, v := newEventsTestServer(t, path)
+	ts, _, log, w, v := newEventsTestServer(t, t.TempDir())
 	driveCampaign(t, ts, w, v, 40)
 
 	var status StatusResponse
@@ -317,36 +317,37 @@ func TestEventsStreamFullCampaign(t *testing.T) {
 }
 
 // TestRestartWithJournalRestoresStatusAndProgress kills the server
-// mid-campaign and restarts it over the same journal plus a state snapshot:
+// mid-campaign and restarts it over the same never-checkpointed store plus
+// a state snapshot, so the restart folds the full tail from seq 1:
 // /v1/status (including lifecycle counts) and the full /v1/progress history
 // must be byte-identical to the pre-restart responses.
 func TestRestartWithJournalRestoresStatusAndProgress(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ts, srv, log, w, v := newEventsTestServer(t, path)
+	dir := t.TempDir()
+	ts, _, log, w, v := newEventsTestServer(t, dir)
 	driveCampaign(t, ts, w, v, 6) // mid-campaign: a handful of batches
 
 	statusBefore := rawGET(t, ts.URL+"/v1/status")
 	progressBefore := rawGET(t, ts.URL+"/v1/progress")
-	var state bytes.Buffer
-	if err := srv.WriteState(&state); err != nil {
-		t.Fatal(err)
-	}
+	state := rawGET(t, ts.URL+"/v1/snapshot")
 	ts.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart: reload the model snapshot and reopen the journal; server.New
+	// Restart: reload the model snapshot and reopen the store; server.New
 	// replays it into a fresh campaign aggregate.
-	sys2, err := core.LoadSystem(&state, v, w)
+	sys2, err := core.LoadSystem(strings.NewReader(state), v, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log2, err := events.Open(path, nil)
+	log2, err := events.OpenDir(dir, nil, events.DirStoreOptions{}, events.CheckpointPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log2.Close()
+	if log2.CheckpointSeq() != 0 {
+		t.Fatalf("store holds a checkpoint at seq %d; the test needs a full-tail replay", log2.CheckpointSeq())
+	}
 	srv2, err := New(sys2, rand.New(rand.NewSource(9)), WithEvents(log2))
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +371,7 @@ func TestRestartWithJournalRestoresStatusAndProgress(t *testing.T) {
 
 // newCheckpointTestServer is newEventsTestServer over the checkpointing
 // directory store: tiny segments so campaigns rotate, explicit policy off —
-// tests checkpoint deliberately via srv.Checkpoint().
+// tests checkpoint deliberately via srv.CheckpointState(nil).
 func newCheckpointTestServer(t *testing.T, dir string) (*httptest.Server, *Server, *events.Log, *camera.World, *venue.Venue) {
 	t.Helper()
 	v, err := venue.SmallRoom()
@@ -423,7 +424,7 @@ func TestRestartWithCheckpointStoreRestoresStatusAndProgress(t *testing.T) {
 	claim := claimAndUpload(t, ts, w, v, "w1")
 
 	// Checkpoint mid-campaign, then keep working so a real tail exists.
-	if err := srv.Checkpoint(); err != nil {
+	if err := srv.CheckpointState(nil); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	ckptSeq := log.CheckpointSeq()
@@ -449,10 +450,9 @@ func TestRestartWithCheckpointStoreRestoresStatusAndProgress(t *testing.T) {
 
 	statusBefore := rawGET(t, ts.URL+"/v1/status")
 	progressBefore := rawGET(t, ts.URL+"/v1/progress")
-	var state bytes.Buffer
-	if err := srv.WriteState(&state); err != nil {
-		t.Fatal(err)
-	}
+	// The model comes from GET /v1/snapshot, which writes no checkpoint, so
+	// the tail stays un-checkpointed.
+	state := rawGET(t, ts.URL+"/v1/snapshot")
 	ts.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -460,7 +460,7 @@ func TestRestartWithCheckpointStoreRestoresStatusAndProgress(t *testing.T) {
 
 	// Restart over the same directory. server.New restores the dispatcher
 	// from the checkpoint's state and folds only the journal tail.
-	sys2, err := core.LoadSystem(&state, v, w)
+	sys2, err := core.LoadSystem(strings.NewReader(state), v, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,11 +517,11 @@ func TestSSEHistoryTruncatedOnCompactedResume(t *testing.T) {
 	// newest two, so the first compaction deletes segments covered by the
 	// older checkpoint and the horizon moves past zero.
 	driveCampaign(t, ts, w, v, 4)
-	if err := srv.Checkpoint(); err != nil {
+	if err := srv.CheckpointState(nil); err != nil {
 		t.Fatal(err)
 	}
 	driveMoreBatches(t, ts, w, v, 4)
-	if err := srv.Checkpoint(); err != nil {
+	if err := srv.CheckpointState(nil); err != nil {
 		t.Fatal(err)
 	}
 	horizon := log.Horizon()
@@ -598,7 +598,7 @@ func rawGET(t *testing.T, url string) string {
 // TestReadyzDuringJournalReplay verifies the readiness probe reports 503
 // while a journal replay is in progress and recovers afterwards.
 func TestReadyzDuringJournalReplay(t *testing.T) {
-	ts, srv, _, _, _ := newEventsTestServer(t, filepath.Join(t.TempDir(), "j.jsonl"))
+	ts, srv, _, _, _ := newEventsTestServer(t, t.TempDir())
 
 	srv.replaying.Store(true)
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -648,8 +648,7 @@ func TestEventsEndpointsRequireLog(t *testing.T) {
 // gap-free stream. Run under -race, this is also the data-race check for
 // the emit/subscribe/evict paths.
 func TestSSESlowSubscriberDuringUploads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ts, srv, log, w, v := newEventsTestServer(t, path)
+	ts, srv, log, w, v := newEventsTestServer(t, t.TempDir())
 
 	// Bootstrap so photo uploads are meaningful.
 	rng := rand.New(rand.NewSource(5))
@@ -745,7 +744,7 @@ func TestSSESlowSubscriberDuringUploads(t *testing.T) {
 	}
 }
 
-// syncFailStore is a journal whose Sync fails while fail is set, standing
+// syncFailStore is a store whose Sync fails while fail is set, standing
 // in for an fsync error or a full disk.
 type syncFailStore struct {
 	events.Store
@@ -773,12 +772,12 @@ func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := events.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	ds, err := events.OpenDirStore(t.TempDir(), events.DirStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { j.Close() })
-	store := &syncFailStore{Store: j}
+	t.Cleanup(func() { ds.Close() })
+	store := &syncFailStore{Store: ds}
 	srv, err := New(sys, rand.New(rand.NewSource(2)), WithEvents(events.OpenStore(store, nil)))
 	if err != nil {
 		t.Fatal(err)

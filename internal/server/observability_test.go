@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +38,7 @@ func newObservedTestServer(t *testing.T) (*httptest.Server, *camera.World, *venu
 	tel := telemetry.New(slog.New(slog.DiscardHandler), 16)
 	sys.SetTelemetry(tel)
 	sloT := slo.New(tel.Registry)
-	log, err := events.Open(filepath.Join(t.TempDir(), "journal.jsonl"), nil)
+	log, err := events.OpenDir(t.TempDir(), nil, events.DirStoreOptions{}, events.CheckpointPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

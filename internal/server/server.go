@@ -1025,27 +1025,6 @@ func uploadSeed(hasSeed bool, seedX, seedY, locX, locY float64) geom.Vec2 {
 	return geom.V2(locX, locY)
 }
 
-// WriteState serialises the backend state to w under the owner lock — the
-// same bytes GET /v1/snapshot serves; exposed for shutdown persistence.
-func (s *Server) WriteState(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sys.WriteSnapshot(w)
-}
-
-// Checkpoint writes an event-log checkpoint now, regardless of policy —
-// the shutdown path calls it so the next start replays (almost) no tail.
-// A no-op when the server runs without an event log or with a
-// non-checkpointing store.
-func (s *Server) Checkpoint() error {
-	if s.evlog == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
 // CheckpointState writes an event-log checkpoint and, when w is non-nil,
 // the serialised backend model — both under one owner-lock acquisition,
 // so the two artefacts describe the same cut of campaign history. The

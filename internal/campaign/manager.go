@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,6 +65,14 @@ type Spec struct {
 	// Archived is manifest state only: archived campaigns stay listable
 	// and readable but reject mutations and leave the shared pool.
 	Archived bool `json:"archived,omitempty"`
+}
+
+// withDefaults fills the server default margin.
+func (s Spec) withDefaults() Spec {
+	if s.Margin <= 0 {
+		s.Margin = 12
+	}
+	return s
 }
 
 // ManagerConfig carries the per-campaign wiring templates: every campaign
@@ -159,13 +168,60 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range mf.Campaigns {
-			if _, err := m.create(spec, nil); err != nil {
-				return nil, fmt.Errorf("restore campaign %q: %w", spec.ID, err)
-			}
+		if err := m.restore(mf.Campaigns); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// restore rebuilds the manifest's campaigns. Their models load side by
+// side, one loadCampaign each; wiring them (journal replay, server and
+// watchdog hooks) stays serial and in manifest order, because the
+// watchdog's probe and hook registration are not synchronised. The
+// manifest is left untouched: a restore changes no lifecycle state.
+func (m *Manager) restore(specs []Spec) error {
+	systems := make([]*core.System, len(specs))
+	errs := make([]error, len(specs))
+	parallel(len(specs), func(i int) {
+		if errs[i] = validateID(specs[i].ID); errs[i] == nil {
+			systems[i], errs[i] = m.loadCampaign(specs[i], false)
+		}
+	})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, spec := range specs {
+		err := errs[i]
+		if _, dup := m.campaigns[spec.ID]; dup && err == nil {
+			err = fmt.Errorf("campaign: %w: %q", ErrExists, spec.ID)
+		}
+		if err != nil {
+			return fmt.Errorf("restore campaign %q: %w", spec.ID, err)
+		}
+		c, err := m.build(spec, systems[i], false)
+		if err != nil {
+			return fmt.Errorf("restore campaign %q: %w", spec.ID, err)
+		}
+		m.insertLocked(c)
+	}
+	return nil
+}
+
+// parallel calls fn(0), …, fn(n-1) on at most runtime.GOMAXPROCS(0)
+// goroutines and returns when every call has.
+func parallel(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ServeHTTP routes to lifecycle endpoints, campaign-scoped delegates, the
@@ -227,20 +283,40 @@ func (m *Manager) create(spec Spec, sys *core.System) (*Campaign, error) {
 	return c, nil
 }
 
-// build wires one campaign: venue/world from the spec, a telemetry view
-// labelled with the campaign ID, its own journal (replayed inside
-// server.New), dispatcher, admission instance and SLO tracker. Caller
-// holds m.mu.
-func (m *Manager) build(spec Spec, sys *core.System, isDefault bool) (*Campaign, error) {
-	if spec.Margin <= 0 {
-		spec.Margin = 12
-	}
+// loadCampaign builds a campaign's model: venue and feature world from the
+// spec, then the campaign's model snapshot when it is journaled and has
+// one, else a fresh system. It reads no mutable manager state, so restores
+// run it for several campaigns at once.
+func (m *Manager) loadCampaign(spec Spec, isDefault bool) (*core.System, error) {
+	spec = spec.withDefaults()
 	v, err := venue.ByName(spec.Venue, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	feats := v.GenerateFeatures(rand.New(rand.NewSource(spec.Seed)))
-	world := camera.NewWorld(v, feats)
+	world := camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(spec.Seed))))
+	if m.cfg.JournalRoot != "" {
+		sys, err := loadModelSnap(m.modelPath(spec.ID, isDefault), v, world)
+		if err != nil || sys != nil {
+			return sys, err
+		}
+	}
+	return core.NewSystem(v, world, core.Config{Margin: spec.Margin})
+}
+
+// build wires one campaign around its model (loaded by loadCampaign when
+// sys is nil): a telemetry view labelled with the campaign ID, its own
+// journal (replayed inside server.New), dispatcher, admission instance and
+// SLO tracker. Caller holds m.mu.
+func (m *Manager) build(spec Spec, sys *core.System, isDefault bool) (*Campaign, error) {
+	spec = spec.withDefaults()
+	var err error
+	if sys == nil {
+		if sys, err = m.loadCampaign(spec, isDefault); err != nil {
+			return nil, err
+		}
+	} else if _, err = venue.ByName(spec.Venue, spec.Seed); err != nil {
+		return nil, err
+	}
 
 	var (
 		tel *telemetry.Telemetry
@@ -275,20 +351,6 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool) (*Campaign,
 	}
 	log.SetCampaignID(spec.ID)
 
-	if sys == nil && m.cfg.JournalRoot != "" {
-		sys, err = loadModelSnap(m.modelPath(spec.ID, isDefault), v, world)
-		if err != nil {
-			_ = log.Close()
-			return nil, err
-		}
-	}
-	if sys == nil {
-		sys, err = core.NewSystem(v, world, core.Config{Margin: spec.Margin})
-		if err != nil {
-			_ = log.Close()
-			return nil, err
-		}
-	}
 	if tel != nil {
 		sys.SetTelemetry(tel)
 	}
@@ -411,15 +473,19 @@ func (m *Manager) List() []*Campaign {
 // Checkpoint persists every journaled campaign: an event-log checkpoint
 // and the model snapshot, captured under one owner-lock acquisition per
 // campaign. The shutdown path calls it so the next start replays (almost)
-// no tail and restores each model byte-identically.
+// no tail and restores each model byte-identically. Campaigns checkpoint
+// side by side; every one is attempted, and the first error in campaign
+// order is returned.
 func (m *Manager) Checkpoint() error {
-	var firstErr error
-	for _, c := range m.List() {
-		if err := m.checkpointCampaign(c); err != nil && firstErr == nil {
-			firstErr = err
+	cs := m.List()
+	errs := make([]error, len(cs))
+	parallel(len(cs), func(i int) { errs[i] = m.checkpointCampaign(cs[i]) })
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 func (m *Manager) checkpointCampaign(c *Campaign) error {

@@ -50,7 +50,7 @@ func newTestManager(t *testing.T, cfg ManagerConfig) (*Manager, *httptest.Server
 
 // campaignWorld rebuilds the deterministic world a campaign spec implies,
 // so tests can capture photos the campaign's model will accept.
-func campaignWorld(t *testing.T, spec Spec) (*venue.Venue, *camera.World) {
+func campaignWorld(t testing.TB, spec Spec) (*venue.Venue, *camera.World) {
 	t.Helper()
 	v, err := venue.ByName(spec.Venue, spec.Seed)
 	if err != nil {

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"snaptask/internal/core"
 	"snaptask/internal/server"
 )
 
@@ -149,5 +151,122 @@ func TestRestartRestoresCampaignsByteIdentically(t *testing.T) {
 		if got := rawGET(t, base+"/progress"); got != before[id][1] {
 			t.Errorf("campaign %q progress drifted across restart", id)
 		}
+	}
+}
+
+// TestRestartLeavesManifestUntouched restarts a manager with no lifecycle
+// change in between and requires campaigns.json to be the very same file:
+// a restore that rewrote the manifest would replace it atomically with a
+// new one. A hard link keeps the original inode alive, so a rewrite cannot
+// reuse its number. An archive afterwards does rewrite the manifest.
+func TestRestartLeavesManifestUntouched(t *testing.T) {
+	root := t.TempDir()
+	m1 := buildJournaledManager(t, root)
+	for i, id := range []string{"mall", "depot"} {
+		if _, err := m1.Create(Spec{ID: id, Venue: "small", Seed: int64(61 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := manifestPath(root)
+	original := filepath.Join(t.TempDir(), "campaigns.json")
+	if err := os.Link(path, original); err != nil {
+		t.Fatal(err)
+	}
+	sameAsOriginal := func() bool {
+		t.Helper()
+		a, err := os.Stat(original)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return os.SameFile(a, b)
+	}
+
+	m2 := buildJournaledManager(t, root)
+	defer m2.Close()
+	if got := len(m2.List()); got != 3 {
+		t.Fatalf("restored %d campaigns, want 3", got)
+	}
+	if !sameAsOriginal() {
+		t.Fatal("restart rewrote campaigns.json")
+	}
+	if _, err := m2.Archive("mall"); err != nil {
+		t.Fatal(err)
+	}
+	if sameAsOriginal() {
+		t.Fatal("archive did not rewrite campaigns.json")
+	}
+}
+
+// TestCheckpointAttemptsEveryCampaign breaks one campaign's snapshot write
+// (its model.snap path is a non-empty directory) and requires Checkpoint to
+// return that campaign's error while still writing the other campaigns'
+// snapshots, each of which must load. With two broken campaigns the error
+// is the first in campaign order.
+func TestCheckpointAttemptsEveryCampaign(t *testing.T) {
+	root := t.TempDir()
+	m := buildJournaledManager(t, root)
+	defer m.Close()
+	specs := map[string]Spec{
+		DefaultID: {ID: DefaultID, Venue: "small", Seed: 1},
+		"mall":    {ID: "mall", Venue: "small", Seed: 61},
+		"depot":   {ID: "depot", Venue: "small", Seed: 62},
+	}
+	for _, id := range []string{"mall", "depot"} {
+		if _, err := m.Create(specs[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(m)
+	defer ts.Close()
+	for i, id := range []string{DefaultID, "mall", "depot"} {
+		bootstrapCampaign(t, campaignBase(ts, id), specs[id], int64(10+i))
+	}
+
+	block := func(id string) string {
+		t.Helper()
+		path := m.modelPath(id, false)
+		if err := os.RemoveAll(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	mallPath := block("mall")
+	err := m.Checkpoint()
+	if err == nil || !strings.Contains(err.Error(), mallPath) {
+		t.Fatalf("Checkpoint error = %v, want the write of %s", err, mallPath)
+	}
+	for _, id := range []string{DefaultID, "depot"} {
+		c := m.Get(id)
+		f, err := os.Open(m.modelPath(id, c.isDefault))
+		if err != nil {
+			t.Fatalf("campaign %q: snapshot not written: %v", id, err)
+		}
+		v, w := campaignWorld(t, specs[id])
+		sys, err := core.LoadSystem(f, v, w)
+		f.Close()
+		if err != nil {
+			t.Fatalf("campaign %q: snapshot does not load: %v", id, err)
+		}
+		if got, want := sys.PhotosProcessed(), c.sys.PhotosProcessed(); got != want || got == 0 {
+			t.Errorf("campaign %q: snapshot holds %d photos, live model %d", id, got, want)
+		}
+	}
+
+	block("depot")
+	if err := m.Checkpoint(); err == nil || !strings.Contains(err.Error(), mallPath) {
+		t.Fatalf("Checkpoint error = %v, want the first failing campaign's (%s)", err, mallPath)
 	}
 }

@@ -1,0 +1,96 @@
+package campaign
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"snaptask/internal/camera"
+	"snaptask/internal/core"
+	"snaptask/internal/geom"
+)
+
+// BenchmarkManagerRestore measures a manager restart over a journal root
+// holding three checkpointed library campaigns (~600 registered views
+// each): NewManager, which restores every campaign's model, then the
+// shutdown Checkpoint, which writes every campaign's snapshot. Run it at
+// -cpu 1,2 to see the campaigns restore and checkpoint side by side.
+func BenchmarkManagerRestore(b *testing.B) {
+	const views = 600
+	spec := Spec{Venue: "library", Seed: 21}
+	v, w := campaignWorld(b, spec)
+	sys, err := core.NewSystem(v, w, core.Config{Margin: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	boot, err := core.BootstrapCapture(w, v, camera.DefaultIntrinsics(), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.ProcessBootstrap(boot, rng); err != nil {
+		b.Fatal(err)
+	}
+	var free []geom.Vec2
+	bounds := v.Bounds()
+	for y := bounds.Min.Y + 0.7; y < bounds.Max.Y; y += 1.1 {
+		for x := bounds.Min.X + 0.7; x < bounds.Max.X; x += 1.1 {
+			if p := geom.V2(x, y); !v.Blocked(p) {
+				free = append(free, p)
+			}
+		}
+	}
+	for i := 0; sys.Model().NumViews() < views; i++ {
+		pos := free[i%len(free)]
+		photos, err := w.Sweep(pos, camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.ProcessPhotoBatch(pos, pos, photos, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := sys.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+
+	root := b.TempDir()
+	m, err := NewManager(ManagerConfig{JournalRoot: root})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		cs, err := core.LoadSystem(bytes.NewReader(snap.Bytes()), v, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp := spec
+		sp.ID = fmt.Sprintf("c%d", i)
+		if _, err := m.CreateWith(sp, cs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := NewManager(ManagerConfig{JournalRoot: root})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

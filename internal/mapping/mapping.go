@@ -287,16 +287,16 @@ func (sc *castScratch) cast(v View, obstacles *grid.Map, step float64) Contribut
 }
 
 // castViews computes contributions for a set of views, fanning the per-view
-// ray casting across a runtime.NumCPU() worker pool with one cast scratch
-// per worker. The result slice is indexed like views, so the output is
-// deterministic regardless of which worker cast which view.
+// ray casting across a runtime.GOMAXPROCS(0) worker pool with one cast
+// scratch per worker. The result slice is indexed like views, so the output
+// is deterministic regardless of which worker cast which view.
 func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config) error {
 	for _, v := range views {
 		if v.Intrinsics.Range <= 0 || v.Intrinsics.HFOV <= 0 {
 			return fmt.Errorf("mapping: view with invalid intrinsics %+v", v.Intrinsics)
 		}
 	}
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(views) {
 		workers = len(views)
 	}

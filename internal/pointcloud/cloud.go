@@ -186,6 +186,12 @@ func (idx *knnIndex) nearest(i, k int, buf []float64) []float64 {
 	}
 	center := idx.pts[i].Pos
 	cx, cy, cz := idx.cell(center)
+	// face is the query's distance to the nearest face of its own cell;
+	// scale sizes the rounding margin (knnSlack) to the coordinates.
+	face := math.Min(
+		math.Min(faceDist(center.X, cx, idx.cellSize), faceDist(center.Y, cy, idx.cellSize)),
+		faceDist(center.Z, cz, idx.cellSize))
+	scale := math.Max(math.Max(math.Abs(center.X), math.Abs(center.Y)), math.Abs(center.Z))
 	best := buf[:0]
 	seen := 0
 	for ring := 0; ; ring++ {
@@ -220,18 +226,33 @@ func (idx *knnIndex) nearest(i, k int, buf []float64) []float64 {
 				}
 			}
 		}
-		// After sweeping rings 0..ring, every point within Euclidean
-		// distance (ring-1)*cellSize of the query is guaranteed to have
-		// been offered, so the result is exact once the k-th distance
-		// falls inside that radius.
-		if len(best) == k && best[k-1] <= float64(ring-1)*idx.cellSize {
-			return best
+		// After sweeping rings 0..ring, every point closer than
+		// ring·cellSize + face to the query has been offered, so the
+		// result is exact once the k-th distance falls strictly inside
+		// that radius (less the rounding margin).
+		if len(best) == k {
+			reach := float64(ring)*idx.cellSize + face
+			if best[k-1] < reach-knnSlack*(reach+scale) {
+				return best
+			}
 		}
 		// Terminate once the whole cloud has been swept.
 		if seen == len(idx.pts)-1 {
 			return best
 		}
 	}
+}
+
+// knnSlack is the relative rounding margin of nearest's stopping bound:
+// far above the few ulps by which the bound and a computed distance can
+// err, far below any spacing that would delay a stop.
+const knnSlack = 1e-9
+
+// faceDist returns the distance from coordinate v to the nearer face of
+// its cell c along one axis.
+func faceDist(v float64, c int, cellSize float64) float64 {
+	lo := v - float64(c)*cellSize
+	return math.Max(0, math.Min(lo, cellSize-lo))
 }
 
 // brute returns the exact k nearest distances by scanning every point.
@@ -367,12 +388,13 @@ func StatisticalOutlierRemoval(c *Cloud, opts SOROptions) (*Cloud, int, error) {
 // parallelMeanKNN computes, for each index in targets, the mean distance to
 // its k nearest neighbours (written to meanDists[i]) and, when kth is
 // non-nil, the k-th nearest distance itself (written to kth[i]). Work is
-// fanned across runtime.NumCPU() goroutines; each target writes only its own
-// slots, so results are deterministic regardless of scheduling. Distances
-// returned by nearest are ascending, which fixes the float summation order
-// and keeps the result bit-identical to a serial computation.
+// fanned across runtime.GOMAXPROCS(0) goroutines; each target writes only
+// its own slots, so results are deterministic regardless of scheduling.
+// Distances returned by nearest are ascending, which fixes the float
+// summation order and keeps the result bit-identical to a serial
+// computation.
 func parallelMeanKNN(idx *knnIndex, k int, targets []int, meanDists, kth []float64) {
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(targets) {
 		workers = len(targets)
 	}

@@ -249,6 +249,118 @@ func TestKNNExactness(t *testing.T) {
 	}
 }
 
+// TestKNNMatchesBruteRandomized checks nearest against the sort-based
+// reference, bit for bit, on randomized clouds built to stress its stopping
+// bound: points exactly on cell faces, points a few ulps either side of
+// faces whose coordinates are not dyadic (the bound and the distances then
+// round differently), duplicates and exact distance ties, dense clusters,
+// and far outliers, including ones beyond the packed key range.
+func TestKNNMatchesBruteRandomized(t *testing.T) {
+	const cell = 0.5
+	// ulps moves v by n units in the last place.
+	ulps := func(v float64, n int) float64 {
+		for ; n > 0; n-- {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		for ; n < 0; n++ {
+			v = math.Nextafter(v, math.Inf(-1))
+		}
+		return v
+	}
+	families := []struct {
+		name   string
+		trials int
+		gen    func(rng *rand.Rand) []Point
+	}{
+		{"on faces", 6, func(rng *rand.Rand) []Point {
+			pts := make([]Point, 120)
+			for i := range pts {
+				c := func() float64 { return float64(rng.Intn(9)-4) * cell }
+				pts[i].Pos = geom.V3(c(), c(), c())
+			}
+			return pts
+		}},
+		{"near faces", 60, func(rng *rand.Rand) []Point {
+			pts := make([]Point, 150)
+			for i := range pts {
+				c := func() float64 {
+					v := 0.1 + float64(rng.Intn(9)-4)*0.05
+					if rng.Intn(2) == 0 {
+						v = ulps(v, rng.Intn(7)-3)
+					}
+					return v
+				}
+				pts[i].Pos = geom.V3(c(), c(), c())
+			}
+			return pts
+		}},
+		{"duplicates and ties", 6, func(rng *rand.Rand) []Point {
+			// Points mirrored through a centre sit at equal distances
+			// from it; every fourth point is repeated.
+			var pts []Point
+			for len(pts) < 120 {
+				o := geom.V3(float64(rng.Intn(6))*0.25, float64(rng.Intn(6))*0.25, float64(rng.Intn(3))*0.25)
+				d := geom.V3(float64(rng.Intn(5)-2)*0.125, float64(rng.Intn(5)-2)*0.125, 0)
+				pts = append(pts, Point{Pos: o.Add(d)}, Point{Pos: o.Sub(d)})
+				if len(pts)%4 == 0 {
+					pts = append(pts, pts[len(pts)-1])
+				}
+			}
+			return pts
+		}},
+		{"dense clusters", 6, func(rng *rand.Rand) []Point {
+			var pts []Point
+			for c := 0; c < 4; c++ {
+				o := geom.V3(rng.Float64()*3, rng.Float64()*3, rng.Float64())
+				for i := 0; i < 30; i++ {
+					pts = append(pts, Point{Pos: o.Add(geom.V3(rng.Float64()*0.04, rng.Float64()*0.04, rng.Float64()*0.04))})
+				}
+			}
+			for i := 0; i < 30; i++ {
+				pts = append(pts, Point{Pos: geom.V3(rng.Float64()*3, rng.Float64()*3, rng.Float64())})
+			}
+			return pts
+		}},
+		{"far outliers", 6, func(rng *rand.Rand) []Point {
+			pts := make([]Point, 100)
+			for i := range pts {
+				pts[i].Pos = geom.V3(rng.Float64()*2, rng.Float64()*2, rng.Float64()*2)
+			}
+			for i := 0; i < 4; i++ {
+				pts = append(pts, Point{Pos: geom.V3(20+rng.Float64()*180, rng.Float64()*2, -rng.Float64()*50)})
+			}
+			if rng.Intn(2) == 0 {
+				// Beyond the packed key range: the index falls back to
+				// scanning every point.
+				pts = append(pts, Point{Pos: geom.V3(2e6*cell, 0, 0)})
+			}
+			return pts
+		}},
+	}
+	for fi, f := range families {
+		for trial := 0; trial < f.trials; trial++ {
+			rng := rand.New(rand.NewSource(int64(1000*fi + trial)))
+			pts := f.gen(rng)
+			idx := newKNNIndex(pts, cell)
+			for _, k := range []int{1, 8, 16} {
+				buf := make([]float64, 0, k)
+				for i := range pts {
+					want := bruteKNN(pts, i, k)
+					got := idx.nearest(i, k, buf)
+					if len(got) != len(want) {
+						t.Fatalf("%s trial %d k=%d i=%d: len got %d want %d", f.name, trial, k, i, len(got), len(want))
+					}
+					for j := range want {
+						if got[j] != want[j] {
+							t.Fatalf("%s trial %d k=%d i=%d: dist[%d] got %v want %v", f.name, trial, k, i, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // bruteKNN is the reference: every distance from point i, fully sorted,
 // truncated to k.
 func bruteKNN(pts []Point, i, k int) []float64 {

@@ -223,13 +223,13 @@ func (s *IncrementalSOR) prefixValid(c *Cloud, split int) bool {
 
 // staleOld returns, in ascending internal order, the indices of pre-existing
 // points whose neighbourhood gained one of the added points. The O(old ×
-// added) distance scan fans across runtime.NumCPU() goroutines.
+// added) distance scan fans across runtime.GOMAXPROCS(0) goroutines.
 func (s *IncrementalSOR) staleOld(oldCount int, added []int) []int {
 	if oldCount == 0 || len(added) == 0 {
 		return nil
 	}
 	stale := make([]bool, oldCount)
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > oldCount {
 		workers = oldCount
 	}

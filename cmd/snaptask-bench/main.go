@@ -42,7 +42,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -647,14 +646,15 @@ func (b *bench) ingest() error {
 	}
 	var samples []sample
 	modelEqual := func() bool {
-		var bi, bf bytes.Buffer
-		if err := gob.NewEncoder(&bi).Encode(sysInc.Model().Snapshot()); err != nil {
+		bi, err := sysInc.Model().MarshalBinary()
+		if err != nil {
 			return false
 		}
-		if err := gob.NewEncoder(&bf).Encode(sysFull.Model().Snapshot()); err != nil {
+		bf, err := sysFull.Model().MarshalBinary()
+		if err != nil {
 			return false
 		}
-		return bytes.Equal(bi.Bytes(), bf.Bytes()) &&
+		return bytes.Equal(bi, bf) &&
 			sysInc.Maps().CoverageCells() == sysFull.Maps().CoverageCells()
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -143,18 +144,36 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadSystem measures restoring a campaign model: snapshot decode
-// plus the full SOR and view cast that LoadSystem recomputes, on a
-// ~1500-view library model at the server's default 12 m margin.
+// BenchmarkLoadSystem measures restoring a campaign model on a ~1500-view
+// library model at the server's default 12 m margin: snapshot decode, kNN
+// index rebuild around the adopted SOR distances, and the view cast that
+// LoadSystem recomputes.
 func BenchmarkLoadSystem(b *testing.B) {
 	snap := ingestBase(b, 1500, 12)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(snap)), "file-bytes")
+}
+
+// BenchmarkWriteSnapshot measures checkpointing the same model:
+// encoding the live system into one buffer and writing it.
+func BenchmarkWriteSnapshot(b *testing.B) {
+	snap := ingestBase(b, 1500, 12)
+	sys, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := sys.WriteSnapshot(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(snap)), "file-bytes")
 }
 
 // BenchmarkIngestGroup measures grouped upload ingestion — sequential

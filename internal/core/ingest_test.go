@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -41,11 +40,11 @@ func runIngestLoop(t *testing.T, v *venue.Venue, margin float64, maxTasks int, f
 
 func modelBytes(t *testing.T, sys *System) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sys.Model().Snapshot()); err != nil {
+	b, err := sys.Model().MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 func requireMapEqual(t *testing.T, name string, a, b *grid.Map) {

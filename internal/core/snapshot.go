@@ -1,22 +1,43 @@
 package core
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"time"
 
+	"snaptask/internal/binenc"
 	"snaptask/internal/camera"
-	"snaptask/internal/sfm"
 	"snaptask/internal/taskgen"
 	"snaptask/internal/venue"
 )
 
-// systemSnapshot is the gob-serialised backend state — the paper's "model
-// and maps are stored in a database for further iterations". Maps are
-// recomputed from the model on load rather than stored.
-type systemSnapshot struct {
+// A model snapshot is the paper's "model and maps are stored in a database
+// for further iterations". Maps and per-view ray casts are recomputed on
+// load rather than stored. The file is
+//
+//	magic "SNAPTASK", version uint32
+//	section meta     JSON snapshotMeta (config, taskgen state, counters)
+//	section model    sfm.Model binary encoding (columns)
+//	section sor      SOR split, count n, n mean and n k-th kNN distances
+//	trailer          CRC-32C of everything before it, uint32
+//
+// with every fixed-width value little-endian and every section prefixed by
+// its uint64 length.
+const (
+	snapshotMagic   = "SNAPTASK"
+	snapshotVersion = 2
+	snapshotHeader  = len(snapshotMagic) + 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// snapshotMeta is the small, self-describing part of a snapshot.
+type snapshotMeta struct {
 	Config                Config
-	Model                 sfm.Snapshot
 	Generator             taskgen.Snapshot
 	Pending               []taskgen.Task
 	Covered               bool
@@ -28,82 +49,184 @@ type systemSnapshot struct {
 
 // WriteSnapshot serialises the backend state. The venue and world are not
 // stored: they describe the physical environment and are reconstructed by
-// the caller (in the simulation, from the world seed).
+// the caller (in the simulation, from the world seed). The snapshot is
+// encoded straight from the live model into one buffer and written with a
+// single Write.
 func (s *System) WriteSnapshot(w io.Writer) error {
-	snap := systemSnapshot{
+	start := time.Now()
+	b, err := s.appendSnapshot(make([]byte, 0, s.snapshotBytes+s.snapshotBytes/8))
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("core: write snapshot: %w", err)
+	}
+	s.snapshotBytes = len(b)
+	if s.ingestM != nil {
+		s.ingestM.SnapshotWriteSeconds.Observe(time.Since(start).Seconds())
+		s.ingestM.SnapshotBytes.Set(float64(len(b)))
+	}
+	return nil
+}
+
+func (s *System) appendSnapshot(b []byte) ([]byte, error) {
+	meta, err := json.Marshal(snapshotMeta{
 		Config:                s.cfg,
-		Model:                 s.model.Snapshot(),
 		Generator:             s.gen.Snapshot(),
-		Pending:               append([]taskgen.Task(nil), s.pending...),
+		Pending:               s.pending,
 		Covered:               s.covered,
 		NextArtID:             s.nextArtID,
 		PhotoTasksIssued:      s.photoTasksIssued,
 		AnnotationTasksIssued: s.annotationTasksIssued,
 		PhotosProcessed:       s.photosProcessed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: encode snapshot meta: %w", err)
 	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("core: encode snapshot: %w", err)
+	b = append(b, snapshotMagic...)
+	b = binary.LittleEndian.AppendUint32(b, snapshotVersion)
+	b = binenc.AppendU64(b, uint64(len(meta)))
+	b = append(b, meta...)
+	b, err = binenc.AppendSection(b, s.model.AppendBinary)
+	if err != nil {
+		return nil, fmt.Errorf("core: encode model: %w", err)
 	}
-	return nil
+	// The SOR section cannot fail to encode.
+	b, _ = binenc.AppendSection(b, func(b []byte) ([]byte, error) { return s.appendSORDistances(b), nil })
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
 }
 
-// LoadSystem restores a backend from a snapshot, rebinding it to the given
-// venue and world (which must match the ones the snapshot was taken with)
-// and recomputing the maps from the restored model.
+// appendSORDistances stores the SOR filter's cached per-point distances,
+// so a restore adopts them instead of rerunning kNN over the whole cloud.
+// A cache that does not cover the model's current cloud is stored empty:
+// the restore then recomputes, as the live filter's next pass would.
+func (s *System) appendSORDistances(b []byte) []byte {
+	split, mean, kth := s.sor.Distances()
+	if split != s.model.NumPoints() || len(mean) != split+s.model.NumOutliers() {
+		split, mean, kth = 0, nil, nil
+	}
+	b = binenc.AppendU64(b, uint64(split))
+	b = binenc.AppendU64(b, uint64(len(mean)))
+	for _, col := range [2][]float64{mean, kth} {
+		for _, d := range col {
+			b = binenc.AppendF64(b, d)
+		}
+	}
+	return b
+}
+
+// LoadSystem restores a backend from a snapshot written by WriteSnapshot,
+// rebinding it to the given venue and world, which must be the ones the
+// snapshot was taken with: the model's natural feature oracle comes from
+// the world and must match the fingerprint the snapshot stores.
 //
+// The SOR filter adopts the stored distances, so the restore runs no kNN
+// query; the maps and per-view ray casts are recomputed from the model.
 // Artificial features injected by past annotation tasks live in the model
-// snapshot; they are re-added to the world so future captures observe them.
+// snapshot; they are re-added to the world so future captures observe
+// them. A torn, corrupt or foreign file is an error, never a panic.
 func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, error) {
+	start := time.Now()
 	if v == nil || world == nil {
 		return nil, fmt.Errorf("core: nil venue or world")
 	}
-	var snap systemSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read snapshot: %w", err)
+	}
+	body, err := snapshotBody(data)
+	if err != nil {
+		return nil, err
+	}
+	rd := binenc.NewReader(body)
+	metaJSON, modelSec, sorSec := rd.Section(), rd.Section(), rd.Section()
+	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("core: decode snapshot: %w", err)
 	}
-	// Every real model holds the full world feature oracle. A snapshot that
-	// decodes to none was written with a model field this build does not
-	// know (gob drops it silently); restoring it would restart the campaign
-	// from an empty model under a journal that says otherwise.
-	if len(snap.Model.Features) == 0 {
-		return nil, fmt.Errorf("core: snapshot carries no model features")
+	if rd.Remaining() != 0 {
+		return nil, fmt.Errorf("core: decode snapshot: %d trailing bytes", rd.Remaining())
+	}
+	var meta snapshotMeta
+	if err := json.Unmarshal(metaJSON, &meta); err != nil {
+		return nil, fmt.Errorf("core: decode snapshot meta: %w", err)
 	}
 
-	s, err := NewSystem(v, world, snap.Config)
+	s, err := NewSystem(v, world, meta.Config)
 	if err != nil {
 		return nil, err
 	}
-	model, err := sfm.FromSnapshot(snap.Model)
-	if err != nil {
-		return nil, err
+	if err := s.model.UnmarshalBinary(modelSec); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	s.model = model
-	gen, err := taskgen.FromSnapshot(snap.Generator)
+	gen, err := taskgen.FromSnapshot(meta.Generator)
 	if err != nil {
 		return nil, err
 	}
 	s.gen = gen
-	s.pending = append([]taskgen.Task(nil), snap.Pending...)
-	s.covered = snap.Covered
-	s.nextArtID = snap.NextArtID
-	s.photoTasksIssued = snap.PhotoTasksIssued
-	s.annotationTasksIssued = snap.AnnotationTasksIssued
-	s.photosProcessed = snap.PhotosProcessed
-
-	// Restore artificial features into the capture world so future photos
-	// see the imprinted textures.
-	var artificial []venue.Feature
-	for _, f := range snap.Model.Features {
-		if f.Artificial {
-			artificial = append(artificial, venue.Feature{ID: f.ID, Pos: f.Pos, Artificial: true})
-		}
+	s.pending = meta.Pending
+	s.covered = meta.Covered
+	s.nextArtID = meta.NextArtID
+	s.photoTasksIssued = meta.PhotoTasksIssued
+	s.annotationTasksIssued = meta.AnnotationTasksIssued
+	s.photosProcessed = meta.PhotosProcessed
+	if err := s.adoptSORDistances(sorSec); err != nil {
+		return nil, err
 	}
-	if len(artificial) > 0 {
+
+	if artificial := s.model.ArtificialFeatures(); len(artificial) > 0 {
 		world.AddFeatures(artificial)
 	}
-
 	if err := s.rebuildMaps(); err != nil {
 		return nil, err
 	}
+	s.snapshotBytes = len(data)
+	s.loadSeconds = time.Since(start).Seconds()
 	return s, nil
+}
+
+// snapshotBody checks a snapshot's header and checksum and returns the
+// bytes between them.
+func snapshotBody(data []byte) ([]byte, error) {
+	if len(data) < snapshotHeader || !bytes.Equal(data[:len(snapshotMagic)], []byte(snapshotMagic)) {
+		return nil, fmt.Errorf("core: not a v%d snapshot (no %q header)", snapshotVersion, snapshotMagic)
+	}
+	if ver := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); ver != snapshotVersion {
+		return nil, fmt.Errorf("core: not a v%d snapshot (version %d)", snapshotVersion, ver)
+	}
+	n := len(data) - 4
+	if n < snapshotHeader {
+		return nil, fmt.Errorf("core: snapshot truncated at %d bytes", len(data))
+	}
+	if got, want := crc32.Checksum(data[:n], castagnoli), binary.LittleEndian.Uint32(data[n:]); got != want {
+		return nil, fmt.Errorf("core: snapshot checksum mismatch (torn or corrupt file): %08x, trailer %08x", got, want)
+	}
+	return data[snapshotHeader:n], nil
+}
+
+// adoptSORDistances primes the SOR filter with stored distances. It marks
+// the whole model cloud as consumed (CloudIncremental) so the next
+// rebuild's FilterAppend sees an empty delta that lines up with the adopted
+// cache; marks left behind would make it Reset and recompute everything.
+func (s *System) adoptSORDistances(sec []byte) error {
+	rd := binenc.NewReader(sec)
+	split := rd.Int()
+	n := rd.Count(16)
+	mean, kth := rd.F64s(n), rd.F64s(n)
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("core: decode SOR distances: %w", err)
+	}
+	if rd.Remaining() != 0 {
+		return fmt.Errorf("core: decode SOR distances: %d trailing bytes", rd.Remaining())
+	}
+	if n == 0 {
+		return nil
+	}
+	if split != s.model.NumPoints() {
+		return fmt.Errorf("core: SOR distances split at %d, model has %d points", split, s.model.NumPoints())
+	}
+	cloud, _, _ := s.model.CloudIncremental()
+	if err := s.sor.Adopt(cloud, split, mean, kth); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
 }

@@ -2,14 +2,23 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
+	"snaptask/internal/annotation"
 	"snaptask/internal/camera"
 	"snaptask/internal/crowd"
+	"snaptask/internal/grid"
 	"snaptask/internal/metrics"
-	"snaptask/internal/sfm"
+	"snaptask/internal/pointcloud"
+	"snaptask/internal/taskgen"
+	"snaptask/internal/telemetry"
 	"snaptask/internal/venue"
 )
 
@@ -113,41 +122,308 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadSystemValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := LoadSystem(&buf, nil, nil); err == nil {
-		t.Error("nil venue accepted")
-	}
+// smallSnapshot bootstraps a small-room system and returns its snapshot
+// with the venue and the feature seed its world was built from.
+func smallSnapshot(t testing.TB) ([]byte, *venue.Venue) {
+	t.Helper()
 	v, err := venue.SmallRoom()
 	if err != nil {
 		t.Fatal(err)
 	}
-	world := camera.NewWorld(v, nil)
-	if _, err := LoadSystem(&buf, v, world); err == nil {
-		t.Error("empty snapshot stream accepted")
-	}
-
-	// A snapshot from the retired multi-model layout carried its model in a
-	// PModel field and left Model empty. Gob drops the unknown field, so
-	// the restore must fail loudly instead of resuming with an empty model.
-	type oldModel struct {
-		K     int
-		Parts []sfm.Snapshot
-	}
-	old := struct {
-		Config          Config
-		PModel          *oldModel
-		PhotosProcessed int
-	}{
-		Config:          Config{Margin: 3},
-		PModel:          &oldModel{K: 4, Parts: make([]sfm.Snapshot, 4)},
-		PhotosProcessed: 120,
-	}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+	world := camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(1))))
+	sys, err := NewSystem(v, world, Config{Margin: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSystem(&buf, v, world); err == nil {
-		t.Error("snapshot without a model accepted")
+	rng := rand.New(rand.NewSource(2))
+	boot, err := BootstrapCapture(world, v, camera.DefaultIntrinsics(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ProcessBootstrap(boot, rng); err != nil {
+		t.Fatal(err)
+	}
+	return writeSnapshot(t, sys), v
+}
+
+func writeSnapshot(t testing.TB, sys *System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sys.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// resealed returns data with its CRC-32C trailer recomputed, so a test
+// can reach the decoder behind the checksum.
+func resealed(data []byte) []byte {
+	out := bytes.Clone(data)
+	n := len(out) - 4
+	binary.LittleEndian.PutUint32(out[n:], crc32.Checksum(out[:n], castagnoli))
+	return out
+}
+
+// TestLoadSystemValidation feeds LoadSystem broken inputs. Each must be an
+// error, never a panic, and no length field may allocate past the input.
+func TestLoadSystemValidation(t *testing.T) {
+	if _, err := LoadSystem(bytes.NewReader(nil), nil, nil); err == nil {
+		t.Error("nil venue accepted")
+	}
+	snap, v := smallSnapshot(t)
+	world := func(seed int64) *camera.World {
+		return camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(seed))))
+	}
+	if _, err := LoadSystem(bytes.NewReader(snap), v, world(1)); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	v1, err := os.ReadFile("testdata/v1-gob-head.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Offsets of the length fields: the meta section's length follows the
+	// header; the model section's length follows the meta section; its
+	// view count follows 12 words of config, photo ID and fingerprint.
+	metaLenAt := snapshotHeader
+	modelLenAt := metaLenAt + 8 + int(binary.LittleEndian.Uint64(snap[metaLenAt:]))
+	viewCountAt := modelLenAt + 8 + 12*8
+	sorAt := modelLenAt + 8 + int(binary.LittleEndian.Uint64(snap[modelLenAt:]))
+	sorCountAt := sorAt + 8 + 8
+	withU64 := func(at int, v uint64) []byte {
+		out := bytes.Clone(snap)
+		binary.LittleEndian.PutUint64(out[at:], v)
+		return resealed(out)
+	}
+	flipped := bytes.Clone(snap)
+	flipped[len(flipped)/2] ^= 0x10
+
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		world *camera.World
+		want  string
+	}{
+		{"empty", nil, world(1), "not a v2 snapshot"},
+		{"pre-change gob file", v1, world(1), "not a v2 snapshot"},
+		{"future version", resealed(binary.LittleEndian.AppendUint32([]byte(snapshotMagic), 3)), world(1), "not a v2 snapshot"},
+		{"torn to header", snap[:snapshotHeader], world(1), "truncated"},
+		{"torn mid-file", snap[:len(snap)/2], world(1), "checksum"},
+		{"torn trailer", snap[:len(snap)-1], world(1), "checksum"},
+		{"bit flip", flipped, world(1), "checksum"},
+		{"different world seed", snap, world(2), "different venue or world seed"},
+		{"meta length past input", withU64(metaLenAt, 1<<62), world(1), "exceeds remaining"},
+		{"model length past input", withU64(modelLenAt, uint64(len(snap))), world(1), "exceeds remaining"},
+		{"view count past input", withU64(viewCountAt, 1<<40), world(1), "exceeds remaining"},
+		{"SOR count past input", withU64(sorCountAt, 1<<40), world(1), "exceeds remaining"},
+	} {
+		_, err := LoadSystem(bytes.NewReader(tc.data), v, tc.world)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSnapshotMetrics checks that a restored system reports its load and
+// every snapshot write on the model snapshot instruments.
+func TestSnapshotMetrics(t *testing.T) {
+	snap, v := smallSnapshot(t)
+	sys, err := LoadSystem(bytes.NewReader(snap), v, camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(1)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetTelemetry(&telemetry.Telemetry{Registry: telemetry.NewRegistry()})
+	m := sys.ingestM
+	if m.SnapshotLoadSeconds.Count() != 1 || m.SnapshotBytes.Value() != float64(len(snap)) {
+		t.Fatalf("after load: %d load observations, %v bytes; want 1, %d",
+			m.SnapshotLoadSeconds.Count(), m.SnapshotBytes.Value(), len(snap))
+	}
+	for i := 1; i <= 2; i++ {
+		writeSnapshot(t, sys)
+		if m.SnapshotWriteSeconds.Count() != uint64(i) || m.SnapshotBytes.Value() != float64(len(snap)) {
+			t.Fatalf("after write %d: %d write observations, %v bytes", i, m.SnapshotWriteSeconds.Count(), m.SnapshotBytes.Value())
+		}
+	}
+}
+
+// FuzzLoadSystem checks that no input makes LoadSystem panic, and that any
+// input it accepts writes back byte-identically.
+func FuzzLoadSystem(f *testing.F) {
+	snap, v := smallSnapshot(f)
+	for _, n := range []int{len(snap), len(snap) - 1, len(snap) / 2, 64, snapshotHeader, 3, 0} {
+		f.Add(snap[:n])
+	}
+	base := camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(1))))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sys, err := LoadSystem(bytes.NewReader(data), v, base.Clone())
+		if err != nil {
+			return
+		}
+		if again := writeSnapshot(t, sys); !bytes.Equal(again, data) {
+			t.Fatal("accepted snapshot does not write back byte-identically")
+		}
+	})
+}
+
+// libraryRun is a guided session on the library venue, with everything
+// needed to keep driving it.
+type libraryRun struct {
+	v      *venue.Venue
+	sys    *System
+	worker *crowd.GuidedWorker
+	walk   *grid.Map
+	rng    *rand.Rand
+}
+
+// libraryWorld builds the library's feature world; every call returns an
+// identical, independent world.
+func libraryWorld(v *venue.Venue) *camera.World {
+	return camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(7))))
+}
+
+// runLibrary runs the guided loop for tasks tasks on the library. At these
+// seeds the first annotation task is the 29th and the second the 36th.
+func runLibrary(t *testing.T, tasks int) *libraryRun {
+	t.Helper()
+	v, err := venue.Library()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := libraryWorld(v)
+	sys, err := NewSystem(v, w, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := v.GroundTruthAt(sys.Layout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &libraryRun{
+		v:      v,
+		sys:    sys,
+		worker: &crowd.GuidedWorker{World: w, Venue: v, Intrinsics: camera.DefaultIntrinsics(), Pos: v.Entrance()},
+		walk:   v.WalkMap(gt),
+		rng:    rand.New(rand.NewSource(8)),
+	}
+	if _, err := RunGuidedLoop(sys, run.worker, run.walk, LoopOptions{MaxTasks: tasks}, run.rng); err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// TestSnapshotRewriteIsByteIdentical writes a library model that has been
+// through an annotation task, loads it into a fresh world and writes it
+// again: the bytes must not change, and the load must adopt the stored SOR
+// distances rather than recompute them.
+func TestSnapshotRewriteIsByteIdentical(t *testing.T) {
+	run := runLibrary(t, 30)
+	snap := writeSnapshot(t, run.sys)
+	gen := run.sys.gen.Snapshot()
+	if len(run.sys.Model().ArtificialFeatures()) == 0 || len(run.sys.PendingTasks()) == 0 ||
+		len(gen.TriedKeys) == 0 || len(gen.EscalationKeys) == 0 {
+		t.Fatal("model lacks artificial features, pending tasks or taskgen state")
+	}
+	loaded, err := LoadSystem(bytes.NewReader(snap), run.v, libraryWorld(run.v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := loaded.sor.KNNQueries(); n != 0 {
+		t.Fatalf("load ran %d kNN queries; want the stored distances adopted", n)
+	}
+	if again := writeSnapshot(t, loaded); !bytes.Equal(again, snap) {
+		t.Fatalf("rewrite differs: %d vs %d bytes", len(again), len(snap))
+	}
+}
+
+// filteredCloud returns the system's current SOR-filtered cloud from its
+// cached distances (an empty delta runs no kNN query).
+func filteredCloud(t *testing.T, s *System) []pointcloud.Point {
+	t.Helper()
+	c, _, err := s.sor.FilterAppend(s.model.Cloud(), s.NumPoints(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Points()
+}
+
+// requireSameState requires a and b to hold the same snapshot bytes,
+// model encoding, filtered cloud, maps and pending tasks.
+func requireSameState(t *testing.T, when string, a, b *System) {
+	t.Helper()
+	if !bytes.Equal(writeSnapshot(t, a), writeSnapshot(t, b)) {
+		t.Fatalf("%s: snapshots differ", when)
+	}
+	if !bytes.Equal(modelBytes(t, a), modelBytes(t, b)) {
+		t.Fatalf("%s: models differ", when)
+	}
+	if !reflect.DeepEqual(filteredCloud(t, a), filteredCloud(t, b)) {
+		t.Fatalf("%s: filtered clouds differ", when)
+	}
+	requireMapEqual(t, when+" obstacles", a.Maps().Obstacles, b.Maps().Obstacles)
+	requireMapEqual(t, when+" visibility", a.Maps().Visibility, b.Maps().Visibility)
+	requireMapEqual(t, when+" aspects", a.Maps().Aspects, b.Maps().Aspects)
+	requireMapEqual(t, when+" coverage", a.Maps().Coverage, b.Maps().Coverage)
+	if !reflect.DeepEqual(a.PendingTasks(), b.PendingTasks()) {
+		t.Fatalf("%s: pending tasks differ", when)
+	}
+}
+
+// TestLoadedSystemContinuesLikeUninterrupted snapshots a library session
+// between its first and second annotation task, loads the snapshot, and
+// feeds the live and the loaded system the same batches with same-seeded
+// rngs: after every batch both must agree exactly.
+func TestLoadedSystemContinuesLikeUninterrupted(t *testing.T) {
+	run := runLibrary(t, 30)
+	a := run.sys
+	b, err := LoadSystem(bytes.NewReader(writeSnapshot(t, a)), run.v, libraryWorld(run.v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := b.sor.KNNQueries(); n != 0 {
+		t.Fatalf("load ran %d kNN queries; want the stored distances adopted", n)
+	}
+	requireSameState(t, "after load", a, b)
+
+	rngA, rngB := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	annotations := 0
+	for step := 0; step < 8 && !a.Covered(); step++ {
+		task, ok := a.NextTask()
+		taskB, okB := b.NextTask()
+		if !ok || !okB || !reflect.DeepEqual(task, taskB) {
+			t.Fatalf("step %d: next tasks %+v (%v) vs %+v (%v)", step, task, ok, taskB, okB)
+		}
+		switch task.Kind {
+		case taskgen.KindPhoto:
+			ptr, err := run.worker.DoPhotoTask(run.walk, task.Location, run.rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.ProcessPhotoBatch(task.Location, task.AimPoint(), ptr.Photos, rngA); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.ProcessPhotoBatch(task.Location, task.AimPoint(), ptr.Photos, rngB); err != nil {
+				t.Fatal(err)
+			}
+		case taskgen.KindAnnotation:
+			annotations++
+			atask, err := run.worker.DoAnnotationTask(run.walk, task.AimPoint(), run.rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			anns, err := annotation.SimulateWorkers(atask, run.v, a.cfg.Workers, run.rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.ProcessAnnotation(atask, task.AimPoint(), anns, rngA); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.ProcessAnnotation(atask, task.AimPoint(), anns, rngB); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireSameState(t, fmt.Sprintf("step %d (%v)", step, task.Kind), a, b)
+	}
+	if annotations == 0 {
+		t.Error("continuation ran no annotation task")
 	}
 }

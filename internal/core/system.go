@@ -107,6 +107,12 @@ type System struct {
 	// instead of re-copying the whole list every batch.
 	mapViews []mapping.View
 
+	// snapshotBytes is the size of the latest snapshot written or loaded
+	// (the next write's buffer estimate); loadSeconds is how long the
+	// LoadSystem that built this system took, reported by SetTelemetry.
+	snapshotBytes int
+	loadSeconds   float64
+
 	// Counters for the paper's §V-B3 bookkeeping.
 	photoTasksIssued      int
 	annotationTasksIssued int
@@ -192,9 +198,10 @@ func (s *System) applyBarrier() {
 
 // SetTelemetry wires the observability bundle into the owner path: batch
 // traces go to tel.Tracer, ingest metrics register on tel.Registry, and
-// per-batch summary lines go to tel.Logger. Call before processing starts
-// (the System is single-owner; this is not synchronised). A nil bundle is
-// ignored, leaving everything a no-op.
+// per-batch summary lines go to tel.Logger. A system restored by LoadSystem
+// reports its load time and snapshot size here. Call before processing
+// starts (the System is single-owner; this is not synchronised). A nil
+// bundle is ignored, leaving everything a no-op.
 func (s *System) SetTelemetry(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
@@ -202,6 +209,10 @@ func (s *System) SetTelemetry(tel *telemetry.Telemetry) {
 	s.tracer = tel.Tracer
 	if tel.Registry != nil {
 		s.ingestM = telemetry.NewIngestMetrics(tel.Registry)
+		if s.loadSeconds > 0 {
+			s.ingestM.SnapshotLoadSeconds.Observe(s.loadSeconds)
+			s.ingestM.SnapshotBytes.Set(float64(s.snapshotBytes))
+		}
 	}
 	s.logger = tel.Logger
 }

@@ -40,6 +40,8 @@ type IncrementalSOR struct {
 	// internal indices (internal order interleaves per-batch A/B chunks).
 	extA []int
 	extB []int
+	// queries counts the kNN queries run since creation.
+	queries int
 
 	// trace is the stage-span sink of the batch being filtered; nil (the
 	// default) disables span collection.
@@ -119,6 +121,64 @@ func (s *IncrementalSOR) FilterAppend(c *Cloud, split, nNewA, nNewB int) (*Cloud
 	return s.filter(c, split)
 }
 
+// Distances returns the cached mean and k-th nearest-neighbour distances
+// of every cached point in cloud order (segment A, then segment B) and the
+// length of segment A. Both slices are empty when nothing is cached. A
+// model snapshot stores them so that a restore can Adopt them.
+func (s *IncrementalSOR) Distances() (split int, mean, kth []float64) {
+	n := len(s.extA) + len(s.extB)
+	mean = make([]float64, 0, n)
+	kth = make([]float64, 0, n)
+	for _, ext := range [2][]int{s.extA, s.extB} {
+		for _, i := range ext {
+			mean = append(mean, s.meanDists[i])
+			kth = append(kth, s.kth[i])
+		}
+	}
+	return len(s.extA), mean, kth
+}
+
+// Adopt replaces the cache with distances a filter computed earlier for
+// exactly this cloud, as Distances returned them; the filter takes
+// ownership of both slices. It rebuilds the kNN index by inserting the
+// points and runs no kNN query: the next Filter or FilterAppend with an
+// empty delta derives the threshold from the adopted distances alone.
+func (s *IncrementalSOR) Adopt(c *Cloud, split int, mean, kth []float64) error {
+	n := c.Len()
+	if split < 0 || split > n || len(mean) != n || len(kth) != n {
+		return fmt.Errorf("pointcloud: %d/%d adopted distances (split %d) for a cloud of %d points",
+			len(mean), len(kth), split, n)
+	}
+	if n <= s.opts.K+1 {
+		return fmt.Errorf("pointcloud: adopted distances for a cloud of %d points, too small for K=%d", n, s.opts.K)
+	}
+	for i := range mean {
+		// Negated so that NaN fails too.
+		if !(0 <= mean[i] && mean[i] <= math.MaxFloat64 && 0 <= kth[i] && kth[i] <= math.MaxFloat64) {
+			return fmt.Errorf("pointcloud: adopted distances of point %d invalid: mean %v, k-th %v", i, mean[i], kth[i])
+		}
+	}
+	s.Reset()
+	s.idx = &knnIndex{cellSize: s.opts.CellSize, cells: make(map[uint64][]int, n/2+1)}
+	s.extA = make([]int, split)
+	s.extB = make([]int, n-split)
+	for j := range n {
+		s.idx.insert(c.pts[j])
+		if j < split {
+			s.extA[j] = j
+		} else {
+			s.extB[j-split] = j
+		}
+	}
+	s.meanDists, s.kth = mean, kth
+	return nil
+}
+
+// KNNQueries returns the number of kNN queries the filter has run since it
+// was created. A filter that adopted its distances runs none until points
+// are added.
+func (s *IncrementalSOR) KNNQueries() int { return s.queries }
+
 // filter runs the incremental pass proper; the cached segments must already
 // be validated prefixes of the cloud's segments.
 func (s *IncrementalSOR) filter(c *Cloud, split int) (*Cloud, int, error) {
@@ -153,6 +213,7 @@ func (s *IncrementalSOR) filter(c *Cloud, split int) (*Cloud, int, error) {
 	targets := s.staleOld(oldCount, added)
 	sp.End()
 	targets = append(targets, added...)
+	s.queries += len(targets)
 	sp = s.trace.Span("sor.knn")
 	parallelMeanKNN(s.idx, s.opts.K, targets, s.meanDists, s.kth)
 	sp.End()

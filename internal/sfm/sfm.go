@@ -206,6 +206,9 @@ func (m *Model) NumViews() int { return len(m.views) }
 // NumPoints returns the number of triangulated points (excluding outliers).
 func (m *Model) NumPoints() int { return len(m.pts) }
 
+// NumOutliers returns the number of spurious outlier points in the cloud.
+func (m *Model) NumOutliers() int { return len(m.outliers) }
+
 // Views returns a copy of the registered views.
 func (m *Model) Views() []View { return append([]View(nil), m.views...) }
 

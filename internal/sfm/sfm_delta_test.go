@@ -1,8 +1,8 @@
 package sfm
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -135,7 +135,7 @@ func TestRegisterSweepMatchesReference(t *testing.T) {
 		if !slices.Equal(resNew.Unregistered, resRef.Unregistered) {
 			t.Fatalf("trial %d: unregistered %v, reference %v", trial, resNew.Unregistered, resRef.Unregistered)
 		}
-		if !reflect.DeepEqual(mNew.Snapshot(), mRef.Snapshot()) {
+		if !bytes.Equal(mustMarshal(t, mNew), mustMarshal(t, mRef)) {
 			t.Fatalf("trial %d: model state diverged from reference", trial)
 		}
 	}
@@ -225,8 +225,8 @@ func TestWithDefaultsSentinels(t *testing.T) {
 		t.Errorf("withDefaults not idempotent: %+v != %+v", again, neg)
 	}
 	m := NewModel(Config{OutlierProb: -1}, nil)
-	m2, err := FromSnapshot(m.Snapshot())
-	if err != nil {
+	m2 := NewModel(Config{}, nil)
+	if err := m2.UnmarshalBinary(mustMarshal(t, m)); err != nil {
 		t.Fatal(err)
 	}
 	if m2.cfg != m.cfg {

@@ -1,105 +1,259 @@
 package sfm
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
+	"snaptask/internal/binenc"
 	"snaptask/internal/geom"
 	"snaptask/internal/pointcloud"
+	"snaptask/internal/venue"
 )
 
-// FeatureEntry is one world-feature oracle record in a snapshot.
-type FeatureEntry struct {
-	ID         uint64
-	Pos        geom.Vec3
-	Artificial bool
-}
-
-// Snapshot is the serialisable state of a Model — what the paper's backend
-// "stores in a database for further iterations". All fields are exported
-// for encoding/gob.
-type Snapshot struct {
-	Cfg         Config
-	Views       []View
-	TrackIDs    []uint64
-	TrackViews  [][]int
-	Points      []pointcloud.Point
-	Order       []uint64
-	Outliers    []pointcloud.Point
-	NextPhotoID int
-	Features    []FeatureEntry
-}
-
-// Snapshot captures the model's complete state.
-func (m *Model) Snapshot() Snapshot {
-	s := Snapshot{
-		Cfg:         m.cfg,
-		Views:       append([]View(nil), m.views...),
-		Order:       make([]uint64, len(m.pts)),
-		Points:      append([]pointcloud.Point(nil), m.pts...),
-		Outliers:    append([]pointcloud.Point(nil), m.outliers...),
-		NextPhotoID: m.nextPhotoID,
+// The model encoding is what the paper's backend "stores in a database for
+// further iterations", minus the natural feature oracle: that is a pure
+// function of the world, which a restore rebuilds anyway, so only its
+// fingerprint is stored. Layout, all fixed-width values little-endian:
+//
+//	config           3 int64, 6 float64 (field order of Config)
+//	nextPhotoID      int64
+//	oracle           natural feature count, fingerprint (uint64 each)
+//	views            count, then one column per viewCols field
+//	points           count, then one column per pointCols field
+//	outliers         as points
+//	tracks           count, then per track in ascending feature-ID order:
+//	                 uvarint ID delta, uvarint length, uvarint view-index
+//	                 deltas
+//	artificial feats count, then one column per featureCols field
+var (
+	viewCols = binenc.Columns[View]{
+		Ints: []func(*View) *int{
+			func(v *View) *int { return &v.PhotoID },
+			func(v *View) *int { return &v.NumObs },
+		},
+		Floats: []func(*View) *float64{
+			func(v *View) *float64 { return &v.Pose.Pos.X },
+			func(v *View) *float64 { return &v.Pose.Pos.Y },
+			func(v *View) *float64 { return &v.Pose.Yaw },
+			func(v *View) *float64 { return &v.Intrinsics.HFOV },
+			func(v *View) *float64 { return &v.Intrinsics.VFOV },
+			func(v *View) *float64 { return &v.Intrinsics.Range },
+			func(v *View) *float64 { return &v.Intrinsics.MinRange },
+			func(v *View) *float64 { return &v.Intrinsics.EyeHeight },
+		},
 	}
-	for i, p := range m.pts {
-		s.Order[i] = p.FeatureID
+	pointCols = binenc.Columns[pointcloud.Point]{
+		Ints:  []func(*pointcloud.Point) *int{func(p *pointcloud.Point) *int { return &p.Views }},
+		Uints: []func(*pointcloud.Point) *uint64{func(p *pointcloud.Point) *uint64 { return &p.FeatureID }},
+		Floats: []func(*pointcloud.Point) *float64{
+			func(p *pointcloud.Point) *float64 { return &p.Pos.X },
+			func(p *pointcloud.Point) *float64 { return &p.Pos.Y },
+			func(p *pointcloud.Point) *float64 { return &p.Pos.Z },
+		},
+		Bools: []func(*pointcloud.Point) *bool{func(p *pointcloud.Point) *bool { return &p.Artificial }},
 	}
-	// Maps are serialised in sorted-ID order so the same model state always
-	// encodes to the same bytes (snapshot files are diffable/hashable).
-	trackIDs := make([]uint64, 0, len(m.tracks))
+	featureCols = binenc.Columns[venue.Feature]{
+		Uints: []func(*venue.Feature) *uint64{func(f *venue.Feature) *uint64 { return &f.ID }},
+		Floats: []func(*venue.Feature) *float64{
+			func(f *venue.Feature) *float64 { return &f.Pos.X },
+			func(f *venue.Feature) *float64 { return &f.Pos.Y },
+			func(f *venue.Feature) *float64 { return &f.Pos.Z },
+		},
+	}
+)
+
+// AppendBinary appends the model's encoding to b (layout above). The same
+// model state always encodes to the same bytes, so encodings compare and
+// hash as the model does.
+func (m *Model) AppendBinary(b []byte) ([]byte, error) {
+	c := m.cfg
+	for _, v := range []int{c.MinViewsForPoint, c.MinSharedForReg, c.MinSeedMatches} {
+		b = binenc.AppendU64(b, uint64(v))
+	}
+	for _, v := range []float64{c.MinBaseline, c.PointNoiseSigma, c.PoseNoiseSigma,
+		c.MatchDropProb, c.OutlierProb, c.SharpnessThreshold} {
+		b = binenc.AppendF64(b, v)
+	}
+	b = binenc.AppendU64(b, uint64(m.nextPhotoID))
+	n, sum := m.naturalFingerprint()
+	b = binenc.AppendU64(b, n)
+	b = binenc.AppendU64(b, sum)
+	b = viewCols.Append(b, m.views)
+	b = pointCols.Append(b, m.pts)
+	b = pointCols.Append(b, m.outliers)
+
+	ids := make([]uint64, 0, len(m.tracks))
 	for id := range m.tracks {
-		trackIDs = append(trackIDs, id)
+		ids = append(ids, id)
 	}
-	slices.Sort(trackIDs)
-	for _, id := range trackIDs {
-		s.TrackIDs = append(s.TrackIDs, id)
-		s.TrackViews = append(s.TrackViews, append([]int(nil), m.tracks[id]...))
+	slices.Sort(ids)
+	b = binenc.AppendU64(b, uint64(len(ids)))
+	var prevID uint64
+	for _, id := range ids {
+		vs := m.tracks[id]
+		b = binary.AppendUvarint(b, id-prevID)
+		b = binary.AppendUvarint(b, uint64(len(vs)))
+		prevID = id
+		prev := 0
+		for _, v := range vs {
+			if v < prev {
+				return nil, fmt.Errorf("sfm: track %d view list not ascending", id)
+			}
+			b = binary.AppendUvarint(b, uint64(v-prev))
+			prev = v
+		}
 	}
-	featIDs := make([]uint64, 0, len(m.featPos))
-	for id := range m.featPos {
-		featIDs = append(featIDs, id)
-	}
-	slices.Sort(featIDs)
-	for _, id := range featIDs {
-		info := m.featPos[id]
-		s.Features = append(s.Features, FeatureEntry{ID: id, Pos: info.pos, Artificial: info.artificial})
-	}
-	return s
+	return featureCols.Append(b, m.ArtificialFeatures()), nil
 }
 
-// FromSnapshot reconstructs a model from a snapshot.
-func FromSnapshot(s Snapshot) (*Model, error) {
-	if len(s.TrackIDs) != len(s.TrackViews) {
-		return nil, fmt.Errorf("sfm: snapshot track arrays mismatch: %d vs %d",
-			len(s.TrackIDs), len(s.TrackViews))
+// MarshalBinary returns the model's encoding (see AppendBinary).
+func (m *Model) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
+
+// UnmarshalBinary restores an encoded reconstruction into m, which must be
+// fresh from NewModel over the world the encoded model was built in. m
+// keeps its natural feature oracle, which must match the stored
+// fingerprint; views, points, tracks and artificial features come from
+// data. Nothing in m changes unless the whole encoding decodes.
+func (m *Model) UnmarshalBinary(data []byte) error {
+	r := binenc.NewReader(data)
+	var c Config
+	for _, p := range []*int{&c.MinViewsForPoint, &c.MinSharedForReg, &c.MinSeedMatches} {
+		*p = r.Int()
 	}
-	if len(s.Points) != len(s.Order) {
-		return nil, fmt.Errorf("sfm: snapshot points/order mismatch: %d vs %d",
-			len(s.Points), len(s.Order))
+	for _, p := range []*float64{&c.MinBaseline, &c.PointNoiseSigma, &c.PoseNoiseSigma,
+		&c.MatchDropProb, &c.OutlierProb, &c.SharpnessThreshold} {
+		*p = r.F64()
 	}
-	m := &Model{
-		cfg:         s.Cfg.withDefaults(),
-		featPos:     make(map[uint64]featureInfo, len(s.Features)),
-		views:       append([]View(nil), s.Views...),
-		tracks:      make(map[uint64][]int, len(s.TrackIDs)),
-		pts:         append([]pointcloud.Point(nil), s.Points...),
-		ptIdx:       make(map[uint64]int, len(s.Points)),
-		touched:     make(map[uint64]struct{}),
-		outliers:    append([]pointcloud.Point(nil), s.Outliers...),
-		nextPhotoID: s.NextPhotoID,
+	nextPhotoID := r.Int()
+	wantN, wantSum := r.U64(), r.U64()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("sfm: decode model: %w", err)
 	}
-	for i, id := range s.TrackIDs {
-		for _, v := range s.TrackViews[i] {
-			if v < 0 || v >= len(m.views) {
-				return nil, fmt.Errorf("sfm: snapshot track %d references view %d of %d", id, v, len(m.views))
-			}
+	if n, sum := m.naturalFingerprint(); n != wantN || sum != wantSum {
+		return fmt.Errorf("sfm: world feature oracle (%d features, fingerprint %016x) differs from the snapshot's (%d, %016x): different venue or world seed",
+			n, sum, wantN, wantSum)
+	}
+	views := viewCols.Read(r)
+	pts := pointCols.Read(r)
+	outliers := pointCols.Read(r)
+	tracks := readTracks(r, len(views))
+	artificial := featureCols.Read(r)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("sfm: decode model: %w", err)
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("sfm: decode model: %d trailing bytes", r.Remaining())
+	}
+
+	m.cfg = c.withDefaults()
+	m.nextPhotoID = nextPhotoID
+	m.views = views
+	m.pts = pts
+	m.outliers = outliers
+	m.tracks = tracks
+	m.ptIdx = make(map[uint64]int, len(pts))
+	for i, p := range pts {
+		m.ptIdx[p.FeatureID] = i
+	}
+	clear(m.touched)
+	m.cloudMarkPts, m.cloudMarkOut = 0, 0
+	for id, f := range m.featPos {
+		if f.artificial {
+			delete(m.featPos, id)
 		}
-		m.tracks[id] = append([]int(nil), s.TrackViews[i]...)
 	}
-	for i, id := range s.Order {
-		m.ptIdx[id] = i
+	for _, f := range artificial {
+		m.featPos[f.ID] = featureInfo{pos: f.Pos, artificial: true}
 	}
-	for _, f := range s.Features {
-		m.featPos[f.ID] = featureInfo{pos: f.Pos, artificial: f.Artificial}
+	return nil
+}
+
+// readTracks decodes the track section. Every view list gets its own
+// array: lists carved from one shared array would keep all of it alive once
+// appends had moved most of them, an extra copy of every track for the
+// life of a restored campaign.
+func readTracks(r *binenc.Reader, nViews int) map[uint64][]int {
+	// An encoded track takes at least two bytes, a view reference one.
+	n := r.Count(2)
+	if r.Err() != nil {
+		return nil
 	}
-	return m, nil
+	tracks := make(map[uint64][]int, n)
+	var id uint64
+	for i := 0; i < n; i++ {
+		delta := r.Uvarint()
+		if i > 0 && delta == 0 {
+			r.Fail(fmt.Errorf("sfm: track IDs not ascending"))
+		}
+		id += delta
+		l := r.Uvarint()
+		if r.Err() != nil {
+			return nil
+		}
+		if l > uint64(r.Remaining()) {
+			r.Fail(fmt.Errorf("%w: track %d holds %d views, %d bytes left", binenc.ErrShort, id, l, r.Remaining()))
+			return nil
+		}
+		vs := make([]int, l)
+		v := 0
+		for j := range vs {
+			d := r.Uvarint()
+			if d >= uint64(nViews-v) {
+				r.Fail(fmt.Errorf("sfm: track %d references view beyond %d", id, nViews))
+				return nil
+			}
+			v += int(d)
+			vs[j] = v
+		}
+		tracks[id] = vs
+	}
+	return tracks
+}
+
+// ArtificialFeatures returns the artificial (annotation-imprinted) features
+// of the model's oracle in ascending ID order.
+func (m *Model) ArtificialFeatures() []venue.Feature {
+	var out []venue.Feature
+	for id, f := range m.featPos {
+		if f.artificial {
+			out = append(out, venue.Feature{ID: id, Pos: f.pos, Artificial: true})
+		}
+	}
+	slices.SortFunc(out, func(a, b venue.Feature) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// naturalFingerprint returns the count and an order-independent hash of
+// the natural (world-generated) features in the oracle: a wrapping sum of
+// one mixed hash per feature over its ID and position bits.
+func (m *Model) naturalFingerprint() (n, sum uint64) {
+	for id, f := range m.featPos {
+		if f.artificial {
+			continue
+		}
+		n++
+		sum += featureHash(id, f.pos)
+	}
+	return n, sum
+}
+
+func featureHash(id uint64, p geom.Vec3) uint64 {
+	h := id
+	for _, v := range [3]float64{p.X, p.Y, p.Z} {
+		h = mix64(h ^ math.Float64bits(v))
+	}
+	return mix64(h)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	h ^= h >> 31
+	return h
 }

@@ -1,0 +1,121 @@
+package sfm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"snaptask/internal/camera"
+	"snaptask/internal/geom"
+	"snaptask/internal/venue"
+)
+
+func mustMarshal(t *testing.T, m *Model) []byte {
+	t.Helper()
+	b, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// grownModel registers a few overlapping batches over the test scene and
+// adds artificial features, so every section of the encoding is non-empty.
+func grownModel(t *testing.T) (*Model, []venue.Feature) {
+	t.Helper()
+	w, feats := testScene(t)
+	m := NewModel(Config{OutlierProb: 0.5}, feats)
+	rng := rand.New(rand.NewSource(3))
+	for batch := 0; batch < 3; batch++ {
+		var photos []camera.Photo
+		for k := 0; k < 4; k++ {
+			photos = append(photos, capture(t, w, 2.5+float64(batch)*1.1+float64(k)*0.4, rng))
+		}
+		if _, err := m.RegisterBatch(photos, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.AddWorldFeatures([]venue.Feature{
+		{ID: 1 << 40, Pos: geom.V3(1, 2, 3), Artificial: true},
+		{ID: 1<<40 + 1, Pos: geom.V3(4, 5, 6), Artificial: true},
+	})
+	if len(m.pts) == 0 || len(m.outliers) == 0 || len(m.tracks) == 0 {
+		t.Fatalf("model too small: %d points, %d outliers, %d tracks", len(m.pts), len(m.outliers), len(m.tracks))
+	}
+	return m, feats
+}
+
+// TestModelBinaryRoundTrip decodes an encoded model into a fresh model over
+// the same world features and requires identical state and bytes.
+func TestModelBinaryRoundTrip(t *testing.T) {
+	m, feats := grownModel(t)
+	data := mustMarshal(t, m)
+	m2 := NewModel(Config{}, feats)
+	if err := m2.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if m2.cfg != m.cfg || m2.nextPhotoID != m.nextPhotoID {
+		t.Fatalf("config/photo ID: %+v %d vs %+v %d", m2.cfg, m2.nextPhotoID, m.cfg, m.nextPhotoID)
+	}
+	for name, pair := range map[string][2]any{
+		"views":    {m2.views, m.views},
+		"points":   {m2.pts, m.pts},
+		"outliers": {m2.outliers, m.outliers},
+		"tracks":   {m2.tracks, m.tracks},
+		"ptIdx":    {m2.ptIdx, m.ptIdx},
+		"features": {m2.featPos, m.featPos},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s differ after round trip", name)
+		}
+	}
+	if !bytes.Equal(mustMarshal(t, m2), data) {
+		t.Error("re-encoding a decoded model changed its bytes")
+	}
+}
+
+// TestUnmarshalBinaryRejects covers a different world, every truncation,
+// an out-of-range view reference and an oversized count: each is an error,
+// and m is left untouched.
+func TestUnmarshalBinaryRejects(t *testing.T) {
+	m, feats := grownModel(t)
+	data := mustMarshal(t, m)
+
+	moved := append([]venue.Feature(nil), feats...)
+	moved[7].Pos.X += 1e-9
+	if err := NewModel(Config{}, moved).UnmarshalBinary(data); err == nil {
+		t.Error("model over a different world accepted")
+	}
+	for n := 0; n < len(data); n++ {
+		fresh := NewModel(Config{}, feats)
+		if err := fresh.UnmarshalBinary(data[:n]); err == nil {
+			t.Fatalf("encoding truncated to %d of %d bytes accepted", n, len(data))
+		}
+		if len(fresh.views) != 0 || len(fresh.featPos) != len(feats) {
+			t.Fatalf("failed decode of %d bytes modified the model", n)
+		}
+	}
+
+	// The view count sits right after config, photo ID and oracle
+	// fingerprint: 3+6+1+2 words.
+	const viewCountAt = 12 * 8
+	for name, count := range map[string]uint64{
+		"huge view count":  1 << 62,
+		"views past input": uint64(len(data)),
+	} {
+		bad := bytes.Clone(data)
+		binary.LittleEndian.PutUint64(bad[viewCountAt:], count)
+		if err := NewModel(Config{}, feats).UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+
+	// Drop the last view: tracks now reference a view that does not exist.
+	short := NewModel(Config{}, feats)
+	short.cfg, short.views, short.tracks = m.cfg, m.views[:len(m.views)-1], m.tracks
+	if err := NewModel(Config{}, feats).UnmarshalBinary(mustMarshal(t, short)); err == nil {
+		t.Error("track referencing a missing view accepted")
+	}
+}

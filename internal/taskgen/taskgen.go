@@ -9,8 +9,10 @@
 package taskgen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"snaptask/internal/geom"
 	"snaptask/internal/grid"
@@ -391,22 +393,36 @@ type Snapshot struct {
 	BlurWorkers     [][]string
 }
 
-// Snapshot captures the generator state for persistence.
+// Snapshot captures the generator state for persistence. Map-backed
+// state is emitted in ascending cell order, so the same generator state
+// always yields the same snapshot.
 func (g *Generator) Snapshot() Snapshot {
 	s := Snapshot{Cfg: g.cfg, NextID: g.nextID}
-	for k, v := range g.tried {
+	for _, k := range sortedCells(g.tried) {
 		s.TriedKeys = append(s.TriedKeys, k)
-		s.TriedCounts = append(s.TriedCounts, v)
+		s.TriedCounts = append(s.TriedCounts, g.tried[k])
 	}
-	for k, v := range g.escalations {
+	for _, k := range sortedCells(g.escalations) {
 		s.EscalationKeys = append(s.EscalationKeys, k)
-		s.EscalationCount = append(s.EscalationCount, v)
+		s.EscalationCount = append(s.EscalationCount, g.escalations[k])
 	}
-	for k, v := range g.blurred {
+	for _, k := range sortedCells(g.blurred) {
 		s.BlurKeys = append(s.BlurKeys, k)
-		s.BlurWorkers = append(s.BlurWorkers, append([]string(nil), v...))
+		s.BlurWorkers = append(s.BlurWorkers, append([]string(nil), g.blurred[k]...))
 	}
 	return s
+}
+
+// sortedCells returns the keys of m in (I, J) order.
+func sortedCells[V any](m map[grid.Cell]V) []grid.Cell {
+	keys := make([]grid.Cell, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b grid.Cell) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
+	return keys
 }
 
 // FromSnapshot reconstructs a generator from a snapshot.

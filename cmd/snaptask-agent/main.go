@@ -1,8 +1,9 @@
 // Command snaptask-agent is the mobile-client simulator: a guided
 // participant that connects to a snaptask-server backend, optionally
-// uploads the bootstrap capture, then fetches tasks, navigates to them,
-// performs 360° sweeps or annotation photo sets and uploads the results —
-// the role the paper's Android app and its human carrier play.
+// uploads the bootstrap capture, then registers its workers and claims
+// tasks under leases, navigates to them, performs 360° sweeps or annotation
+// photo sets and uploads the results — the role the paper's Android app and
+// its human carrier play.
 //
 // The agent must be started with the same -venue and -seed as the server
 // so that its camera observes the same simulated world.
@@ -13,8 +14,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -27,7 +26,6 @@ import (
 	"snaptask/internal/client"
 	"snaptask/internal/core"
 	"snaptask/internal/crowd"
-	"snaptask/internal/events"
 	"snaptask/internal/loadgen"
 	"snaptask/internal/server"
 	"snaptask/internal/telemetry"
@@ -50,22 +48,23 @@ func run(args []string) error {
 		"target campaign ID; requests go to /v1/campaigns/{id}/... (empty = server default campaign)")
 	agentSeed := fs.Int64("agent-seed", 7, "agent behaviour seed")
 	bootstrap := fs.Bool("bootstrap", false, "upload the initial entrance capture first")
-	maxTasks := fs.Int("tasks", 300, "maximum tasks to execute (per worker in fleet mode)")
+	maxTasks := fs.Int("tasks", 300, "maximum tasks to execute per worker")
 	blurProb := fs.Float64("blur", 0, "probability of a careless blurred sweep")
 	workers := fs.Int("workers", 1,
-		"simulated workers; each registers with the dispatcher and claims tasks under leases (0 = legacy anonymous GET /v1/task loop)")
+		"simulated workers (at least 1); each registers with the dispatcher and claims tasks under leases")
 	crashProb := fs.Float64("crash", 0,
 		"per-claim probability a worker vanishes mid-lease without heartbeating, exercising expiry requeue")
 	think := fs.Duration("think", 0,
 		"median heavy-tail think time, resampled every loop iteration (0 = fixed 50ms idle poll)")
 	thinkSigma := fs.Float64("think-sigma", 1.0,
 		"lognormal spread of -think (1.0 gives a ~7x p99/median ratio)")
-	tailEvents := fs.Bool("events", false,
-		"tail the server's campaign event stream (GET /v1/events) while running; requires snaptask-server -journal-dir")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers must be at least 1, got %d", *workers)
 	}
 
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -107,53 +106,6 @@ func run(args []string) error {
 		tt := loadgen.ThinkTime{Median: *think, Sigma: *thinkSigma, Max: 20 * *think}
 		thinkFn = tt.Sample
 	}
-	newAgent := func(c *client.Client, crash float64) *client.Agent {
-		return &client.Agent{
-			Client: c,
-			Worker: &crowd.GuidedWorker{
-				World:      world,
-				Venue:      v,
-				Intrinsics: camera.DefaultIntrinsics(),
-				Pos:        v.Entrance(),
-				BlurProb:   *blurProb,
-			},
-			Venue:     v,
-			WalkMap:   walkMap,
-			CrashProb: crash,
-			Think:     thinkFn,
-		}
-	}
-	agent := newAgent(cl, *crashProb)
-
-	if *tailEvents {
-		// Log each lifecycle event as the server journals it, concurrently
-		// with the run. A slow-consumer eviction reconnects from the last
-		// seen sequence, so the feed stays gap-free.
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		go func() {
-			var last uint64
-			for ctx.Err() == nil {
-				err := cl.Events(ctx, last, func(e events.Event) error {
-					last = e.Seq
-					logger.Info("campaign event",
-						slog.Uint64("seq", e.Seq),
-						slog.String("kind", string(e.Kind)),
-						slog.String("cause", e.Cause),
-						slog.Int("photos", e.Photos),
-						slog.Int("coverage_cells", e.CoverageCells))
-					return nil
-				})
-				if ctx.Err() != nil || errors.Is(err, context.Canceled) {
-					return
-				}
-				if !errors.Is(err, client.ErrEvicted) && err != nil {
-					logger.Warn("event stream ended", slog.String("err", err.Error()))
-					return
-				}
-			}
-		}()
-	}
 
 	if *bootstrap {
 		photos, err := core.BootstrapCapture(world, v, camera.DefaultIntrinsics(), rng)
@@ -169,34 +121,33 @@ func run(args []string) error {
 			slog.Int("points", resp.NewPoints))
 	}
 
-	if *workers <= 0 {
-		// Legacy anonymous loop over the deprecated GET /v1/task peek; kept
-		// for servers without dispatch-aware clients.
-		stats, err := agent.Run(*maxTasks, rng)
-		if err != nil {
-			return err
+	// Each fleet worker gets its own client.Client (sharing one
+	// http.Client's connection pool) so 429 retries and sheds attribute to
+	// the worker that suffered them.
+	hc := &http.Client{}
+	newAgent := func() *client.Agent {
+		wc := client.New(*serverURL, hc)
+		if *campaignID != "" {
+			wc = wc.WithCampaign(*campaignID)
 		}
-		logger.Info("agent done",
-			slog.Int("photo_tasks", stats.PhotoTasks),
-			slog.Int("annotation_tasks", stats.AnnotationTasks),
-			slog.Int("photos_uploaded", stats.PhotosUploaded),
-			slog.Bool("covered", stats.Covered))
-	} else {
-		// Each fleet worker gets its own client.Client (sharing one
-		// http.Client's connection pool) so 429 retries and sheds
-		// attribute to the worker that suffered them.
-		hc := &http.Client{}
-		factory := func() *client.Agent {
-			wc := client.New(*serverURL, hc)
-			if *campaignID != "" {
-				wc = wc.WithCampaign(*campaignID)
-			}
-			wc.OnRequest = cl.OnRequest
-			return newAgent(wc, *crashProb)
+		wc.OnRequest = cl.OnRequest
+		return &client.Agent{
+			Client: wc,
+			Worker: &crowd.GuidedWorker{
+				World:      world,
+				Venue:      v,
+				Intrinsics: camera.DefaultIntrinsics(),
+				Pos:        v.Entrance(),
+				BlurProb:   *blurProb,
+			},
+			Venue:     v,
+			WalkMap:   walkMap,
+			CrashProb: *crashProb,
+			Think:     thinkFn,
 		}
-		if err := runFleet(logger, factory, *workers, *maxTasks, *agentSeed); err != nil {
-			return err
-		}
+	}
+	if err := runFleet(logger, newAgent, *workers, *maxTasks, *agentSeed); err != nil {
+		return err
 	}
 
 	status, err := cl.Status()

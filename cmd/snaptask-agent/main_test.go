@@ -24,6 +24,9 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-broken"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	if err := run([]string{"-workers", "0"}); err == nil {
+		t.Error("zero workers accepted")
+	}
 	// Unreachable server: the agent must fail cleanly, not hang.
 	if err := run([]string{"-venue", "small", "-server", "http://127.0.0.1:1", "-tasks", "1"}); err == nil {
 		t.Error("unreachable server accepted")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -154,5 +155,51 @@ func TestCheckRestartGate(t *testing.T) {
 	}
 	if err := checkRestartGate(&restartReport{GoMaxProcs: 1}, &committed); err == nil {
 		t.Error("gate passed against an empty committed report")
+	}
+}
+
+func TestCheckOverheadGate(t *testing.T) {
+	const budget = 0.02 // the CI -overhead-gate value
+	tests := []struct {
+		name      string
+		ratios    []float64 // paired per-batch instrumented/bare ratios
+		overPoint bool      // point estimate above the budget
+		pass      bool
+		wantErr   bool // no estimate at all
+	}{
+		{"all ratios 1", []float64{1, 1, 1, 1}, false, true, false},
+		{"constant 5%", []float64{1.05, 1.05, 1.05, 1.05}, true, false, false},
+		// Mean log-ratio ~+3.9% is over the budget, but two widely split
+		// pairs put the 95% lower bound near -8%: noise, not overhead.
+		{"mean above budget, lower bound under", []float64{0.9, 1.2}, true, true, false},
+		{"no ratios", nil, false, false, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var logs []float64
+			for _, r := range tt.ratios {
+				logs = append(logs, math.Log(r))
+			}
+			point, lower, err := overheadEstimate(logs)
+			if tt.wantErr {
+				if err == nil {
+					t.Fatalf("estimate over %v: no error", tt.ratios)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lower > point {
+				t.Errorf("lower bound %v above point estimate %v", lower, point)
+			}
+			if over := point > budget; over != tt.overPoint {
+				t.Errorf("point estimate %.4f over budget = %v, want %v", point, over, tt.overPoint)
+			}
+			err = checkOverheadGate(point, lower, budget)
+			if pass := err == nil; pass != tt.pass {
+				t.Errorf("point %.4f lower %.4f: gate pass=%v, want %v (err %v)", point, lower, pass, tt.pass, err)
+			}
+		})
 	}
 }

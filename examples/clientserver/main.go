@@ -80,7 +80,7 @@ func run() error {
 		WalkMap: v.WalkMap(gt),
 	}
 
-	// Bootstrap over the wire, then run the task loop.
+	// Bootstrap over the wire, then register and run the leased task loop.
 	rng := rand.New(rand.NewSource(3))
 	boot, err := core.BootstrapCapture(world, v, camera.DefaultIntrinsics(), rng)
 	if err != nil {
@@ -92,7 +92,11 @@ func run() error {
 	}
 	fmt.Printf("bootstrap: %d registered, %d points\n", up.Registered, up.NewPoints)
 
-	stats, err := agent.Run(60, rng)
+	reg, err := cl.RegisterWorker(server.RegisterWorkerRequest{})
+	if err != nil {
+		return err
+	}
+	stats, err := agent.RunWorker(reg.ID, 60, rng)
 	if err != nil {
 		return err
 	}

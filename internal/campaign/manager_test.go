@@ -118,18 +118,23 @@ func bootstrapCampaign(t *testing.T, base string, spec Spec, seed int64) {
 }
 
 // sweepUpload fulfils one pending task over the campaign-scoped routes
-// (fetch via the legacy peek, sweep, upload). Returns false when the
-// campaign reports no pending task or is covered.
+// (register the sweeper worker, claim, sweep, upload under the lease).
+// Returns false when the campaign reports no pending task or is covered.
 func sweepUpload(t *testing.T, base string, spec Spec, seed int64) bool {
 	t.Helper()
 	v, w := campaignWorld(t, spec)
-	var task server.TaskDTO
-	code := getJSON(t, base+"/task", &task)
+	var reg server.RegisterWorkerResponse
+	if code := postJSON(t, base+"/workers", server.RegisterWorkerRequest{ID: "sweeper"}, &reg); code != http.StatusOK {
+		t.Fatalf("register %s: code %d", base, code)
+	}
+	var claim server.ClaimResponse
+	code := postJSON(t, base+"/task/claim", server.ClaimRequest{WorkerID: reg.ID}, &claim)
+	task := claim.Task
 	if code == http.StatusNotFound || task.Covered {
 		return false
 	}
 	if code != http.StatusOK {
-		t.Fatalf("GET %s/v1/task: code %d", base, code)
+		t.Fatalf("claim %s: code %d", base, code)
 	}
 	pos := geom.V2(task.X, task.Y)
 	if v.Blocked(pos) {
@@ -141,7 +146,8 @@ func sweepUpload(t *testing.T, base string, spec Spec, seed int64) bool {
 		t.Fatal(err)
 	}
 	req := server.UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y,
-		SeedX: task.SeedX, SeedY: task.SeedY, HasSeed: task.HasSeed}
+		SeedX: task.SeedX, SeedY: task.SeedY, HasSeed: task.HasSeed,
+		WorkerID: claim.WorkerID, LeaseID: claim.LeaseID}
 	for _, p := range sweep {
 		req.Photos = append(req.Photos, server.PhotoToDTO(p))
 	}
@@ -269,7 +275,7 @@ func TestStatusRollupAndMetrics(t *testing.T) {
 	// scoped route, never answered from the default campaign.
 	for path, scoped := range map[string]string{
 		"/v1/status?campaign=east-wing": "/v1/campaigns/east-wing/status",
-		"/v1/task?campaign=east-wing":   "/v1/campaigns/east-wing/task",
+		"/v1/map?campaign=east-wing":    "/v1/campaigns/east-wing/map",
 	} {
 		var e map[string]string
 		if code := getJSON(t, ts.URL+path, &e); code != http.StatusBadRequest {

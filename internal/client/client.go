@@ -236,7 +236,7 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: backend returned %d: %s", e.Status, e.Body)
 }
 
-// Task is a fetched assignment.
+// Task is a claimed assignment.
 type Task struct {
 	ID       int
 	Kind     taskgen.Kind
@@ -260,35 +260,6 @@ func (t Task) aimPoint() geom.Vec2 {
 		return t.Seed
 	}
 	return t.Location
-}
-
-// NextTask fetches the next assignment. A Covered task means mapping is
-// done; ok=false means no task is currently pending (try again after other
-// participants upload).
-func (c *Client) NextTask() (Task, bool, error) {
-	var dto server.TaskDTO
-	err := c.getJSON("/v1/task", &dto)
-	if err != nil {
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-			return Task{}, false, nil
-		}
-		return Task{}, false, err
-	}
-	if dto.Covered {
-		return Task{Covered: true}, true, nil
-	}
-	kind, err := server.TaskKindFromString(dto.Kind)
-	if err != nil {
-		return Task{}, false, err
-	}
-	return Task{
-		ID:       dto.ID,
-		Kind:     kind,
-		Location: geom.V2(dto.X, dto.Y),
-		Seed:     geom.V2(dto.SeedX, dto.SeedY),
-		HasSeed:  dto.HasSeed,
-	}, true, nil
 }
 
 // RegisterWorker registers this client in the backend's dispatch registry
@@ -423,8 +394,8 @@ func (c *Client) FetchMap() (server.MapResponse, error) {
 }
 
 // Agent couples the HTTP client with a simulated guided worker: the full
-// mobile app. Run drives the task loop until the backend declares the
-// venue covered or maxTasks is reached.
+// mobile app. RunWorker drives the task loop until the backend declares
+// the venue covered or maxTasks is reached.
 type Agent struct {
 	Client  *Client
 	Worker  *crowd.GuidedWorker
@@ -433,13 +404,12 @@ type Agent struct {
 	// Workers configures simulated annotation workers (the online tool's
 	// crowd).
 	Workers annotation.WorkerOptions
-	// CrashProb is the per-claim probability (RunWorker only) that the
-	// agent vanishes mid-lease: it claims a task and then neither
-	// heartbeats nor uploads, exercising the backend's expiry-and-requeue
-	// recovery.
+	// CrashProb is the per-claim probability that the agent vanishes
+	// mid-lease: it claims a task and then neither heartbeats nor uploads,
+	// exercising the backend's expiry-and-requeue recovery.
 	CrashProb float64
 	// Poll is the idle wait between claim attempts when no task is
-	// pending (RunWorker; default 50ms).
+	// pending (default 50ms).
 	Poll time.Duration
 	// Think, when set, is sampled once per loop iteration for the pause
 	// after a completed task and for idle waits, instead of the fixed
@@ -458,8 +428,8 @@ type AgentStats struct {
 	AnnotationTasks int
 	PhotosUploaded  int
 	Covered         bool
-	// RunWorker bookkeeping: leases claimed, simulated mid-lease crashes,
-	// and leases lost to expiry or conflict before the upload landed.
+	// Lease bookkeeping: leases claimed, simulated mid-lease crashes, and
+	// leases lost to expiry or conflict before the upload landed.
 	Claims     int
 	Crashes    int
 	LostLeases int
@@ -468,52 +438,6 @@ type AgentStats struct {
 	// client's Retry-After backoff; the worker pauses and carries on
 	// rather than treating backpressure as failure.
 	Sheds int
-}
-
-// Run executes tasks until the venue is covered, no tasks remain, or
-// maxTasks have been completed.
-func (a *Agent) Run(maxTasks int, rng *rand.Rand) (AgentStats, error) {
-	var stats AgentStats
-	for i := 0; i < maxTasks; i++ {
-		task, ok, err := a.Client.NextTask()
-		if err != nil {
-			return stats, err
-		}
-		if !ok {
-			return stats, nil // nothing pending for this agent
-		}
-		if task.Covered {
-			stats.Covered = true
-			return stats, nil
-		}
-		switch task.Kind {
-		case taskgen.KindPhoto:
-			res, err := a.Worker.DoPhotoTask(a.WalkMap, task.Location, rng)
-			if err != nil {
-				return stats, err
-			}
-			if _, err := a.Client.UploadPhotos(task, res.Photos); err != nil {
-				return stats, err
-			}
-			stats.PhotoTasks++
-			stats.PhotosUploaded += len(res.Photos)
-		case taskgen.KindAnnotation:
-			atask, err := a.Worker.DoAnnotationTask(a.WalkMap, task.aimPoint(), rng)
-			if err != nil {
-				return stats, err
-			}
-			anns, err := annotation.SimulateWorkers(atask, a.Venue, a.Workers, rng)
-			if err != nil {
-				return stats, err
-			}
-			if _, err := a.Client.UploadAnnotations(task, atask, anns); err != nil {
-				return stats, err
-			}
-			stats.AnnotationTasks++
-			stats.PhotosUploaded += len(atask.Photos)
-		}
-	}
-	return stats, nil
 }
 
 // RunWorker is the lease-aware task loop: the agent claims tasks under the

@@ -62,8 +62,13 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	cl, agent, sys := harness(t)
 	rng := rand.New(rand.NewSource(3))
 
+	reg, err := cl.RegisterWorker(server.RegisterWorkerRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// No task before bootstrap.
-	_, ok, err := cl.NextTask()
+	_, ok, err := cl.Claim(reg.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Run the agent until the venue is covered.
-	stats, err := agent.Run(60, rng)
+	stats, err := agent.RunWorker(reg.ID, 60, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +133,15 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Asking for more tasks now reports coverage.
-	task, ok, err := cl.NextTask()
+	task, ok, err := cl.Claim(reg.ID, nil)
 	if err != nil || !ok || !task.Covered {
-		t.Errorf("post-coverage task fetch: %+v ok=%v err=%v", task, ok, err)
+		t.Errorf("post-coverage task claim: %+v ok=%v err=%v", task, ok, err)
 	}
 }
 
 func TestClientErrorSurfaceing(t *testing.T) {
 	cl := New("http://127.0.0.1:1", nil) // nothing listens here
-	if _, _, err := cl.NextTask(); err == nil {
+	if _, _, err := cl.Claim("w1", nil); err == nil {
 		t.Error("unreachable backend should error")
 	}
 	if _, err := cl.Status(); err == nil {
@@ -152,8 +157,9 @@ func TestAPIErrorFormatting(t *testing.T) {
 }
 
 // TestMultiAgentOverHTTP runs two guided agents against one backend: the
-// paper's multi-participant deployment. Agents alternate (each takes what
-// the backend has pending), and the venue must still complete.
+// paper's multi-participant deployment. Agents alternate (each registers
+// and claims what the backend has pending), and the venue must still
+// complete.
 func TestMultiAgentOverHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long multi-agent test")
@@ -177,11 +183,21 @@ func TestMultiAgentOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	agents := []*Agent{agentA, agentB}
+	ids := make([]string, len(agents))
+	for i := range agents {
+		reg, err := cl.RegisterWorker(server.RegisterWorkerRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = reg.ID
+	}
+
 	// Alternate one task at a time until covered.
 	covered := false
 	for i := 0; i < 60 && !covered; i++ {
-		for _, a := range []*Agent{agentA, agentB} {
-			stats, err := a.Run(1, rng)
+		for j, a := range agents {
+			stats, err := a.RunWorker(ids[j], 1, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,23 +268,26 @@ func TestAimPointOriginSeed(t *testing.T) {
 	}
 }
 
-// TestNextTaskSeedRoundTrip checks the HasSeed flag survives the wire: the
+// TestClaimSeedRoundTrip checks the HasSeed flag survives the wire: the
 // DTO carries it explicitly instead of clients inferring it from a nonzero
 // seed vector.
-func TestNextTaskSeedRoundTrip(t *testing.T) {
+func TestClaimSeedRoundTrip(t *testing.T) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/task", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(server.TaskDTO{
-			ID: 7, Kind: "annotation", X: 3, Y: 4,
-			SeedX: 0, SeedY: 0, HasSeed: true,
+	mux.HandleFunc("/v1/task/claim", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(server.ClaimResponse{
+			Task: server.TaskDTO{
+				ID: 7, Kind: "annotation", X: 3, Y: 4,
+				SeedX: 0, SeedY: 0, HasSeed: true,
+			},
+			WorkerID: "w1", LeaseID: "l1",
 		})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	task, ok, err := New(ts.URL, nil).NextTask()
+	task, ok, err := New(ts.URL, nil).Claim("w1", nil)
 	if err != nil || !ok {
-		t.Fatalf("NextTask: ok=%v err=%v", ok, err)
+		t.Fatalf("Claim: ok=%v err=%v", ok, err)
 	}
 	if !task.HasSeed {
 		t.Fatal("HasSeed lost over the wire")

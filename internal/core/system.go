@@ -418,15 +418,6 @@ func (s *System) NextTask() (taskgen.Task, bool) {
 	return t, true
 }
 
-// PeekTask returns the next pending task without removing it — the
-// anonymous GET /v1/task path, which no longer owns assignment.
-func (s *System) PeekTask() (taskgen.Task, bool) {
-	if len(s.pending) == 0 {
-		return taskgen.Task{}, false
-	}
-	return s.pending[0], true
-}
-
 // TakeTask removes the pending task with the given ID and returns it. ok is
 // false when no such task is pending (already claimed or completed).
 func (s *System) TakeTask(id int) (taskgen.Task, bool) {

@@ -14,7 +14,7 @@ import (
 )
 
 // TestConcurrentClients hammers the server from several goroutines at once:
-// mixed reads (status, map, task) and batch uploads must interleave without
+// mixed reads (status, map), task claims and batch uploads must interleave without
 // corrupting the model (mutex serialisation) and every response must be a
 // well-formed status code.
 func TestConcurrentClients(t *testing.T) {
@@ -89,15 +89,16 @@ func TestConcurrentClients(t *testing.T) {
 			}
 		}()
 	}
-	// Task fetchers (may get 200 or 404 depending on interleaving; both
-	// are valid).
+	// Task claimers, one registered worker each (may get 200 or 404
+	// depending on interleaving; both are valid).
 	for i := 0; i < 3; i++ {
+		worker := registerWorker(t, ts.URL)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				var task TaskDTO
-				code := getJSONNoFatal(ts.URL+"/v1/task", &task)
+				var claim ClaimResponse
+				code := postJSONNoFatal(ts.URL+"/v1/task/claim", ClaimRequest{WorkerID: worker}, &claim)
 				if code != http.StatusOK && code != http.StatusNotFound {
 					errs <- fmt.Errorf("task code %d", code)
 					return

@@ -1,6 +1,5 @@
 // Dispatch endpoints: worker registration, heartbeats and lease-based task
-// claims. These are the identified counterpart to the deprecated anonymous
-// GET /v1/task — a claim names its worker, carries a lease deadline, and an
+// claims. A claim names its worker, carries a lease deadline, and an
 // abandoned lease requeues its task for other workers.
 package server
 

@@ -227,28 +227,6 @@ func TestWorkerRegistrationAndLeaseFlow(t *testing.T) {
 	}
 }
 
-func TestDeprecatedTaskEndpointIsAPeek(t *testing.T) {
-	ts, _, w, v := newDispatchServer(t, "", dispatch.Config{})
-	bootstrapServer(t, ts.URL, w, v)
-
-	var first, second TaskDTO
-	if code := getJSON(t, ts.URL+"/v1/task", &first); code != http.StatusOK {
-		t.Fatalf("task code %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/v1/task", &second); code != http.StatusOK {
-		t.Fatalf("second task code %d", code)
-	}
-	if first.ID != second.ID {
-		t.Fatalf("GET /v1/task mutated the queue: %d then %d", first.ID, second.ID)
-	}
-	// The peeked task is still claimable.
-	id := registerWorker(t, ts.URL)
-	claim, ok := claimTask(t, ts.URL, id)
-	if !ok || claim.Task.ID != first.ID {
-		t.Fatalf("claim after peek: ok=%v task=%+v", ok, claim.Task)
-	}
-}
-
 func TestUploadLeaseValidation(t *testing.T) {
 	clk := newTestClock()
 	ts, _, w, v := newDispatchServer(t, "", dispatch.Config{LeaseTTL: 30 * time.Second, Now: clk.Now})

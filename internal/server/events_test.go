@@ -58,7 +58,7 @@ func newEventsTestServer(t *testing.T, dir string) (*httptest.Server, *Server, *
 	return ts, srv, log, w, v
 }
 
-// driveCampaign runs the guided loop over HTTP: bootstrap, then fetch and
+// driveCampaign runs the guided loop over HTTP: bootstrap, then claim and
 // fulfil tasks until the venue is covered (or maxBatches uploads happened).
 // Returns the number of processed batches including the bootstrap.
 func driveCampaign(t *testing.T, ts *httptest.Server, w *camera.World, v *venue.Venue, maxBatches int) int {
@@ -76,68 +76,37 @@ func driveCampaign(t *testing.T, ts *httptest.Server, w *camera.World, v *venue.
 	if code := postJSON(t, ts.URL+"/v1/photos", req, &up); code != http.StatusOK {
 		t.Fatalf("bootstrap code %d", code)
 	}
-	batches := 1
-	for batches < maxBatches {
-		var task TaskDTO
-		code := getJSON(t, ts.URL+"/v1/task", &task)
-		if code == http.StatusNotFound {
-			t.Fatalf("no task pending after %d batches (venue not covered either)", batches)
-		}
-		if task.Covered {
-			return batches
-		}
-		if task.Kind != "photo" {
-			// Keep the driver simple: skip annotation tasks by reporting a
-			// sharp-but-unproductive batch from the same spot is not needed
-			// for these tests; small-room campaigns stay photo-only.
-			t.Fatalf("unexpected task kind %q", task.Kind)
-		}
-		sweep, err := w.Sweep(sweepPos(v, task), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		upReq := UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y,
-			SeedX: task.SeedX, SeedY: task.SeedY, HasSeed: task.HasSeed}
-		for _, p := range sweep {
-			upReq.Photos = append(upReq.Photos, PhotoToDTO(p))
-		}
-		if code := postJSON(t, ts.URL+"/v1/photos", upReq, &up); code != http.StatusOK {
-			t.Fatalf("sweep upload code %d", code)
-		}
-		batches++
-		if up.VenueCovered {
-			return batches
-		}
-	}
-	return batches
+	return 1 + driveBatches(t, ts, w, v, rng, maxBatches-1)
 }
 
 // driveMoreBatches continues an already-bootstrapped campaign for up to n
 // further task batches (driveCampaign, minus the bootstrap).
 func driveMoreBatches(t *testing.T, ts *httptest.Server, w *camera.World, v *venue.Venue, n int) int {
 	t.Helper()
-	rng := rand.New(rand.NewSource(7))
+	return driveBatches(t, ts, w, v, rand.New(rand.NewSource(7)), n)
+}
+
+// driveBatches registers one worker and fulfils up to n tasks it claims,
+// each with a sweep uploaded under the lease. It stops early once the venue
+// is covered and returns the number of batches uploaded.
+func driveBatches(t *testing.T, ts *httptest.Server, w *camera.World, v *venue.Venue, rng *rand.Rand, n int) int {
+	t.Helper()
+	worker := registerWorker(t, ts.URL)
 	var up UploadResponse
 	batches := 0
 	for batches < n {
-		var task TaskDTO
-		code := getJSON(t, ts.URL+"/v1/task", &task)
-		if code == http.StatusNotFound {
-			t.Fatalf("no task pending after %d extra batches", batches)
+		claim, ok := claimTask(t, ts.URL, worker)
+		if !ok {
+			t.Fatalf("no task pending after %d batches (venue not covered either)", batches)
 		}
-		if task.Covered {
+		if claim.Task.Covered {
 			return batches
 		}
-		sweep, err := w.Sweep(sweepPos(v, task), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
-		if err != nil {
-			t.Fatal(err)
+		if claim.Task.Kind != "photo" {
+			// Small-room campaigns stay photo-only; the driver only sweeps.
+			t.Fatalf("unexpected task kind %q", claim.Task.Kind)
 		}
-		upReq := UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y,
-			SeedX: task.SeedX, SeedY: task.SeedY, HasSeed: task.HasSeed}
-		for _, p := range sweep {
-			upReq.Photos = append(upReq.Photos, PhotoToDTO(p))
-		}
-		if code := postJSON(t, ts.URL+"/v1/photos", upReq, &up); code != http.StatusOK {
+		if code := postJSON(t, ts.URL+"/v1/photos", sweepRequest(t, w, v, claim, rng), &up); code != http.StatusOK {
 			t.Fatalf("sweep upload code %d", code)
 		}
 		batches++
@@ -156,21 +125,29 @@ func claimAndUpload(t *testing.T, ts *httptest.Server, w *camera.World, v *venue
 	if code := postJSON(t, ts.URL+"/v1/task/claim", ClaimRequest{WorkerID: worker}, &claim); code != http.StatusOK {
 		t.Fatalf("claim code %d", code)
 	}
-	rng := rand.New(rand.NewSource(11))
-	sweep, err := w.Sweep(sweepPos(v, claim.Task), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upReq := UploadRequest{TaskID: claim.Task.ID, LocX: claim.Task.X, LocY: claim.Task.Y,
-		SeedX: claim.Task.SeedX, SeedY: claim.Task.SeedY, HasSeed: claim.Task.HasSeed,
-		WorkerID: worker, LeaseID: claim.LeaseID}
-	for _, p := range sweep {
-		upReq.Photos = append(upReq.Photos, PhotoToDTO(p))
-	}
+	upReq := sweepRequest(t, w, v, claim, rand.New(rand.NewSource(11)))
 	if code := postJSON(t, ts.URL+"/v1/photos", upReq, new(UploadResponse)); code != http.StatusOK {
 		t.Fatalf("leased upload code %d", code)
 	}
 	return claim
+}
+
+// sweepRequest captures a sweep for a claimed task and wraps it in the
+// upload request that completes the claim's lease.
+func sweepRequest(t *testing.T, w *camera.World, v *venue.Venue, claim ClaimResponse, rng *rand.Rand) UploadRequest {
+	t.Helper()
+	task := claim.Task
+	sweep, err := w.Sweep(sweepPos(v, task), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y,
+		SeedX: task.SeedX, SeedY: task.SeedY, HasSeed: task.HasSeed,
+		WorkerID: claim.WorkerID, LeaseID: claim.LeaseID}
+	for _, p := range sweep {
+		req.Photos = append(req.Photos, PhotoToDTO(p))
+	}
+	return req
 }
 
 // sweepPos picks where the simulated worker stands for a task: the task
@@ -801,23 +778,15 @@ func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
 	var before StatusResponse
 	getJSON(t, ts.URL+"/v1/status", &before)
 
+	worker := registerWorker(t, ts.URL)
 	sweepUpload := func() int {
 		t.Helper()
-		var task TaskDTO
-		if code := getJSON(t, ts.URL+"/v1/task", &task); code != http.StatusOK {
-			t.Fatalf("task code %d", code)
-		}
-		sweep, err := w.Sweep(sweepPos(v, task), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y,
-			SeedX: task.SeedX, SeedY: task.SeedY, HasSeed: task.HasSeed}
-		for _, p := range sweep {
-			r.Photos = append(r.Photos, PhotoToDTO(p))
+		claim, ok := claimTask(t, ts.URL, worker)
+		if !ok {
+			t.Fatal("no task to claim")
 		}
 		var body map[string]any
-		return postJSON(t, ts.URL+"/v1/photos", r, &body)
+		return postJSON(t, ts.URL+"/v1/photos", sweepRequest(t, w, v, claim, rng), &body)
 	}
 
 	store.fail.Store(true)

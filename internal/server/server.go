@@ -4,14 +4,15 @@
 // online annotation tool and backend server.
 //
 // The handler is split into a model-owner path and a read path. Mutations
-// (POST /v1/photos, POST /v1/annotations, the task pop behind GET /v1/task,
-// and GET /v1/snapshot state export) are applied one at a time under the
-// owner mutex, so the model sees one linear history — the paper's backend
-// likewise processes one uploaded batch at a time. After every mutation the
-// owner publishes an immutable ReadSnapshot (rendered map, status counters,
-// locate feature index) through an atomic pointer; GET /v1/map, /v1/map.pgm,
-// /v1/status and POST /v1/locate serve from whatever snapshot is current,
-// lock-free, and never block behind an in-flight upload.
+// (POST /v1/photos, POST /v1/annotations, the task pop behind
+// POST /v1/task/claim, and GET /v1/snapshot state export) are applied one
+// at a time under the owner mutex, so the model sees one linear history —
+// the paper's backend likewise processes one uploaded batch at a time.
+// After every mutation the owner publishes an immutable ReadSnapshot
+// (rendered map, status counters, locate feature index) through an atomic
+// pointer; GET /v1/map, /v1/map.pgm, /v1/status and POST /v1/locate serve
+// from whatever snapshot is current, lock-free, and never block behind an
+// in-flight upload.
 package server
 
 import (
@@ -122,7 +123,7 @@ type UploadRequest struct {
 	HasSeed bool       `json:"hasSeed"`
 	Photos  []PhotoDTO `json:"photos"`
 	// WorkerID and LeaseID validate the upload against the dispatch lease
-	// granted by POST /v1/task/claim. Empty for anonymous-compat uploads.
+	// granted by POST /v1/task/claim. Empty for unleased uploads.
 	WorkerID string `json:"workerId,omitempty"`
 	LeaseID  string `json:"leaseId,omitempty"`
 }
@@ -455,7 +456,6 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 	handle := func(pattern string, h http.HandlerFunc) {
 		s.mux.Handle(pattern, httpI.Route(pattern, h))
 	}
-	handle("GET /v1/task", s.handleTask)
 	handle("POST /v1/workers", s.handleRegisterWorker)
 	handle("POST /v1/workers/{id}/heartbeat", s.handleHeartbeat)
 	handle("POST /v1/task/claim", s.handleClaim)
@@ -634,28 +634,6 @@ func (s *Server) rejectDecode(w http.ResponseWriter, r *http.Request, endpoint s
 	writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 }
 
-// handleTask is the deprecated anonymous-compat path: it PEEKS at the next
-// pending task without removing it — POST /v1/task/claim owns assignment
-// now. The task leaves the queue when its upload arrives (TakeTask) or when
-// a registered worker claims it.
-func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.ownerAdmit(w, r, "task", "")
-	if !ok {
-		return
-	}
-	defer release()
-	if s.sys.Covered() {
-		writeJSON(w, http.StatusOK, TaskDTO{Covered: true})
-		return
-	}
-	task, ok := s.sys.PeekTask()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no task pending"})
-		return
-	}
-	writeJSON(w, http.StatusOK, taskToDTO(task))
-}
-
 // taskToDTO converts a task to its wire form. The generator's zero-valued
 // seed means "aim at the task location"; the wire form carries that
 // explicitly so a real frontier at the origin survives the round trip.
@@ -747,8 +725,9 @@ func (s *Server) handlePhotos(w http.ResponseWriter, r *http.Request) {
 	if req.Bootstrap {
 		out, err = s.sys.ProcessBootstrap(photos, s.rng)
 	} else {
-		// Peek-era completion: the upload removes the task from the queue
-		// (claimed tasks are already out; TakeTask then no-ops).
+		// An unleased upload names its task by the ID its task_issued event
+		// published and removes it from the queue (a claimed task is
+		// already out; TakeTask then no-ops).
 		s.sys.TakeTask(req.TaskID)
 		seed := uploadSeed(req.HasSeed, req.SeedX, req.SeedY, req.LocX, req.LocY)
 		out, err = s.sys.ProcessPhotoBatch(geom.V2(req.LocX, req.LocY), seed, photos, s.rng)

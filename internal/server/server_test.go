@@ -85,9 +85,8 @@ func TestStatusEmpty(t *testing.T) {
 
 func TestTaskBeforeBootstrap(t *testing.T) {
 	ts, _, _, _ := newTestServer(t)
-	var out map[string]string
-	if code := getJSON(t, ts.URL+"/v1/task", &out); code != http.StatusNotFound {
-		t.Errorf("expected 404 before bootstrap, got %d", code)
+	if _, ok := claimTask(t, ts.URL, registerWorker(t, ts.URL)); ok {
+		t.Error("expected 404 before bootstrap, got a task")
 	}
 }
 
@@ -111,10 +110,11 @@ func TestBootstrapAndTaskFlow(t *testing.T) {
 	}
 
 	// A task must now be available.
-	var task TaskDTO
-	if code := getJSON(t, ts.URL+"/v1/task", &task); code != http.StatusOK {
-		t.Fatalf("task fetch code %d", code)
+	claim, ok := claimTask(t, ts.URL, registerWorker(t, ts.URL))
+	if !ok {
+		t.Fatal("task claim found no task")
 	}
+	task := claim.Task
 	if task.Kind != "photo" || task.Covered {
 		t.Fatalf("task: %+v", task)
 	}
@@ -130,7 +130,8 @@ func TestBootstrapAndTaskFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up2req := UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y}
+	up2req := UploadRequest{TaskID: task.ID, LocX: task.X, LocY: task.Y,
+		WorkerID: claim.WorkerID, LeaseID: claim.LeaseID}
 	for _, p := range sweep {
 		up2req.Photos = append(up2req.Photos, PhotoToDTO(p))
 	}
@@ -190,13 +191,13 @@ func TestUploadValidation(t *testing.T) {
 func TestMethodRouting(t *testing.T) {
 	ts, _, _, _ := newTestServer(t)
 	// POST to a GET route.
-	resp, err := http.Post(ts.URL+"/v1/task", "application/json", bytes.NewReader(nil))
+	resp, err := http.Post(ts.URL+"/v1/status", "application/json", bytes.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/task code %d", resp.StatusCode)
+		t.Errorf("POST /v1/status code %d", resp.StatusCode)
 	}
 	// Unknown path.
 	resp, err = http.Get(ts.URL + "/nope")
@@ -310,7 +311,7 @@ func TestUploadSeed(t *testing.T) {
 	}
 }
 
-// TestTaskDTOHasSeed checks the task endpoint reports seeds explicitly: a
+// TestTaskDTOHasSeed checks the claim endpoint reports seeds explicitly: a
 // real generated task carries a frontier seed, and the DTO must say so via
 // HasSeed rather than leaving clients to compare against the zero vector.
 func TestTaskDTOHasSeed(t *testing.T) {
@@ -327,10 +328,11 @@ func TestTaskDTOHasSeed(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/photos", req, new(UploadResponse)); code != http.StatusOK {
 		t.Fatalf("bootstrap upload code %d", code)
 	}
-	var task TaskDTO
-	if code := getJSON(t, ts.URL+"/v1/task", &task); code != http.StatusOK {
-		t.Fatalf("task fetch code %d", code)
+	claim, ok := claimTask(t, ts.URL, registerWorker(t, ts.URL))
+	if !ok {
+		t.Fatal("task claim found no task")
 	}
+	task := claim.Task
 	if (task.SeedX != 0 || task.SeedY != 0) && !task.HasSeed {
 		t.Errorf("task has seed (%v, %v) but HasSeed is false", task.SeedX, task.SeedY)
 	}

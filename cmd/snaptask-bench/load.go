@@ -1,20 +1,22 @@
-// The load experiment: an open-loop fleet harness against an in-process
-// backend. Unlike `snaptask-agent -workers N` (closed-loop: each worker
-// waits for its last response before the next request, so a slow server
-// conveniently slows the load down), the schedule here is fixed in advance
-// — arrivals keep coming while the server struggles, latency is measured
-// from each arrival's *intended* start time (coordinated-omission
+// The load experiment: an open-loop fleet harness against the built
+// snaptask-server. Unlike `snaptask-agent -workers N` (closed-loop: each
+// worker waits for its last response before the next request, so a slow
+// server conveniently slows the load down), the schedule here is fixed in
+// advance — arrivals keep coming while the server struggles, latency is
+// measured from each arrival's *intended* start time (coordinated-omission
 // corrected), and overload shows up as shed 429s and queue growth instead
 // of silently reduced offered load.
 //
-// The run is three campaigns against one server: two at the base offered
-// rate over a covered venue with uploads still ingesting (the steady state
-// a long-lived deployment serves), then a deliberate overload at a
-// multiple of the base rate to verify the server sheds (429 + Retry-After,
-// bounded queues) rather than collapsing, and that /v1/slo flips to
-// burning. The committed BENCH_load.json merges the two steady campaigns'
-// histograms; the final report cross-references harness-side p99 against
-// the server's own /metrics latency histogram.
+// The harness covers the small room in-process, seeds a journal root with
+// it (the default campaign plus the multi-campaign clones), and starts the
+// built server as a child process over that root, which restores the
+// campaigns the way a production restart does. The phases: two steady
+// campaigns at the base rate over the covered venue with uploads still
+// ingesting, a calm calibration pass, the multi-campaign phase, then a
+// deliberate overload that must shed (429 + Retry-After, bounded queues)
+// rather than collapse, with /v1/slo flipping to burning. The committed
+// BENCH_load.json merges the two steady campaigns' histograms and
+// cross-references harness p99 against the server's /metrics histogram.
 package main
 
 import (
@@ -30,6 +32,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -41,11 +45,9 @@ import (
 	"snaptask/internal/campaign"
 	"snaptask/internal/client"
 	"snaptask/internal/core"
-	"snaptask/internal/dispatch"
 	"snaptask/internal/geom"
 	"snaptask/internal/loadgen"
 	"snaptask/internal/server"
-	"snaptask/internal/telemetry"
 	"snaptask/internal/telemetry/slo"
 	"snaptask/internal/venue"
 )
@@ -102,8 +104,7 @@ type loadEndpointRow struct {
 	// ServerP99LowMS/ServerP99MS bracket the server-side /metrics histogram
 	// p99 (bucket bounds; the exposition only has bucket resolution).
 	// ServerAgree is true when the harness service p99 falls inside that
-	// bracket, widened loosely (3x + 50ms) on steady rows — under load the
-	// client side also pays scheduler queueing — and tightly (2x + 25ms) on
+	// bracket as widened by serverAgrees. The gate enforces it only on
 	// calibration rows, where both sides saw the identical calm population.
 	ServerP99LowMS float64 `json:"server_p99_low_ms,omitempty"`
 	ServerP99MS    float64 `json:"server_p99_ms,omitempty"`
@@ -133,8 +134,8 @@ type loadSLORow struct {
 }
 
 // loadMultiRow is one campaign's steady measurement from the
-// multi-campaign phase: the shared covered model cloned into N campaigns
-// under one manager, each driven concurrently at baseRate/N.
+// multi-campaign phase: the covered model cloned into N campaigns of the
+// one server, each driven concurrently at baseRate/N.
 type loadMultiRow struct {
 	Campaign    string            `json:"campaign"`
 	OfferedQPS  float64           `json:"offered_qps"`
@@ -147,7 +148,7 @@ type loadMultiRow struct {
 }
 
 // loadMultiReport is the multi-campaign dimension of BENCH_load.json.
-// Baseline is the in-phase control: one campaign under the same manager
+// Baseline is the in-phase control: one campaign of the same server
 // driven at the full base rate immediately before the concurrent shards,
 // so the gate's shard-vs-single comparison shares process state and host
 // conditions with the shards it judges. Shard-per-venue ownership means
@@ -188,24 +189,15 @@ type loadReport struct {
 	SLOOverload []loadSLORow      `json:"slo_overload"`
 	ShedByCause map[string]uint64 `json:"shed_by_cause,omitempty"`
 	// MultiCampaign is the shard-per-venue phase: the covered model cloned
-	// into >=4 campaigns under one manager, driven concurrently.
+	// into >=4 campaigns of the one server, driven concurrently.
 	MultiCampaign *loadMultiReport `json:"multi_campaign,omitempty"`
 }
 
 // load runs the open-loop harness experiment (see the package comment).
 func (b *bench) load() error {
-	// Load the committed baseline before anything is written: -load-gate
-	// and -load-out may name the same file.
-	var gate *loadReport
-	if b.loadGate != "" {
-		data, err := os.ReadFile(b.loadGate)
-		if err != nil {
-			return fmt.Errorf("load gate: %w", err)
-		}
-		gate = &loadReport{}
-		if err := json.Unmarshal(data, gate); err != nil {
-			return fmt.Errorf("load gate: parse %s: %w", b.loadGate, err)
-		}
+	gate, err := readGate[loadReport](b.gate)
+	if err != nil {
+		return err
 	}
 	sc := b.loadScaleFor()
 	// The harness always runs over the small room, whatever -quick says
@@ -220,37 +212,10 @@ func (b *bench) load() error {
 	feats := v.GenerateFeatures(rand.New(rand.NewSource(b.seed)))
 	world := camera.NewWorld(v, feats)
 
-	// --- Backend under test: full telemetry + SLO + admission control.
 	sys, err := core.NewSystem(v, world, core.Config{})
 	if err != nil {
 		return err
 	}
-	tel := telemetry.New(nil, 256) // no access log: 250/s would drown stderr
-	sys.SetTelemetry(tel)
-	sloT := slo.New(tel.Registry)
-	srv, err := server.New(sys, rand.New(rand.NewSource(b.seed+31)),
-		server.WithTelemetry(tel),
-		server.WithSLO(sloT),
-		server.WithAdmission(server.AdmissionConfig{
-			MaxQueue:     sc.maxQueue,
-			RatePerSec:   sc.ratePerSec,
-			RateBurst:    sc.ratePerSec / 2,
-			MaxBodyBytes: 32 << 20,
-			WriteTimeout: 15 * time.Second,
-		}),
-		server.WithDispatch(dispatch.New(dispatch.Config{})),
-	)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
 
 	// --- Scenario state: cover the venue first (directly on the system —
 	// keeps the HTTP metrics clean for the harness comparison), so claim
@@ -312,6 +277,25 @@ func (b *bench) load() error {
 		uploadPool = append(uploadPool, photos)
 	}
 
+	// --- Backend under test: the built server over a journal root that
+	// holds the covered model as every campaign the run drives.
+	root, err := os.MkdirTemp("", "snaptask-load-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(root)
+	journal := filepath.Join(root, "journal")
+	multiIDs := []string{"baseline", "shard-1", "shard-2", "shard-3", "shard-4"}
+	if err := seedJournalRoot(journal, b.seed, sys, multiIDs); err != nil {
+		return fmt.Errorf("load: seed journal root: %w", err)
+	}
+	srv, err := startServer(filepath.Join(root, "snaptask-server"), journal, b.seed, sc)
+	if err != nil {
+		return err
+	}
+	defer srv.stop(os.Kill)
+	base := srv.base
+
 	// --- Harness client. One shared http.Client with a deep idle pool:
 	// the default per-host cap of 2 idle connections would turn a
 	// 1000-worker fleet into a connection-churn benchmark.
@@ -361,11 +345,7 @@ func (b *bench) load() error {
 		if err != nil {
 			return nil, err
 		}
-		var shed, errs uint64
-		for _, st := range res.Endpoints {
-			shed += st.Shed.Load()
-			errs += st.Errors.Load()
-		}
+		shed, errs := shedAndErrors(res)
 		report.Campaigns = append(report.Campaigns, loadCampaignRow{
 			Name: name, Overload: rate > sc.baseRate,
 			OfferedQPS: res.OfferedRate, AchievedQPS: res.Achieved,
@@ -421,19 +401,15 @@ func (b *bench) load() error {
 	if err != nil {
 		return err
 	}
-	report.Calibration = calibrationRows(calib, routes, steadyMetrics, calibMetrics)
+	report.Calibration = mergeEndpointRows([]*loadgen.Result{calib}, routes, steadyMetrics, calibMetrics)
 
-	// --- Multi-campaign phase: the covered model cloned into four shards
-	// under one campaign manager, each driven at baseRate/4 concurrently.
-	// Runs before the overload so shard latency is not coloured by the
+	// --- Multi-campaign phase: the covered model's clones, a baseline and
+	// four shards, each shard driven at baseRate/4 concurrently. Runs
+	// before the overload so shard latency is not coloured by the
 	// deliberate saturation's drain and GC debris.
-	var snapBuf bytes.Buffer
-	if err := sys.WriteSnapshot(&snapBuf); err != nil {
-		return err
-	}
 	b.log.Info("running the multi-campaign phase",
-		slog.Int("campaigns", 4), slog.Float64("rate_per_campaign", sc.baseRate/4))
-	report.MultiCampaign, err = b.loadMulti(sc, snapBuf.Bytes(), locatePool, uploadPool, hc)
+		slog.Int("campaigns", len(multiIDs)-1), slog.Float64("rate_per_campaign", sc.baseRate/4))
+	report.MultiCampaign, err = b.loadMulti(sc, base, multiIDs, locatePool, uploadPool, hc)
 	if err != nil {
 		return err
 	}
@@ -451,12 +427,15 @@ func (b *bench) load() error {
 		return err
 	}
 	report.ShedByCause = parseShedCauses(finalMetrics)
+	if err := srv.stop(os.Interrupt); err != nil {
+		return err
+	}
 
 	// --- Fold the steady campaigns into merged per-endpoint rows and
 	// bracket each against the server's own histogram (sampled before the
 	// overload, so both sides saw identical traffic).
-	report.Endpoints = mergeEndpointRows(steady, routes, steadyMetrics)
-	report.OverloadEndpoints = mergeEndpointRows([]*loadgen.Result{overload}, nil, "")
+	report.Endpoints = mergeEndpointRows(steady, routes, "", steadyMetrics)
+	report.OverloadEndpoints = mergeEndpointRows([]*loadgen.Result{overload}, nil, "", "")
 
 	// --- Human-readable report.
 	fmt.Printf("\nOpen-loop load — %d workers, poisson %g/s steady ×2, %g/s overload (venue covered=%v):\n",
@@ -505,15 +484,8 @@ func (b *bench) load() error {
 		fmt.Printf("  sheds by cause: %v\n", report.ShedByCause)
 	}
 
-	if b.loadOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(b.loadOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", b.loadOut)
+	if err := writeReport(b.out, report); err != nil {
+		return err
 	}
 	return checkLoadGate(gate, &report)
 }
@@ -617,8 +589,11 @@ func checkLoadGate(gate, fresh *loadReport) error {
 }
 
 // mergeEndpointRows folds per-campaign endpoint stats (histograms merged)
-// into report rows, bracketing against serverMetrics when provided.
-func mergeEndpointRows(results []*loadgen.Result, routes map[string]string, serverMetrics string) []loadEndpointRow {
+// into report rows. Each endpoint in routes is bracketed against the
+// server's histogram of the requests between the /metrics scrapes before
+// and after (before "" counts from the server's start): the bucket-count
+// diff of the two, judged by serverAgrees.
+func mergeEndpointRows(results []*loadgen.Result, routes map[string]string, before, after string) []loadEndpointRow {
 	type acc struct {
 		row       loadEndpointRow
 		corrected loadgen.Histogram
@@ -645,21 +620,12 @@ func mergeEndpointRows(results []*loadgen.Result, routes map[string]string, serv
 	for name, a := range merged {
 		a.row.Corrected = a.corrected.Summary()
 		a.row.Service = a.service.Summary()
-		if route, ok := routes[name]; ok && serverMetrics != "" {
-			low, high, found := histogramP99(serverMetrics,
-				"snaptask_http_request_duration_seconds", route)
-			if found {
+		if route, ok := routes[name]; ok {
+			diff := subtractBuckets(parseBuckets(after, route), parseBuckets(before, route))
+			if low, high, found := bucketP99(diff); found {
 				a.row.ServerP99LowMS = low * 1000
 				a.row.ServerP99MS = high * 1000
-				// The check catches gross disagreement (wrong clock, a
-				// harness accounting bug), not millisecond equality: the
-				// exposition only resolves to bucket bounds, and harness
-				// service time additionally pays loopback plus Go scheduler
-				// queuing — server and fleet share one process, and upload
-				// ingest is CPU-heavy. Hence 3x plus 50ms absolute slack.
-				svc := a.row.Service.P99
-				a.row.ServerAgree = svc <= a.row.ServerP99MS*3+50 &&
-					(a.row.ServerP99LowMS == 0 || svc >= a.row.ServerP99LowMS/3)
+				a.row.ServerAgree = serverAgrees(a.row.Service.P99, a.row.ServerP99LowMS, a.row.ServerP99MS)
 			}
 		}
 		rows = append(rows, a.row)
@@ -668,34 +634,15 @@ func mergeEndpointRows(results []*loadgen.Result, routes map[string]string, serv
 	return rows
 }
 
-// calibrationRows builds the pipeline cross-validation rows: harness
-// service quantiles for the calibration pass vs the server's histogram of
-// exactly those requests (bucket-count diff of the two scrapes bracketing
-// the pass). Because both sides measured the same calm population, the
-// tolerance is tight: service p99 within 2x the server bucket's upper
-// bound plus 25ms scheduler slack (GOMAXPROCS=1 preemption slices are
-// ~10-20ms), and at least half the lower bound.
-func calibrationRows(res *loadgen.Result, routes map[string]string, before, after string) []loadEndpointRow {
-	rows := mergeEndpointRows([]*loadgen.Result{res}, nil, "")
-	for i := range rows {
-		route, ok := routes[rows[i].Endpoint]
-		if !ok {
-			continue
-		}
-		diff := subtractBuckets(
-			parseBuckets(after, "snaptask_http_request_duration_seconds", route),
-			parseBuckets(before, "snaptask_http_request_duration_seconds", route))
-		low, high, found := bucketP99(diff)
-		if !found {
-			continue
-		}
-		rows[i].ServerP99LowMS = low * 1000
-		rows[i].ServerP99MS = high * 1000
-		svc := rows[i].Service.P99
-		rows[i].ServerAgree = svc <= rows[i].ServerP99MS*2+25 &&
-			(rows[i].ServerP99LowMS == 0 || svc >= rows[i].ServerP99LowMS/2)
-	}
-	return rows
+// serverAgrees is the one agreement rule between a harness service p99
+// and the server histogram's p99 bucket (low, high], all in ms: within 2x
+// the upper bound plus 25ms scheduler slack (GOMAXPROCS=1 preemption
+// slices are ~10-20ms), and at least half the lower bound. It catches
+// gross disagreement (a wrong clock, a harness accounting bug), not
+// millisecond equality: the exposition only resolves to bucket bounds,
+// and the harness side also pays loopback.
+func serverAgrees(svc, low, high float64) bool {
+	return svc <= high*2+25 && (low == 0 || svc >= low/2)
 }
 
 // metricBucket is one cumulative histogram bucket from a text exposition.
@@ -704,14 +651,22 @@ type metricBucket struct {
 	cum uint64
 }
 
-// parseBuckets extracts one route's cumulative bucket series from a
-// Prometheus text exposition, sorted by bound.
-func parseBuckets(metrics, name, route string) []metricBucket {
-	prefix := name + "_bucket{"
+// defaultCampaign is the label every series the single-campaign phases
+// read must carry: the server exports one series per campaign for the same
+// route, and the multi-campaign phase's campaigns must not leak into the
+// default campaign's histograms.
+const defaultCampaign = `campaign="default"`
+
+// parseBuckets extracts one route's cumulative request-duration bucket
+// series of the default campaign from a Prometheus text exposition, sorted
+// by bound.
+func parseBuckets(metrics, route string) []metricBucket {
+	prefix := "snaptask_http_request_duration_seconds_bucket{"
 	needle := `route="` + route + `"`
 	var bkts []metricBucket
 	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, prefix) || !strings.Contains(line, needle) {
+		if !strings.HasPrefix(line, prefix) || !strings.Contains(line, needle) ||
+			!strings.Contains(line, defaultCampaign) {
 			continue
 		}
 		li := strings.Index(line, `le="`)
@@ -787,19 +742,16 @@ func bucketP99(bkts []metricBucket) (low, high float64, found bool) {
 	return 0, 0, false
 }
 
-// histogramP99 is bucketP99 over a single exposition sample.
-func histogramP99(metrics, name, route string) (low, high float64, found bool) {
-	return bucketP99(parseBuckets(metrics, name, route))
-}
-
-// parseShedCauses extracts snaptask_requests_shed_total{cause=...} counts.
+// parseShedCauses extracts the default campaign's
+// snaptask_requests_shed_total{cause=...} counts.
 func parseShedCauses(metrics string) map[string]uint64 {
+	prefix := `snaptask_requests_shed_total{` + defaultCampaign + `,cause="`
 	out := map[string]uint64{}
 	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, `snaptask_requests_shed_total{cause="`) {
+		if !strings.HasPrefix(line, prefix) {
 			continue
 		}
-		rest := line[len(`snaptask_requests_shed_total{cause="`):]
+		rest := line[len(prefix):]
 		qi := strings.Index(rest, `"`)
 		sp := strings.LastIndexByte(line, ' ')
 		if qi < 0 || sp < 0 {
@@ -813,6 +765,15 @@ func parseShedCauses(metrics string) map[string]uint64 {
 		return nil
 	}
 	return out
+}
+
+// shedAndErrors totals a run's shed and failed operations.
+func shedAndErrors(res *loadgen.Result) (shed, errs uint64) {
+	for _, st := range res.Endpoints {
+		shed += st.Shed.Load()
+		errs += st.Errors.Load()
+	}
+	return shed, errs
 }
 
 // toOpResult maps a client-call error to the harness status accounting.
@@ -846,64 +807,16 @@ func loadOps(cl *client.Client, workerIDs []string, locatePool []camera.Photo, u
 	}
 }
 
-// loadMulti runs the multi-campaign steady phase: the covered system is
-// cloned into four shards under one campaign.Manager — each with its own
-// owner lock, event log, dispatcher and admission instance — and every
-// shard is driven concurrently at baseRate/4 by its own quarter of the
-// fleet. Total offered load and fleet size match one steady
-// single-campaign run, so per-shard latency comparable to the
-// single-campaign rows is direct evidence the shards do not contend on
-// each other's owner paths.
-func (b *bench) loadMulti(sc loadScale, snap []byte, locatePool []camera.Photo, uploadPool [][]camera.Photo, hc *http.Client) (*loadMultiReport, error) {
-	const nCampaigns = 4
-	tel := telemetry.New(nil, 256)
-	mgr, err := campaign.NewManager(campaign.ManagerConfig{
-		Telemetry: tel,
-		LeaseTTL:  time.Minute,
-		SLO:       true,
-		Admission: &server.AdmissionConfig{
-			MaxQueue:     sc.maxQueue,
-			RatePerSec:   sc.ratePerSec,
-			RateBurst:    sc.ratePerSec / 2,
-			MaxBodyBytes: 32 << 20,
-			WriteTimeout: 15 * time.Second,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer mgr.Close()
-	ids := []string{"baseline"}
-	for i := 1; i <= nCampaigns; i++ {
-		ids = append(ids, fmt.Sprintf("shard-%d", i))
-	}
-	for _, id := range ids {
-		// Each campaign rebuilds the identical world (same venue, same
-		// feature seed) so nothing mutable is shared between campaigns,
-		// then loads the covered model from the snapshot.
-		v, err := venue.SmallRoom()
-		if err != nil {
-			return nil, err
-		}
-		feats := v.GenerateFeatures(rand.New(rand.NewSource(b.seed)))
-		world := camera.NewWorld(v, feats)
-		sysC, err := core.LoadSystem(bytes.NewReader(snap), v, world)
-		if err != nil {
-			return nil, fmt.Errorf("load: clone campaign model: %w", err)
-		}
-		if _, err := mgr.CreateWith(campaign.Spec{ID: id, Venue: "small", Seed: b.seed}, sysC); err != nil {
-			return nil, err
-		}
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: mgr}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
+// loadMulti runs the multi-campaign steady phase against the server at
+// base. ids are the journal root's clones of the covered model: the
+// in-phase control first, then the shards, each with its own owner lock,
+// event log, dispatcher and admission instance. Every shard is driven
+// concurrently at baseRate/shards by its own share of the fleet. Total
+// offered load and fleet size match one steady single-campaign run, so
+// per-shard latency comparable to the control's is direct evidence the
+// shards do not contend on each other's owner paths.
+func (b *bench) loadMulti(sc loadScale, base string, ids []string, locatePool []camera.Photo, uploadPool [][]camera.Photo, hc *http.Client) (*loadMultiReport, error) {
+	nCampaigns := len(ids) - 1
 	// No churn in this phase: a crashed worker's multi-second outage would
 	// dominate the small per-shard sample's p99, and this phase measures
 	// shard isolation, not fleet resilience (the steady single-campaign
@@ -930,20 +843,16 @@ func (b *bench) loadMulti(sc loadScale, snap []byte, locatePool []camera.Photo, 
 		})
 	}
 	toRow := func(id string, res *loadgen.Result) loadMultiRow {
-		var shed, errN uint64
-		for _, st := range res.Endpoints {
-			shed += st.Shed.Load()
-			errN += st.Errors.Load()
-		}
+		shed, errN := shedAndErrors(res)
 		return loadMultiRow{
 			Campaign: id, OfferedQPS: res.OfferedRate, AchievedQPS: res.Achieved,
 			Offered: res.Offered, Done: res.Done, Shed: shed, Errors: errN,
-			Endpoints: mergeEndpointRows([]*loadgen.Result{res}, nil, ""),
+			Endpoints: mergeEndpointRows([]*loadgen.Result{res}, nil, "", ""),
 		}
 	}
 
-	// In-phase control: the full base rate against ONE campaign of this
-	// manager, immediately before the shards split the identical offered
+	// In-phase control: the full base rate against ONE campaign of the
+	// server, immediately before the shards split the identical offered
 	// load four ways. Comparing shards against this row (rather than the
 	// earlier steady phases) keeps both sides of the gate's ratio on the
 	// same process state and host conditions.
@@ -953,7 +862,7 @@ func (b *bench) loadMulti(sc loadScale, snap []byte, locatePool []camera.Photo, 
 	if perIDs < 8 {
 		perIDs = 8
 	}
-	ctrl, err := runShard("baseline", sc.baseRate, sc.workers, sc.workerIDs, 49)
+	ctrl, err := runShard(ids[0], sc.baseRate, sc.workers, sc.workerIDs, 49)
 	if err != nil {
 		return nil, fmt.Errorf("load: multi-campaign baseline: %w", err)
 	}
@@ -973,7 +882,7 @@ func (b *bench) loadMulti(sc loadScale, snap []byte, locatePool []camera.Photo, 
 	out := &loadMultiReport{
 		Campaigns: nCampaigns, RatePerCampaign: perRate,
 		WorkersPerCamp: perWorkers, DurationSec: sc.campaignDur.Seconds(),
-		Baseline: toRow("baseline", ctrl),
+		Baseline: toRow(ids[0], ctrl),
 	}
 	for i := 0; i < nCampaigns; i++ {
 		if errs[i] != nil {
@@ -982,6 +891,109 @@ func (b *bench) loadMulti(sc loadScale, snap []byte, locatePool []camera.Photo, 
 		out.Rows = append(out.Rows, toRow(ids[i+1], results[i]))
 	}
 	return out, nil
+}
+
+// seedJournalRoot persists the covered system as the default campaign of
+// a journal root at dir, plus one clone of it per id, through the campaign
+// manager's own persistence path (create, checkpoint, close) — the layout
+// a snaptask-server with -journal-dir restores on start.
+func seedJournalRoot(dir string, seed int64, sys *core.System, ids []string) error {
+	var snap bytes.Buffer
+	if err := sys.WriteSnapshot(&snap); err != nil {
+		return err
+	}
+	mgr, err := campaign.NewManager(campaign.ManagerConfig{JournalRoot: dir})
+	if err != nil {
+		return err
+	}
+	spec := campaign.Spec{Venue: "small", Seed: seed}
+	_, err = mgr.CreateDefault(spec, sys)
+	for _, id := range ids {
+		if err != nil {
+			break
+		}
+		var clone *core.System
+		if clone, err = core.LoadSystem(bytes.NewReader(snap.Bytes()), sys.Venue(), sys.World()); err == nil {
+			spec.ID = id
+			_, err = mgr.CreateWith(spec, clone)
+		}
+	}
+	if err == nil {
+		err = mgr.Checkpoint()
+	}
+	return errors.Join(err, mgr.Close())
+}
+
+// serverChild is the snaptask-server process under test.
+type serverChild struct {
+	cmd  *exec.Cmd
+	done chan error // the child's exit status; nil once it has exited
+	base string
+}
+
+// startServer builds snaptask-server to bin, starts it on a free loopback
+// port over the journal root with the run's admission settings, and waits
+// until /readyz answers.
+func startServer(bin, journal string, seed int64, sc loadScale) (*serverChild, error) {
+	build := exec.Command("go", "build", "-o", bin, "snaptask/cmd/snaptask-server")
+	build.Stdout, build.Stderr = os.Stderr, os.Stderr
+	if err := build.Run(); err != nil {
+		return nil, fmt.Errorf("load: build snaptask-server: %w", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // only to pick a free port
+	if err != nil {
+		return nil, err
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	rate := func(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
+	cmd := exec.Command(bin, "-addr", addr, "-journal-dir", journal,
+		"-venue", "small", "-seed", strconv.FormatInt(seed, 10), "-log-level", "warn",
+		"-max-queue", strconv.Itoa(sc.maxQueue), "-rate-limit", rate(sc.ratePerSec),
+		"-rate-burst", rate(sc.ratePerSec/2), "-max-body-bytes", "33554432", "-write-timeout", "15s")
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("load: start snaptask-server: %w", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	c := &serverChild{cmd: cmd, done: done, base: "http://" + addr}
+	for deadline := time.Now().Add(time.Minute); ; {
+		_, err := httpGetBody(c.base + "/readyz")
+		if err == nil {
+			return c, nil
+		}
+		select {
+		case exit := <-c.done:
+			c.done = nil
+			return nil, fmt.Errorf("load: snaptask-server exited before ready: %v", exit)
+		case <-time.After(100 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			_ = c.stop(os.Kill) // the readiness error is the one to report
+			return nil, fmt.Errorf("load: snaptask-server not ready: %w", err)
+		}
+	}
+}
+
+// stop sends sig to the child unless it has already exited, and fails
+// unless it exits zero. SIGINT runs the server's graceful shutdown (a
+// bounded drain, then a checkpoint of every campaign); every error path
+// defers stop(os.Kill).
+func (c *serverChild) stop(sig os.Signal) error {
+	if c.done == nil {
+		return nil
+	}
+	done := c.done
+	c.done = nil
+	// A child that already exited (crashed) reports its status on done.
+	if err := c.cmd.Process.Signal(sig); err != nil && !errors.Is(err, os.ErrProcessDone) {
+		return fmt.Errorf("load: signal snaptask-server: %w", err)
+	}
+	if err := <-done; err != nil {
+		return fmt.Errorf("load: snaptask-server exit: %w", err)
+	}
+	return nil
 }
 
 // fetchSLO samples GET /v1/slo into verdict rows (5m window bad ratio).

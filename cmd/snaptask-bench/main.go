@@ -11,29 +11,30 @@
 //
 // Experiments: fig8, fig9, fig10, fig11a, fig11b, fig12, table1,
 // ablate-obstacle, ablate-tolerance, ablate-minarea, ablate-cell,
-// ablate-window, ablate-sor. The extra experiment `ingest` (not part of
-// 'all') benchmarks per-batch upload latency on the incremental vs
-// full-recompute paths and, with -ingest-out, writes the machine-readable
-// BENCH_ingest.json used to track the perf trajectory across PRs;
-// -ingest-gate compares the run against a committed BENCH_ingest.json and
-// fails on regression (identical flipping false, or the largest-size
-// incremental latency rising above twice the committed value). Both gates
-// refuse a run whose GOMAXPROCS differs from the committed file's.
+// ablate-window, ablate-sor. The extra experiments `ingest`, `restart`,
+// `overhead` and `load` are not part of 'all'; each writes a
+// machine-readable JSON report with -out FILE, and all but `overhead`
+// compare the run against a committed report with -gate FILE and fail on
+// regression (the two flags may name the same file). -out or -gate on any
+// other experiment is an error.
 //
-// The extra experiment `restart` (also not part of 'all') benchmarks server
-// restart cost over a checkpointed event store versus a full replay of one
-// that was never checkpointed, at 1x and 100x dispatch-churn event volume. With -restart-out it
-// writes BENCH_restart.json; -restart-gate compares a fresh run against the
-// committed baseline and fails when the checkpointed restart stops being
-// flat (100x/1x ratio above 2).
+// `ingest` benchmarks per-batch upload latency on the incremental vs
+// full-recompute paths (BENCH_ingest.json); its gate fails on identical
+// flipping false, or the largest-size incremental latency rising above
+// twice the committed value. `restart` benchmarks server restart cost over
+// a checkpointed event store versus a full replay of one that was never
+// checkpointed, at 1x and 100x dispatch-churn event volume
+// (BENCH_restart.json); its gate fails when the checkpointed restart stops
+// being flat (100x/1x ratio above 2). Both gates refuse a run whose
+// GOMAXPROCS differs from the committed file's. `load` drives a built
+// snaptask-server with an open-loop fleet (BENCH_load.json; see load.go).
 //
-// The extra experiment `overhead` (also not part of 'all') measures the
-// telemetry tax on the ingest hot path: two identical backends consume the
-// same photo batches, one fully instrumented (tracer, metrics, SLO
-// recording), one bare, and the median of the paired per-batch latency
-// ratios is the overhead. -overhead-gate FRACTION fails the run when the
-// overhead exceeds the budget (EXPERIMENTS.md records 2%); -overhead-out
-// writes the machine-readable report.
+// `overhead` measures the telemetry tax on the ingest hot path: two
+// identical backends consume the same photo batches, one fully
+// instrumented (tracer, metrics, SLO recording), one bare, and the median
+// of the paired per-batch latency ratios is the overhead. -overhead-gate
+// FRACTION fails the run when the overhead exceeds the budget
+// (EXPERIMENTS.md records 2%).
 //
 // -metrics-doc PATH regenerates docs/METRICS.md from the metric catalogue
 // and exits; a test in internal/telemetry/catalog fails when the committed
@@ -87,14 +88,9 @@ type bench struct {
 	setup        *experiments.Setup
 	seed         int64
 	quick        bool
-	ingestOut    string
-	ingestGate   string
-	restartOut   string
-	restartGate  string
-	overheadOut  string
+	out          string // -out: the experiment's JSON report
+	gate         string // -gate: the committed report to compare against
 	overheadGate float64
-	loadOut      string
-	loadGate     string
 	log          *slog.Logger
 
 	// lazily computed shared artefacts
@@ -110,24 +106,21 @@ func run(args []string) error {
 	exp := fs.String("exp", "all", "experiment id or 'all'")
 	seed := fs.Int64("seed", 42, "experiment seed")
 	quick := fs.Bool("quick", false, "small venue, fast smoke run")
-	ingestOut := fs.String("ingest-out", "", "write the ingest experiment's JSON report to this file")
-	ingestGate := fs.String("ingest-gate", "",
-		"regression gate: compare the ingest experiment against this committed BENCH_ingest.json and fail on identical=false or a largest-size incremental latency above twice the committed value; the run must use the committed GOMAXPROCS")
-	restartOut := fs.String("restart-out", "", "write the restart experiment's JSON report to this file")
-	restartGate := fs.String("restart-gate", "",
-		"regression gate: compare the restart experiment against this committed BENCH_restart.json and fail when the checkpointed 100x/1x restart ratio exceeds 2 (restart no longer flat); the run must use the committed GOMAXPROCS")
-	overheadOut := fs.String("overhead-out", "", "write the overhead experiment's JSON report to this file")
+	out := fs.String("out", "", "write the experiment's JSON report to this file (ingest, restart, overhead, load)")
+	gate := fs.String("gate", "",
+		"regression gate: compare the experiment against this committed report (BENCH_ingest.json, BENCH_restart.json or BENCH_load.json) and fail on regression; ingest and restart runs must use the committed GOMAXPROCS")
 	overheadGate := fs.Float64("overhead-gate", 0,
 		"regression gate: fail the overhead experiment when the instrumented-ingest overhead exceeds this fraction (e.g. 0.02 = the 2% budget in EXPERIMENTS.md); 0 disables")
-	loadOut := fs.String("load-out", "", "write the load experiment's JSON report to this file")
-	loadGate := fs.String("load-gate", "",
-		"regression gate: compare the load experiment against this committed BENCH_load.json and fail when steady upload/locate corrected p99 exceeds 2x the committed value, a steady campaign achieves <90% of offered QPS, harness and server p99 disagree, the overload campaign fails to shed / flip /v1/slo to burning, or any multi-campaign shard's steady p99 exceeds 1.25x the same run's single-campaign figure")
 	metricsDoc := fs.String("metrics-doc", "",
 		"write the generated metric catalogue (docs/METRICS.md) to this file and exit")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Checked before the venue setup, which alone takes seconds.
+	if gated, ok := reportExps[*exp]; (*out != "" && !ok) || (*gate != "" && !gated) {
+		return fmt.Errorf("-out/-gate do not apply to experiment %q: ingest, restart and load take both, overhead takes -out", *exp)
 	}
 
 	// The tables on stdout are the deliverable; the logger narrates
@@ -145,10 +138,8 @@ func run(args []string) error {
 		return nil
 	}
 
-	b := &bench{seed: *seed, quick: *quick, ingestOut: *ingestOut, ingestGate: *ingestGate,
-		restartOut: *restartOut, restartGate: *restartGate,
-		overheadOut: *overheadOut, overheadGate: *overheadGate,
-		loadOut: *loadOut, loadGate: *loadGate, log: logger}
+	b := &bench{seed: *seed, quick: *quick, out: *out, gate: *gate,
+		overheadGate: *overheadGate, log: logger}
 	var v *venue.Venue
 	if *quick {
 		v, err = venue.SmallRoom()
@@ -207,6 +198,44 @@ func run(args []string) error {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return fn()
+}
+
+// reportExps lists the experiments that write a JSON report (-out), each
+// mapped to whether it also takes a committed report as its gate (-gate).
+var reportExps = map[string]bool{"ingest": true, "restart": true, "load": true, "overhead": false}
+
+// readGate parses the committed report named by -gate (nil when unset).
+// Experiments call it before they write anything: -gate and -out may name
+// the same file.
+func readGate[T any](path string) (*T, error) {
+	if path == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("gate: %w", err)
+	}
+	report := new(T)
+	if err := json.Unmarshal(data, report); err != nil {
+		return nil, fmt.Errorf("gate: parse %s: %w", path, err)
+	}
+	return report, nil
+}
+
+// writeReport writes an experiment's JSON report to the -out file, if any.
+func writeReport(path string, report any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("  wrote %s\n", path)
+	return nil
 }
 
 func (b *bench) maxTasks() int {
@@ -582,18 +611,9 @@ type ingestReport struct {
 // The two models must stay byte-identical throughout; any divergence is
 // reported in the `identical` column and fails the experiment.
 func (b *bench) ingest() error {
-	// Load the committed baseline before anything is written: -ingest-gate
-	// and -ingest-out may name the same file.
-	var gate *ingestReport
-	if b.ingestGate != "" {
-		data, err := os.ReadFile(b.ingestGate)
-		if err != nil {
-			return fmt.Errorf("ingest gate: %w", err)
-		}
-		gate = &ingestReport{}
-		if err := json.Unmarshal(data, gate); err != nil {
-			return fmt.Errorf("ingest gate: parse %s: %w", b.ingestGate, err)
-		}
+	gate, err := readGate[ingestReport](b.gate)
+	if err != nil {
+		return err
 	}
 
 	v := b.setup.Venue
@@ -747,19 +767,9 @@ func (b *bench) ingest() error {
 		if err := checkIngestGate(gate, &report); err != nil {
 			return err
 		}
-		fmt.Printf("  regression gate passed against %s\n", b.ingestGate)
+		fmt.Printf("  regression gate passed against %s\n", b.gate)
 	}
-	if b.ingestOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(b.ingestOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", b.ingestOut)
-	}
-	return nil
+	return writeReport(b.out, report)
 }
 
 // checkIngestGate fails when the fresh ingest report regresses against the
@@ -829,18 +839,9 @@ type restartReport struct {
 // The never-checkpointed restart is O(lifetime); the checkpointed restart
 // replays only the tail after the newest checkpoint and must stay flat.
 func (b *bench) restart() error {
-	// Load the committed baseline before anything is written: -restart-gate
-	// and -restart-out may name the same file.
-	var gate *restartReport
-	if b.restartGate != "" {
-		data, err := os.ReadFile(b.restartGate)
-		if err != nil {
-			return fmt.Errorf("restart gate: %w", err)
-		}
-		gate = &restartReport{}
-		if err := json.Unmarshal(data, gate); err != nil {
-			return fmt.Errorf("restart gate: parse %s: %w", b.restartGate, err)
-		}
+	gate, err := readGate[restartReport](b.gate)
+	if err != nil {
+		return err
 	}
 
 	campaignN, churnBase := 2000, 5000
@@ -881,19 +882,9 @@ func (b *bench) restart() error {
 		if err := checkRestartGate(gate, &report); err != nil {
 			return err
 		}
-		fmt.Printf("  regression gate passed against %s\n", b.restartGate)
+		fmt.Printf("  regression gate passed against %s\n", b.gate)
 	}
-	if b.restartOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(b.restartOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", b.restartOut)
-	}
-	return nil
+	return writeReport(b.out, report)
 }
 
 // restartAt builds one synthetic campaign history at the given churn volume
@@ -1255,17 +1246,7 @@ func (b *bench) overhead() error {
 		}
 		fmt.Printf("  overhead gate passed (budget %.0f%%)\n", b.overheadGate*100)
 	}
-	if b.overheadOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(b.overheadOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", b.overheadOut)
-	}
-	return nil
+	return writeReport(b.out, report)
 }
 
 // overheadEstimate reduces the paired per-batch instrumented/bare

@@ -2,8 +2,11 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"snaptask/internal/experiments"
 )
@@ -199,6 +202,35 @@ func TestCheckOverheadGate(t *testing.T) {
 			err = checkOverheadGate(point, lower, budget)
 			if pass := err == nil; pass != tt.pass {
 				t.Errorf("point %.4f lower %.4f: gate pass=%v, want %v (err %v)", point, lower, pass, tt.pass, err)
+			}
+		})
+	}
+}
+
+// TestReportFlagsRejected checks that -out and -gate on an experiment
+// without a report fail before the venue setup runs, and so before any
+// file is written.
+func TestReportFlagsRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.json")
+	tests := [][]string{
+		{"-exp", "fig8", "-out", out},
+		{"-exp", "all", "-out", out},
+		{"-exp", "table1", "-gate", out},
+		{"-exp", "overhead", "-gate", out},
+		{"-exp", "bogus", "-out", out},
+	}
+	for _, args := range tests {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			start := time.Now()
+			err := run(args)
+			if err == nil || !strings.Contains(err.Error(), "-out/-gate do not apply") {
+				t.Fatalf("run(%q) = %v, want the -out/-gate error", args, err)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Errorf("rejection took %v: the venue setup ran first", d)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("%s exists after a rejected run (stat err %v)", out, err)
 			}
 		})
 	}

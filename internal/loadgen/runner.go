@@ -72,15 +72,15 @@ type EndpointStats struct {
 
 // Progress is a point-in-time view for live rendering.
 type Progress struct {
-	Elapsed   time.Duration
-	Offered   uint64
-	Done      uint64
-	OK        uint64
-	Shed      uint64
-	Errors    uint64
-	Queued    int     // arrivals waiting for a free worker
-	Achieved  float64 // done/elapsed ops/sec
-	P99 map[string]time.Duration // corrected p99 per endpoint so far
+	Elapsed  time.Duration
+	Offered  uint64
+	Done     uint64
+	OK       uint64
+	Shed     uint64
+	Errors   uint64
+	Queued   int                      // arrivals waiting for a free worker
+	Achieved float64                  // done/elapsed ops/sec
+	P99      map[string]time.Duration // corrected p99 per endpoint so far
 }
 
 // Result is the final aggregate of a run.

@@ -103,12 +103,13 @@ type loadEndpointRow struct {
 	Service   loadgen.Quantiles `json:"service"`
 	// ServerP99LowMS/ServerP99MS bracket the server-side /metrics histogram
 	// p99 (bucket bounds; the exposition only has bucket resolution).
-	// ServerAgree is true when the harness service p99 falls inside that
-	// bracket as widened by serverAgrees. The gate enforces it only on
-	// calibration rows, where both sides saw the identical calm population.
+	// ServerAgree is whether the harness service p99 falls inside that
+	// bracket as widened by serverAgrees; nil (omitted) on rows that are
+	// not bracketed. The gate enforces it only on calibration rows, where
+	// both sides saw the identical calm population.
 	ServerP99LowMS float64 `json:"server_p99_low_ms,omitempty"`
 	ServerP99MS    float64 `json:"server_p99_ms,omitempty"`
-	ServerAgree    bool    `json:"server_agree"`
+	ServerAgree    *bool   `json:"server_agree,omitempty"`
 }
 
 // loadCampaignRow summarises one campaign.
@@ -446,12 +447,12 @@ func (b *bench) load() error {
 		fmt.Printf("  %-8s  %-7d  %-7d  %-7d  %-5d  %-4d  %-7.1f  %-7.1f  %-7.1f  %-9.1f  %-7.1f  (%.1f..%.1f]  %v\n",
 			e.Endpoint, e.Offered, e.Done, e.OK, e.Shed, e.Errors,
 			e.Corrected.P50, e.Corrected.P95, e.Corrected.P99, e.Corrected.P999,
-			e.Service.P99, e.ServerP99LowMS, e.ServerP99MS, e.ServerAgree)
+			e.Service.P99, e.ServerP99LowMS, e.ServerP99MS, agreeText(e.ServerAgree))
 	}
 	fmt.Println("  calibration (calm pass; server p99 from bucket diff of the same requests):")
 	for _, e := range report.Calibration {
 		fmt.Printf("  %-8s  done=%-5d svc-p99=%-7.1fms server-p99=(%.1f..%.1f]ms agree=%v\n",
-			e.Endpoint, e.Done, e.Service.P99, e.ServerP99LowMS, e.ServerP99MS, e.ServerAgree)
+			e.Endpoint, e.Done, e.Service.P99, e.ServerP99LowMS, e.ServerP99MS, agreeText(e.ServerAgree))
 	}
 	fmt.Println("  overload:")
 	for _, e := range report.OverloadEndpoints {
@@ -522,7 +523,7 @@ func checkLoadGate(gate, fresh *loadReport) error {
 	// ServerAgree stays informational (under saturation the open-loop
 	// client legitimately observes queueing the handler timer cannot).
 	for _, e := range fresh.Calibration {
-		if e.ServerP99MS > 0 && !e.ServerAgree {
+		if e.ServerAgree != nil && !*e.ServerAgree {
 			return fmt.Errorf("load gate: calibration %s service p99 %.1fms disagrees with server histogram (%.1f..%.1f]ms",
 				e.Endpoint, e.Service.P99, e.ServerP99LowMS, e.ServerP99MS)
 		}
@@ -625,7 +626,8 @@ func mergeEndpointRows(results []*loadgen.Result, routes map[string]string, befo
 			if low, high, found := bucketP99(diff); found {
 				a.row.ServerP99LowMS = low * 1000
 				a.row.ServerP99MS = high * 1000
-				a.row.ServerAgree = serverAgrees(a.row.Service.P99, a.row.ServerP99LowMS, a.row.ServerP99MS)
+				agree := serverAgrees(a.row.Service.P99, a.row.ServerP99LowMS, a.row.ServerP99MS)
+				a.row.ServerAgree = &agree
 			}
 		}
 		rows = append(rows, a.row)
@@ -643,6 +645,14 @@ func mergeEndpointRows(results []*loadgen.Result, routes map[string]string, befo
 // and the harness side also pays loopback.
 func serverAgrees(svc, low, high float64) bool {
 	return svc <= high*2+25 && (low == 0 || svc >= low/2)
+}
+
+// agreeText prints a row's ServerAgree: "-" on a row never bracketed.
+func agreeText(agree *bool) string {
+	if agree == nil {
+		return "-"
+	}
+	return strconv.FormatBool(*agree)
 }
 
 // metricBucket is one cumulative histogram bucket from a text exposition.

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"math"
 	"os"
 	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"snaptask/internal/loadgen"
 )
@@ -28,7 +31,7 @@ func TestCheckLoadGate(t *testing.T) {
 				{Name: "overload", Overload: true, OfferedQPS: 1000, AchievedQPS: 750, Shed: 4000},
 			},
 			Endpoints:   []loadEndpointRow{row("upload", 100), row("locate", 10), row("claim", 5)},
-			Calibration: []loadEndpointRow{{Endpoint: "locate", ServerP99MS: 5, ServerAgree: true}},
+			Calibration: []loadEndpointRow{{Endpoint: "locate", ServerP99MS: 5, ServerAgree: ptr(true)}},
 			SLOOverload: []loadSLORow{{Endpoint: "locate"}, {Endpoint: "upload", Burning: true}},
 			MultiCampaign: &loadMultiReport{
 				Campaigns: 4,
@@ -53,7 +56,7 @@ func TestCheckLoadGate(t *testing.T) {
 		{"steady below 0.9", committed, report(func(r *loadReport) { r.Campaigns[0].AchievedQPS = 224 }), false},
 		{"overload shed nothing", committed, report(func(r *loadReport) { r.Campaigns[1].Shed = 0 }), false},
 		{"no slo burn", committed, report(func(r *loadReport) { r.SLOOverload[1].Burning = false }), false},
-		{"calibration disagrees", committed, report(func(r *loadReport) { r.Calibration[0].ServerAgree = false }), false},
+		{"calibration disagrees", committed, report(func(r *loadReport) { r.Calibration[0].ServerAgree = ptr(false) }), false},
 		{"calibration without server histogram", committed, report(func(r *loadReport) {
 			r.Calibration[0] = loadEndpointRow{Endpoint: "locate"}
 		}), true},
@@ -87,6 +90,41 @@ func TestCheckLoadGate(t *testing.T) {
 				t.Error("gate passed, want failure")
 			}
 		})
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// TestMergeEndpointRowsAgreeOnlyWhenBracketed checks that only rows
+// bracketed against the server histogram report server_agree: the
+// overload and multi-campaign rows, merged without routes, omit it
+// rather than read as a disagreement.
+func TestMergeEndpointRowsAgreeOnlyWhenBracketed(t *testing.T) {
+	res := &loadgen.Result{Endpoints: map[string]*loadgen.EndpointStats{
+		"locate": {Name: "locate"},
+		"upload": {Name: "upload"},
+	}}
+	for _, st := range res.Endpoints {
+		st.Done.Add(100)
+		for i := 0; i < 100; i++ {
+			st.Service.Record(7 * time.Millisecond)
+			st.Corrected.Record(7 * time.Millisecond)
+		}
+	}
+	routes := map[string]string{"locate": "POST /v1/locate"}
+	bracketed := mergeEndpointRows([]*loadgen.Result{res}, routes, "", twoCampaignMetrics)
+	if len(bracketed) != 2 || bracketed[0].Endpoint != "locate" || bracketed[0].ServerAgree == nil || !*bracketed[0].ServerAgree {
+		t.Fatalf("bracketed locate row = %+v, want server_agree true", bracketed)
+	}
+	unbracketed := append(bracketed[1:], mergeEndpointRows([]*loadgen.Result{res}, nil, "", "")...)
+	for _, row := range unbracketed {
+		data, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.ServerAgree != nil || strings.Contains(string(data), "server_agree") {
+			t.Errorf("row %s without a server bracket carries server_agree: %s", row.Endpoint, data)
+		}
 	}
 }
 

@@ -212,15 +212,18 @@ func TestCheckOverheadGate(t *testing.T) {
 // file is written.
 func TestReportFlagsRejected(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.json")
+	// Each case names its report file "report.json"; the subtest name keeps
+	// that base name so it does not carry the random temp directory.
 	tests := [][]string{
-		{"-exp", "fig8", "-out", out},
-		{"-exp", "all", "-out", out},
-		{"-exp", "table1", "-gate", out},
-		{"-exp", "overhead", "-gate", out},
-		{"-exp", "bogus", "-out", out},
+		{"-exp", "fig8", "-out", "report.json"},
+		{"-exp", "all", "-out", "report.json"},
+		{"-exp", "table1", "-gate", "report.json"},
+		{"-exp", "overhead", "-gate", "report.json"},
+		{"-exp", "bogus", "-out", "report.json"},
 	}
-	for _, args := range tests {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
+	for _, tc := range tests {
+		t.Run(strings.Join(tc, " "), func(t *testing.T) {
+			args := append(append([]string(nil), tc[:3]...), out)
 			start := time.Now()
 			err := run(args)
 			if err == nil || !strings.Contains(err.Error(), "-out/-gate do not apply") {

@@ -91,14 +91,30 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 // Int reads a U64 as a two's-complement int.
 func (r *Reader) Int() int { return int(int64(r.U64())) }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint in its shortest encoding, the one
+// binary.AppendUvarint writes; a longer one (a trailing zero byte) fails,
+// so every value has one encoding. A one-byte value, the common case of
+// the snapshot's deltas and counts, takes a short path.
 func (r *Reader) Uvarint() uint64 {
+	if r.err == nil && len(r.b) > 0 && r.b[0] < 0x80 {
+		v := uint64(r.b[0])
+		r.b = r.b[1:]
+		return v
+	}
+	return r.uvarint()
+}
+
+func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
 		r.Fail(fmt.Errorf("%w: bad uvarint", ErrShort))
+		return 0
+	}
+	if n > 1 && r.b[n-1] == 0 {
+		r.Fail(fmt.Errorf("binenc: uvarint %d not in its shortest encoding", v))
 		return 0
 	}
 	r.b = r.b[n:]

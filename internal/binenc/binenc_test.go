@@ -81,6 +81,14 @@ func TestReaderRejectsOversizedLengths(t *testing.T) {
 	if !errors.Is(bad.Err(), ErrShort) {
 		t.Errorf("truncated uvarint: err = %v", bad.Err())
 	}
+	for _, long := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
+		if r := NewReader(long); r.Uvarint() != 0 || r.Err() == nil {
+			t.Errorf("uvarint % x longer than its shortest encoding accepted", long)
+		}
+	}
+	if r := NewReader([]byte{0x80, 0x01}); r.Uvarint() != 128 || r.Err() != nil {
+		t.Errorf("uvarint 128: err = %v", r.Err())
+	}
 	b := recCols.Append(nil, []rec{{B: true}})
 	b[len(b)-1] = 2
 	if r := NewReader(b); recCols.Read(r) != nil || r.Err() == nil {

@@ -13,7 +13,8 @@ import (
 
 // BenchmarkManagerRestore measures a manager restart over a journal root
 // holding three checkpointed library campaigns (~600 registered views
-// each): NewManager, which restores every campaign's model, then the
+// each): NewManager, which restores every campaign's model (decode,
+// adopted SOR distances and visibility counts, no view cast), then the
 // shutdown Checkpoint, which writes every campaign's snapshot. Run it at
 // -cpu 1,2 to see the campaigns restore and checkpoint side by side.
 func BenchmarkManagerRestore(b *testing.B) {

@@ -146,8 +146,9 @@ func BenchmarkIngest(b *testing.B) {
 
 // BenchmarkLoadSystem measures restoring a campaign model on a ~1500-view
 // library model at the server's default 12 m margin: snapshot decode, kNN
-// index rebuild around the adopted SOR distances, and the view cast that
-// LoadSystem recomputes.
+// index rebuild around the adopted SOR distances, the obstacle map and its
+// occupancy check, and adopting the stored visibility counts (no view is
+// cast).
 func BenchmarkLoadSystem(b *testing.B) {
 	snap := ingestBase(b, 1500, 12)
 	b.ReportAllocs()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"time"
 
 	"snaptask/internal/binenc"
@@ -16,20 +17,22 @@ import (
 )
 
 // A model snapshot is the paper's "model and maps are stored in a database
-// for further iterations". Maps and per-view ray casts are recomputed on
-// load rather than stored. The file is
+// for further iterations". The maps are stored as the merged visibility
+// counts they are read off; obstacles and per-view ray casts are
+// recomputed on load. The file is
 //
 //	magic "SNAPTASK", version uint32
 //	section meta     JSON snapshotMeta (config, taskgen state, counters)
 //	section model    sfm.Model binary encoding (columns)
 //	section sor      SOR split, count n, n mean and n k-th kNN distances
+//	section vis      mapping.Incremental merged counts (AppendState)
 //	trailer          CRC-32C of everything before it, uint32
 //
 // with every fixed-width value little-endian and every section prefixed by
 // its uint64 length.
 const (
 	snapshotMagic   = "SNAPTASK"
-	snapshotVersion = 2
+	snapshotVersion = 3
 	snapshotHeader  = len(snapshotMagic) + 4
 )
 
@@ -91,18 +94,35 @@ func (s *System) appendSnapshot(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encode model: %w", err)
 	}
-	// The SOR section cannot fail to encode.
-	b, _ = binenc.AppendSection(b, func(b []byte) ([]byte, error) { return s.appendSORDistances(b), nil })
+	// The SOR and visibility sections cannot fail to encode.
+	current := s.cachesCurrent()
+	b, _ = binenc.AppendSection(b, func(b []byte) ([]byte, error) { return s.appendSORDistances(b, current), nil })
+	b, _ = binenc.AppendSection(b, func(b []byte) ([]byte, error) {
+		if !current {
+			return b, nil
+		}
+		return s.vis.AppendState(b), nil
+	})
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
 }
 
+// cachesCurrent reports whether the SOR filter's cached distances cover
+// the model's current cloud and the visibility builder's merged counts its
+// current views. A snapshot stores both caches or, when either does not,
+// neither: the restore then recomputes, as the live system's next rebuild
+// would.
+func (s *System) cachesCurrent() bool {
+	split, mean, _ := s.sor.Distances()
+	return split == s.model.NumPoints() && len(mean) == split+s.model.NumOutliers() &&
+		s.vis.Holds(s.model.NumViews())
+}
+
 // appendSORDistances stores the SOR filter's cached per-point distances,
-// so a restore adopts them instead of rerunning kNN over the whole cloud.
-// A cache that does not cover the model's current cloud is stored empty:
-// the restore then recomputes, as the live filter's next pass would.
-func (s *System) appendSORDistances(b []byte) []byte {
+// so a restore adopts them instead of rerunning kNN over the whole cloud;
+// with current false it stores them empty.
+func (s *System) appendSORDistances(b []byte, current bool) []byte {
 	split, mean, kth := s.sor.Distances()
-	if split != s.model.NumPoints() || len(mean) != split+s.model.NumOutliers() {
+	if !current {
 		split, mean, kth = 0, nil, nil
 	}
 	b = binenc.AppendU64(b, uint64(split))
@@ -120,8 +140,10 @@ func (s *System) appendSORDistances(b []byte) []byte {
 // snapshot was taken with: the model's natural feature oracle comes from
 // the world and must match the fingerprint the snapshot stores.
 //
-// The SOR filter adopts the stored distances, so the restore runs no kNN
-// query; the maps and per-view ray casts are recomputed from the model.
+// The SOR filter adopts the stored distances and the visibility builder
+// the stored merged counts, so the restore runs no kNN query and casts no
+// view; the obstacle map is recomputed from the model and must match the
+// occupancy the counts were cast against.
 // Artificial features injected by past annotation tasks live in the model
 // snapshot; they are re-added to the world so future captures observe
 // them. A torn, corrupt or foreign file is an error, never a panic.
@@ -130,7 +152,7 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 	if v == nil || world == nil {
 		return nil, fmt.Errorf("core: nil venue or world")
 	}
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
@@ -139,7 +161,7 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 		return nil, err
 	}
 	rd := binenc.NewReader(body)
-	metaJSON, modelSec, sorSec := rd.Section(), rd.Section(), rd.Section()
+	metaJSON, modelSec, sorSec, visSec := rd.Section(), rd.Section(), rd.Section(), rd.Section()
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("core: decode snapshot: %w", err)
 	}
@@ -172,6 +194,10 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 	if err := s.adoptSORDistances(sorSec); err != nil {
 		return nil, err
 	}
+	s.foldViews()
+	if err := s.vis.Restore(s.mapViews, visSec); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 
 	if artificial := s.model.ArtificialFeatures(); len(artificial) > 0 {
 		world.AddFeatures(artificial)
@@ -182,6 +208,24 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 	s.snapshotBytes = len(data)
 	s.loadSeconds = time.Since(start).Seconds()
 	return s, nil
+}
+
+// readAll reads r to its end in one allocation when r tells its size, as
+// a file or an in-memory reader does; io.ReadAll's gradual growth copies a
+// multi-megabyte snapshot many times over.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch x := r.(type) {
+	case interface{ Len() int }:
+		size = x.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := x.Stat(); err == nil {
+			size = int(fi.Size())
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // snapshotBody checks a snapshot's header and checksum and returns the

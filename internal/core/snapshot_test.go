@@ -12,9 +12,11 @@ import (
 	"testing"
 
 	"snaptask/internal/annotation"
+	"snaptask/internal/binenc"
 	"snaptask/internal/camera"
 	"snaptask/internal/crowd"
 	"snaptask/internal/grid"
+	"snaptask/internal/mapping"
 	"snaptask/internal/metrics"
 	"snaptask/internal/pointcloud"
 	"snaptask/internal/taskgen"
@@ -190,13 +192,41 @@ func TestLoadSystemValidation(t *testing.T) {
 	viewCountAt := modelLenAt + 8 + 12*8
 	sorAt := modelLenAt + 8 + int(binary.LittleEndian.Uint64(snap[modelLenAt:]))
 	sorCountAt := sorAt + 8 + 8
+	// The visibility section is the last: ray step, basis fingerprint and
+	// cell count, then the covered-cell records.
+	visAt := sorAt + 8 + int(binary.LittleEndian.Uint64(snap[sorAt:]))
+	visSec := snap[visAt+8 : len(snap)-4]
+	if len(visSec) == 0 {
+		t.Fatal("snapshot stores no visibility counts")
+	}
+	cells := binary.LittleEndian.Uint64(visSec[16:])
 	withU64 := func(at int, v uint64) []byte {
 		out := bytes.Clone(snap)
 		binary.LittleEndian.PutUint64(out[at:], v)
 		return resealed(out)
 	}
+	withVis := func(sec []byte) []byte {
+		out := binenc.AppendU64(bytes.Clone(snap[:visAt]), uint64(len(sec)))
+		return resealed(append(append(out, sec...), 0, 0, 0, 0))
+	}
+	// records builds a visibility section on the real header from records
+	// of six uvarints (cell delta, views, four quadrant counts).
+	records := func(recs ...[6]uint64) []byte {
+		sec := binenc.AppendU64(bytes.Clone(visSec[:24]), uint64(len(recs)))
+		for _, r := range recs {
+			for _, x := range r {
+				sec = binary.AppendUvarint(sec, x)
+			}
+		}
+		return withVis(sec)
+	}
 	flipped := bytes.Clone(snap)
 	flipped[len(flipped)/2] ^= 0x10
+	version := func(v uint32) []byte {
+		out := bytes.Clone(snap)
+		binary.LittleEndian.PutUint32(out[len(snapshotMagic):], v)
+		return resealed(out)
+	}
 
 	for _, tc := range []struct {
 		name  string
@@ -204,9 +234,10 @@ func TestLoadSystemValidation(t *testing.T) {
 		world *camera.World
 		want  string
 	}{
-		{"empty", nil, world(1), "not a v2 snapshot"},
-		{"pre-change gob file", v1, world(1), "not a v2 snapshot"},
-		{"future version", resealed(binary.LittleEndian.AppendUint32([]byte(snapshotMagic), 3)), world(1), "not a v2 snapshot"},
+		{"empty", nil, world(1), "not a v3 snapshot"},
+		{"pre-change gob file", v1, world(1), "not a v3 snapshot"},
+		{"version 2 file", version(2), world(1), "not a v3 snapshot (version 2)"},
+		{"future version", version(4), world(1), "not a v3 snapshot (version 4)"},
 		{"torn to header", snap[:snapshotHeader], world(1), "truncated"},
 		{"torn mid-file", snap[:len(snap)/2], world(1), "checksum"},
 		{"torn trailer", snap[:len(snap)-1], world(1), "checksum"},
@@ -216,6 +247,11 @@ func TestLoadSystemValidation(t *testing.T) {
 		{"model length past input", withU64(modelLenAt, uint64(len(snap))), world(1), "exceeds remaining"},
 		{"view count past input", withU64(viewCountAt, 1<<40), world(1), "exceeds remaining"},
 		{"SOR count past input", withU64(sorCountAt, 1<<40), world(1), "exceeds remaining"},
+		{"wrong visibility cell count", withU64(visAt+8+16, cells+1), world(1), "layout has"},
+		{"zero visibility cell delta", records([6]uint64{1, 1, 1, 0, 0, 0}, [6]uint64{0, 1, 1, 0, 0, 0}), world(1), "cell delta 0"},
+		{"visibility cell delta past the layout", records([6]uint64{cells + 1, 1, 1, 0, 0, 0}), world(1), "cell delta"},
+		{"visibility trailing bytes", withVis(append(bytes.Clone(visSec), 0)), world(1), "trailing bytes"},
+		{"visibility basis of other obstacles", withU64(visAt+8+8, binary.LittleEndian.Uint64(visSec[8:])^1), world(1), "occupancy"},
 	} {
 		_, err := LoadSystem(bytes.NewReader(tc.data), v, tc.world)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -224,19 +260,69 @@ func TestLoadSystemValidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotMetrics checks that a restored system reports its load and
-// every snapshot write on the model snapshot instruments.
+// TestSnapshotCachesStoredTogether checks that a snapshot stores the
+// visibility counts exactly when it stores the SOR distances: a
+// full-rebuild system keeps no SOR cache, so it stores neither, and its
+// restore casts every view.
+func TestSnapshotCachesStoredTogether(t *testing.T) {
+	v, err := venue.SmallRoom()
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := func() *camera.World { return camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(1)))) }
+	w := world()
+	sys, err := NewSystem(v, w, Config{Margin: 3, FullRebuild: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	boot, err := BootstrapCapture(w, v, camera.DefaultIntrinsics(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ProcessBootstrap(boot, rng); err != nil {
+		t.Fatal(err)
+	}
+	snap := writeSnapshot(t, sys)
+	rd := binenc.NewReader(snap[snapshotHeader : len(snap)-4])
+	rd.Section()
+	rd.Section()
+	sor, vis := rd.Section(), rd.Section()
+	if rd.Err() != nil || len(sor) != 16 || binary.LittleEndian.Uint64(sor[8:]) != 0 || len(vis) != 0 {
+		t.Fatalf("full-rebuild snapshot stores %d SOR bytes and %d visibility bytes; want both empty (err %v)", len(sor), len(vis), rd.Err())
+	}
+	loaded, err := LoadSystem(bytes.NewReader(snap), v, world())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := loaded.vis.Casts(); c.New != loaded.NumViews() || c.Stale+c.Restored != 0 {
+		t.Fatalf("restore without stored counts cast %+v; want all %d views new", c, loaded.NumViews())
+	}
+	requireMapEqual(t, "visibility", loaded.Maps().Visibility, sys.Maps().Visibility)
+}
+
+// TestSnapshotMetrics checks that a restored system reports its load,
+// the view casts it made (none: it adopts the stored counts) and every
+// snapshot write on the model snapshot instruments.
 func TestSnapshotMetrics(t *testing.T) {
 	snap, v := smallSnapshot(t)
 	sys, err := LoadSystem(bytes.NewReader(snap), v, camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(1)))))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c := sys.vis.Casts(); c != (mapping.CastCounts{}) {
+		t.Fatalf("load cast %+v; want the stored visibility counts adopted", c)
+	}
 	sys.SetTelemetry(&telemetry.Telemetry{Registry: telemetry.NewRegistry()})
 	m := sys.ingestM
 	if m.SnapshotLoadSeconds.Count() != 1 || m.SnapshotBytes.Value() != float64(len(snap)) {
 		t.Fatalf("after load: %d load observations, %v bytes; want 1, %d",
 			m.SnapshotLoadSeconds.Count(), m.SnapshotBytes.Value(), len(snap))
+	}
+	for _, cause := range []string{"new", "stale", "restored"} {
+		if n := m.ViewCasts.With(cause).Value(); n != 0 {
+			t.Fatalf("after load: %d %s casts counted; want 0", n, cause)
+		}
 	}
 	for i := 1; i <= 2; i++ {
 		writeSnapshot(t, sys)

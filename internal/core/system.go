@@ -112,6 +112,9 @@ type System struct {
 	// LoadSystem that built this system took, reported by SetTelemetry.
 	snapshotBytes int
 	loadSeconds   float64
+	// castsReported is the visibility builder's cast count as of the
+	// last reportCasts.
+	castsReported mapping.CastCounts
 
 	// Counters for the paper's §V-B3 bookkeeping.
 	photoTasksIssued      int
@@ -199,9 +202,9 @@ func (s *System) applyBarrier() {
 // SetTelemetry wires the observability bundle into the owner path: batch
 // traces go to tel.Tracer, ingest metrics register on tel.Registry, and
 // per-batch summary lines go to tel.Logger. A system restored by LoadSystem
-// reports its load time and snapshot size here. Call before processing
-// starts (the System is single-owner; this is not synchronised). A nil
-// bundle is ignored, leaving everything a no-op.
+// reports its load time, snapshot size and the view casts its load made
+// here. Call before processing starts (the System is single-owner; this is
+// not synchronised). A nil bundle is ignored, leaving everything a no-op.
 func (s *System) SetTelemetry(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
@@ -213,6 +216,7 @@ func (s *System) SetTelemetry(tel *telemetry.Telemetry) {
 			s.ingestM.SnapshotLoadSeconds.Observe(s.loadSeconds)
 			s.ingestM.SnapshotBytes.Set(float64(s.snapshotBytes))
 		}
+		s.reportCasts()
 	}
 	s.logger = tel.Logger
 }
@@ -467,19 +471,37 @@ func (s *System) rebuildMaps() error {
 		s.ingestM.SOROutliers.Set(float64(removed))
 	}
 	s.curTrace.SetCount("sor_removed", removed)
-	// Fold only the views registered since the previous rebuild into the
-	// cached mapping view list — the model is append-only, so a per-batch
-	// full-list copy would be pure overhead.
-	for _, v := range s.model.ViewsFrom(len(s.mapViews)) {
-		s.mapViews = append(s.mapViews, mapping.View{Pose: v.Pose, Intrinsics: v.Intrinsics})
-	}
+	s.foldViews()
 	maps, err := s.vis.Update(cloud, s.mapViews)
+	s.reportCasts()
 	if err != nil {
 		return fmt.Errorf("core: maps: %w", err)
 	}
 	s.maps = maps
 	s.applyBarrier()
 	return nil
+}
+
+// foldViews appends the views registered since the last fold to the cached
+// mapping view list — the model is append-only, so a per-batch full-list
+// copy would be pure overhead.
+func (s *System) foldViews() {
+	for _, v := range s.model.ViewsFrom(len(s.mapViews)) {
+		s.mapViews = append(s.mapViews, mapping.View{Pose: v.Pose, Intrinsics: v.Intrinsics})
+	}
+}
+
+// reportCasts adds the view casts made since the last report to the casts
+// counter, by cause.
+func (s *System) reportCasts() {
+	if s.ingestM == nil {
+		return
+	}
+	now, last := s.vis.Casts(), s.castsReported
+	s.ingestM.ViewCasts.With("new").Add(uint64(now.New - last.New))
+	s.ingestM.ViewCasts.With("stale").Add(uint64(now.Stale - last.Stale))
+	s.ingestM.ViewCasts.With("restored").Add(uint64(now.Restored - last.Restored))
+	s.castsReported = now
 }
 
 // effectiveVisibility folds aspect coverage into the visibility counts fed

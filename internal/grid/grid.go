@@ -198,6 +198,16 @@ func (m *Map) CountPositive() int {
 	return m.CountIf(func(v int) bool { return v > 0 })
 }
 
+// Occupancy returns, for every cell in row-major order, whether its value
+// is positive.
+func (m *Map) Occupancy() []bool {
+	out := make([]bool, len(m.cells))
+	for i, v := range m.cells {
+		out[i] = v > 0
+	}
+	return out
+}
+
 // Each calls fn for every cell in row-major order.
 func (m *Map) Each(fn func(c Cell, v int)) {
 	for j := 0; j < m.h; j++ {
@@ -229,61 +239,95 @@ func (m *Map) Union(o *Map) (*Map, error) {
 // fn to it, using a conservative supercover traversal (all cells the segment
 // touches, not just one per column).
 func (m *Map) RasterizeSegment(s geom.Segment, fn func(c Cell)) {
-	m.WalkSegment(s, func(c Cell) bool {
-		fn(c)
-		return true
-	})
+	for st := m.Stepper(s); ; {
+		fn(Cell{st.I, st.J})
+		if !st.Next() {
+			return
+		}
+	}
 }
 
 // WalkSegment visits the cells of RasterizeSegment's traversal in order from
 // the segment's start, stopping early at the first cell for which fn
-// returns false (a ray cast stops at the first obstacle).
+// returns false.
 func (m *Map) WalkSegment(s geom.Segment, fn func(c Cell) bool) {
-	// Amanatides & Woo style voxel traversal in grid coordinates.
+	for st := m.Stepper(s); fn(Cell{st.I, st.J}); {
+		if !st.Next() {
+			return
+		}
+	}
+}
+
+// Stepper is the one voxel traversal (Amanatides & Woo, in grid
+// coordinates) behind RasterizeSegment, WalkSegment and the visibility ray
+// cast, which steps it inline over a flat occupancy slice. (I, J) is the
+// current cell, which may lie outside the map; Next moves to the next one.
+type Stepper struct {
+	I, J             int
+	iEnd, jEnd       int
+	stepI, stepJ     int
+	tMaxX, tMaxY     float64
+	tDeltaX, tDeltaY float64
+	// left is how many cells the walk may still visit, the current one
+	// included: a guard against rounding walking past the end cell.
+	left int
+}
+
+// Stepper returns a traversal of s positioned on the cell holding s.A.
+func (m *Map) Stepper(s geom.Segment) Stepper {
 	start := s.A.Sub(m.origin).Scale(1 / m.res)
 	end := s.B.Sub(m.origin).Scale(1 / m.res)
-	x, y := int(math.Floor(start.X)), int(math.Floor(start.Y))
-	xEnd, yEnd := int(math.Floor(end.X)), int(math.Floor(end.Y))
+	st := Stepper{
+		I: int(math.Floor(start.X)), J: int(math.Floor(start.Y)),
+		iEnd: int(math.Floor(end.X)), jEnd: int(math.Floor(end.Y)),
+		tMaxX: math.Inf(1), tMaxY: math.Inf(1),
+		tDeltaX: math.Inf(1), tDeltaY: math.Inf(1),
+	}
 	dx, dy := end.X-start.X, end.Y-start.Y
-
-	stepX, stepY := 0, 0
-	tMaxX, tMaxY := math.Inf(1), math.Inf(1)
-	tDeltaX, tDeltaY := math.Inf(1), math.Inf(1)
 	if dx > 0 {
-		stepX = 1
-		tMaxX = (math.Floor(start.X) + 1 - start.X) / dx
-		tDeltaX = 1 / dx
+		st.stepI = 1
+		st.tMaxX = (math.Floor(start.X) + 1 - start.X) / dx
+		st.tDeltaX = 1 / dx
 	} else if dx < 0 {
-		stepX = -1
-		tMaxX = (start.X - math.Floor(start.X)) / -dx
-		tDeltaX = -1 / dx
+		st.stepI = -1
+		st.tMaxX = (start.X - math.Floor(start.X)) / -dx
+		st.tDeltaX = -1 / dx
 	}
 	if dy > 0 {
-		stepY = 1
-		tMaxY = (math.Floor(start.Y) + 1 - start.Y) / dy
-		tDeltaY = 1 / dy
+		st.stepJ = 1
+		st.tMaxY = (math.Floor(start.Y) + 1 - start.Y) / dy
+		st.tDeltaY = 1 / dy
 	} else if dy < 0 {
-		stepY = -1
-		tMaxY = (start.Y - math.Floor(start.Y)) / -dy
-		tDeltaY = -1 / dy
+		st.stepJ = -1
+		st.tMaxY = (start.Y - math.Floor(start.Y)) / -dy
+		st.tDeltaY = -1 / dy
 	}
+	st.left = m.w + m.h + absInt(st.iEnd-st.I) + absInt(st.jEnd-st.J) + 4
+	return st
+}
 
-	maxSteps := m.w + m.h + int(math.Abs(float64(xEnd-x))+math.Abs(float64(yEnd-y))) + 4
-	for step := 0; step < maxSteps; step++ {
-		if !fn(Cell{x, y}) {
-			return
-		}
-		if x == xEnd && y == yEnd {
-			return
-		}
-		if tMaxX < tMaxY {
-			tMaxX += tDeltaX
-			x += stepX
-		} else {
-			tMaxY += tDeltaY
-			y += stepY
-		}
+// Next moves to the next cell of the traversal. It returns false, staying
+// put, once the current cell is the end cell or the step guard runs out.
+func (st *Stepper) Next() bool {
+	if st.I == st.iEnd && st.J == st.jEnd || st.left <= 1 {
+		return false
 	}
+	st.left--
+	if st.tMaxX < st.tMaxY {
+		st.tMaxX += st.tDeltaX
+		st.I += st.stepI
+	} else {
+		st.tMaxY += st.tDeltaY
+		st.J += st.stepJ
+	}
+	return true
+}
+
+func absInt(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // RasterizePolygon applies fn to every in-bounds cell whose centre lies

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -202,23 +203,14 @@ func ObstaclesMap(cloud *pointcloud.Cloud, layout *grid.Map, cfg Config) (*grid.
 	return out, nil
 }
 
-// Contribution is one camera view's ray-cast output: the cells the view
-// covers as row-major indices into the layout, with the matching viewing
-// quadrant masks. Contributions are the unit of parallel casting and of
-// caching across incremental rebuilds; merging them (count increments and
-// mask ORs) is commutative, so any merge order yields identical maps.
-type Contribution struct {
-	Idx  []int32
-	Mask []uint8
-}
-
-// CastView computes one view's contribution against an obstacles map. step
-// is the resolved angular ray step (use resolveRayStep / Config.RayStep).
-// Cells are emitted in first-visit order: the camera's own cell, then each
-// ray's new cells, rays in increasing angle, so equal inputs give equal
-// slices.
-func CastView(v View, obstacles *grid.Map, step float64) Contribution {
-	return newCastScratch(obstacles).cast(v, obstacles, step)
+// CastView returns the layout cells one view covers against an obstacles
+// map, as row-major indices. step is the resolved angular ray step (use
+// resolveRayStep / Config.RayStep). Cells are emitted in first-visit order:
+// the camera's own cell, then each ray's new cells, rays in increasing
+// angle, so equal inputs give equal slices. A cast stores no viewing
+// quadrants: castMask derives them from the view pose and the cell.
+func CastView(v View, obstacles *grid.Map, step float64) []int32 {
+	return newCastScratch(obstacles).cast(v, obstacles, obstacles.Occupancy(), step)
 }
 
 // castScratch is one worker's reusable mark set for casting views against
@@ -236,78 +228,93 @@ func newCastScratch(layout *grid.Map) *castScratch {
 	return &castScratch{seen: make([]bool, layout.Width()*layout.Height())}
 }
 
-func (sc *castScratch) cast(v View, obstacles *grid.Map, step float64) Contribution {
+func (sc *castScratch) mark(i int) {
+	if !sc.seen[i] {
+		sc.seen[i] = true
+		sc.order = append(sc.order, int32(i))
+	}
+}
+
+// cast casts v against occ, the layout's occupancy (obstacle value > 0)
+// in row-major order. Each ray steps the grid's traversal inline over occ
+// and stops at the grid edge, or on an obstacle cell after marking it: the
+// obstacle itself is seen.
+func (sc *castScratch) cast(v View, layout *grid.Map, occ []bool, step float64) []int32 {
 	in := v.Intrinsics
 	if step <= 0 {
-		step = 0.8 * obstacles.Res() / in.Range
+		step = 0.8 * layout.Res() / in.Range
 	}
-	w := obstacles.Width()
-	mark := func(c grid.Cell) {
-		i := int32(c.J*w + c.I)
-		if !sc.seen[i] {
-			sc.seen[i] = true
-			sc.order = append(sc.order, i)
-		}
-	}
+	w, h := layout.Width(), layout.Height()
 	// Always include the camera's own cell, seen from every side.
-	own := obstacles.CellOf(v.Pose.Pos)
-	hasOwn := obstacles.InBounds(own)
-	if hasOwn {
-		mark(own)
-	}
-	// A ray stops at the grid edge, or on an obstacle cell after marking
-	// it: the obstacle itself is seen.
-	visit := func(c grid.Cell) bool {
-		if !obstacles.InBounds(c) {
-			return false
-		}
-		mark(c)
-		return obstacles.At(c) <= 0
+	if own := ownCell(v, layout); own >= 0 {
+		sc.mark(int(own))
 	}
 	for a := -in.HFOV / 2; a <= in.HFOV/2; a += step {
 		dir := geom.UnitFromAngle(v.Pose.Yaw + a)
-		end := v.Pose.Pos.Add(dir.Scale(in.Range))
-		obstacles.WalkSegment(geom.Seg(v.Pose.Pos, end), visit)
+		st := layout.Stepper(geom.Seg(v.Pose.Pos, v.Pose.Pos.Add(dir.Scale(in.Range))))
+		for uint(st.I) < uint(w) && uint(st.J) < uint(h) {
+			i := st.J*w + st.I
+			sc.mark(i)
+			if occ[i] || !st.Next() {
+				break
+			}
+		}
 	}
-	co := Contribution{
-		Idx:  make([]int32, len(sc.order)),
-		Mask: make([]uint8, len(sc.order)),
-	}
-	copy(co.Idx, sc.order)
-	for k, i := range sc.order {
+	out := make([]int32, len(sc.order))
+	copy(out, sc.order)
+	for _, i := range sc.order {
 		sc.seen[i] = false
-		c := grid.Cell{I: int(i) % w, J: int(i) / w}
-		co.Mask[k] = uint8(quadrantBit(v.Pose.Pos, obstacles.CenterOf(c)))
-	}
-	if hasOwn {
-		co.Mask[0] = 0xF
 	}
 	sc.order = sc.order[:0]
-	return co
+	return out
 }
 
-// castViews computes contributions for a set of views, fanning the per-view
-// ray casting across a runtime.GOMAXPROCS(0) worker pool with one cast
-// scratch per worker. The result slice is indexed like views, so the output
-// is deterministic regardless of which worker cast which view.
-func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config) error {
+// ownCell returns the row-major index of the camera's own cell, or -1 when
+// the camera stands outside the layout.
+func ownCell(v View, layout *grid.Map) int32 {
+	c := layout.CellOf(v.Pose.Pos)
+	if !layout.InBounds(c) {
+		return -1
+	}
+	return int32(c.J*layout.Width() + c.I)
+}
+
+// castMask returns the quadrant mask a view's cast gives cell i: all four
+// quadrants for the camera's own cell own, else the quadrant the cell is
+// viewed from.
+func castMask(v View, layout *grid.Map, own, i int32) int {
+	if i == own {
+		return 0xF
+	}
+	w := layout.Width()
+	return quadrantBit(v.Pose.Pos, layout.CenterOf(grid.Cell{I: int(i) % w, J: int(i) / w}))
+}
+
+// checkViews rejects views that cannot be cast.
+func checkViews(views []View) error {
 	for _, v := range views {
 		if v.Intrinsics.Range <= 0 || v.Intrinsics.HFOV <= 0 {
 			return fmt.Errorf("mapping: view with invalid intrinsics %+v", v.Intrinsics)
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(views) {
-		workers = len(views)
-	}
+	return nil
+}
+
+// castViews casts every view against occ, fanning the per-view ray casting
+// across a runtime.GOMAXPROCS(0) worker pool with one cast scratch per
+// worker. The result is indexed like views, so it is deterministic
+// regardless of which worker cast which view.
+func castViews(views []View, layout *grid.Map, occ []bool, step float64) [][]int32 {
+	casts := make([][]int32, len(views))
+	workers := min(runtime.GOMAXPROCS(0), len(views))
 	if workers <= 1 {
 		if len(views) > 0 {
-			sc := newCastScratch(obstacles)
+			sc := newCastScratch(layout)
 			for i, v := range views {
-				dst[i] = sc.cast(v, obstacles, cfg.RayStep)
+				casts[i] = sc.cast(v, layout, occ, step)
 			}
 		}
-		return nil
+		return casts
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -315,32 +322,63 @@ func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newCastScratch(obstacles)
+			sc := newCastScratch(layout)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(views) {
 					return
 				}
-				dst[i] = sc.cast(views[i], obstacles, cfg.RayStep)
+				casts[i] = sc.cast(views[i], layout, occ, step)
 			}
 		}()
 	}
 	wg.Wait()
-	return nil
+	return casts
 }
 
-// mergeContributions folds per-view contributions into visibility and
-// aspect grids. Counts add and masks OR, so the merge is order-independent.
-func mergeContributions(contribs []Contribution, layout *grid.Map) (vis, aspects *grid.Map) {
-	vis = grid.NewLike(layout)
-	aspects = grid.NewLike(layout)
-	w := layout.Width()
-	for _, co := range contribs {
-		for k, idx := range co.Idx {
-			c := grid.Cell{I: int(idx) % w, J: int(idx) / w}
-			vis.Add(c, 1)
-			aspects.Set(c, aspects.At(c)|int(co.Mask[k]))
+// cellCounts is the merged visibility state of one cell: how many views
+// cover it, and how many see it from each quadrant (indexed by the bit
+// position quadrantBit returns). Counts add and subtract, so a view's cast
+// can be taken out of the merge again when it goes stale.
+type cellCounts struct {
+	views int32
+	quads [4]int32
+}
+
+// addCast folds one view's cast into cells with sign d: +1 adds the view,
+// -1 takes it out again.
+func addCast(cells []cellCounts, layout *grid.Map, v View, cast []int32, d int32) {
+	own := ownCell(v, layout)
+	for _, i := range cast {
+		n := &cells[i]
+		n.views += d
+		mask := castMask(v, layout, own, i)
+		for q := range n.quads {
+			if mask&(1<<q) != 0 {
+				n.quads[q] += d
+			}
 		}
+	}
+}
+
+// countMaps reads the visibility map (views per cell) and the aspect map
+// (mask of the quadrants with a positive count) off merged counts.
+func countMaps(cells []cellCounts, layout *grid.Map) (vis, aspects *grid.Map) {
+	vis, aspects = grid.NewLike(layout), grid.NewLike(layout)
+	w := layout.Width()
+	for i, n := range cells {
+		if n.views == 0 {
+			continue
+		}
+		c := grid.Cell{I: i % w, J: i / w}
+		vis.Set(c, int(n.views))
+		mask := 0
+		for q, k := range n.quads {
+			if k > 0 {
+				mask |= 1 << q
+			}
+		}
+		aspects.Set(c, mask)
 	}
 	return vis, aspects
 }
@@ -354,18 +392,45 @@ func VisibilityMap(views []View, obstacles *grid.Map, cfg Config) (*grid.Map, *g
 	if obstacles == nil {
 		return nil, nil, fmt.Errorf("mapping: nil obstacles map")
 	}
-	contribs := make([]Contribution, len(views))
-	if err := castViews(contribs, views, obstacles, cfg); err != nil {
+	if err := checkViews(views); err != nil {
 		return nil, nil, err
 	}
-	vis, aspects := mergeContributions(contribs, obstacles)
+	cells := make([]cellCounts, obstacles.Width()*obstacles.Height())
+	for i, cast := range castViews(views, obstacles, obstacles.Occupancy(), cfg.RayStep) {
+		addCast(cells, obstacles, views[i], cast, 1)
+	}
+	vis, aspects := countMaps(cells, obstacles)
 	return vis, aspects, nil
 }
 
 // quadrantBit returns the bit for the quadrant the cell is viewed from:
-// the direction camera→cell binned into E/N/W/S quarters.
+// the direction camera→cell binned into E/N/W/S quarters exactly as
+// quadrantAngle bins it. Comparing signs and magnitudes decides every cell
+// but those within 1e-9 (relative) of a diagonal, where the bin edges lie
+// and atan2's rounding decides; those, and a zero offset, take the atan2
+// path.
 func quadrantBit(camera, cell geom.Vec2) int {
 	d := cell.Sub(camera)
+	ax, ay := math.Abs(d.X), math.Abs(d.Y)
+	if d.Len2() < 1e-12 || !(math.Abs(ax-ay) > 1e-9*max(ax, ay)) {
+		return quadrantAngle(d)
+	}
+	switch {
+	case ax > ay && d.X > 0:
+		return 1 << 0
+	case ax > ay:
+		return 1 << 2
+	case d.Y > 0:
+		return 1 << 1
+	default:
+		return 1 << 3
+	}
+}
+
+// quadrantAngle bins the direction d by its angle into east, north, west
+// or south, each bin including its counter-clockwise edge; all four bits
+// for a zero offset.
+func quadrantAngle(d geom.Vec2) int {
 	if d.Len2() < 1e-12 {
 		return 0xF
 	}
@@ -392,16 +457,19 @@ func Coverage(obstacles, visibility *grid.Map) (*grid.Map, error) {
 	return u, nil
 }
 
-// Incremental caches per-view ray casts across successive map builds, so a
-// rebuild after a photo batch only casts rays for the views added since the
-// previous build — plus any cached view whose cast is no longer valid.
+// Incremental keeps the merged visibility state across successive map
+// builds, so a rebuild after a photo batch only casts rays for the views
+// added since the previous build — plus any view whose cast is no longer
+// valid.
 //
-// Update is exactly equivalent to Build for the same inputs: a cached cast
-// depends only on the obstacle occupancy (cells with value > 0) within the
-// view's range disc, so it is invalidated whenever occupancy flips inside
-// that disc, and recomputed against the new obstacles. Everything else is
-// replayed from the cache, which turns the per-upload visibility cost from
-// O(all views) into O(new + affected views) over a campaign.
+// Update is exactly equivalent to Build for the same inputs. The merged
+// state is per-cell counts (cellCounts), and the visibility and aspect
+// maps are read off them. A view's cast depends only on the obstacle
+// occupancy (cells with value > 0) within its range disc, so an occupancy
+// flip inside that disc makes it stale: Update subtracts the view's old
+// cast from the counts and adds its cast against the new obstacles.
+// Everything else stays merged, which turns the per-upload visibility cost
+// from O(all views) into O(new + affected views) over a campaign.
 //
 // An Incremental is not safe for concurrent use; confine it to the model
 // owner (core.System serialises all mutations).
@@ -409,14 +477,36 @@ type Incremental struct {
 	layout *grid.Map
 	cfg    Config
 
-	views     []View
-	contribs  []Contribution
-	obstacles *grid.Map // occupancy basis the cached casts were made against
-	rayStep   float64   // resolved angular step of the cached casts
+	// views are the views merged into cells. casts[i] is views[i]'s cast
+	// against occ, or nil for a view restored by Restore and not cast
+	// since; a cast covering no cell is an empty, non-nil slice.
+	views []View
+	casts [][]int32
+	cells []cellCounts
+	// occ is the occupancy basis the casts were made against, nil until
+	// the first Update. Restore leaves it nil with cells set; the next
+	// Update checks its occupancy against basis, the restored fingerprint.
+	occ     []bool
+	basis   uint64
+	rayStep float64 // resolved angular step of the casts
+	counts  CastCounts
 
 	// trace is the stage-span sink of the rebuild in progress; nil (the
 	// default) disables span collection.
 	trace *telemetry.Trace
+}
+
+// CastCounts counts an Incremental's view casts by cause.
+type CastCounts struct {
+	// New counts casts of views the builder did not hold: views added
+	// since the previous build, or every view after Invalidate.
+	New int
+	// Stale counts recasts of held views after an occupancy flip within
+	// their range.
+	Stale int
+	// Restored counts casts of restored views against the restored basis,
+	// made once per view so its stale cast can be subtracted.
+	Restored int
 }
 
 // SetTrace sets the stage-span sink for subsequent Update calls; the owner
@@ -433,17 +523,17 @@ func NewIncremental(layout *grid.Map, cfg Config) (*Incremental, error) {
 	return &Incremental{layout: layout, cfg: cfg}, nil
 }
 
-// Invalidate drops every cached cast; the next Update is a full rebuild.
+// Invalidate drops the merged state; the next Update is a full rebuild.
 // Callers use it after pipeline stages that restructure the model in ways
 // not visible through the (cloud, views) inputs.
 func (inc *Incremental) Invalidate() {
-	inc.views, inc.contribs, inc.obstacles = nil, nil, nil
+	inc.views, inc.casts, inc.cells, inc.occ = nil, nil, nil, nil
 }
 
-// Update builds the maps for the given cloud and registered views, reusing
-// every cached cast that is still exact. The views slice is expected to be
-// append-only between calls (SfM registration only adds views); any other
-// change falls back to a full rebuild.
+// Update builds the maps for the given cloud and registered views, casting
+// only views that are new or whose cast went stale. The views slice is
+// expected to be append-only between calls (SfM registration only adds
+// views); any other change falls back to a full rebuild.
 func (inc *Incremental) Update(cloud *pointcloud.Cloud, views []View) (*Maps, error) {
 	sp := inc.trace.Span("map.obstacles")
 	obstacles, err := ObstaclesMap(cloud, inc.layout, inc.cfg)
@@ -451,16 +541,27 @@ func (inc *Incremental) Update(cloud *pointcloud.Cloud, views []View) (*Maps, er
 	if err != nil {
 		return nil, err
 	}
-	resolved := resolveRayStep(inc.cfg, inc.layout.Res(), views)
-
-	// A view with a longer range than any before it tightens the shared
-	// default ray step, which changes every cast.
-	if inc.obstacles == nil || resolved.RayStep != inc.rayStep {
-		inc.Invalidate()
+	if err := checkViews(views); err != nil {
+		return nil, err
 	}
-	// The cache covers a prefix of the view list; anything else (removed
-	// or edited views) voids it.
-	if len(inc.views) > len(views) {
+	resolved := resolveRayStep(inc.cfg, inc.layout.Res(), views)
+	occ := obstacles.Occupancy()
+	if inc.cells != nil && inc.occ == nil {
+		// Restored counts hold only for the occupancy and ray step they
+		// were cast with; anything else is a snapshot that does not
+		// belong to this model.
+		if fp := occupancyFingerprint(occ); fp != inc.basis {
+			return nil, fmt.Errorf("mapping: restored visibility counts cast against occupancy %016x, obstacles have %016x", inc.basis, fp)
+		}
+		if resolved.RayStep != inc.rayStep {
+			return nil, fmt.Errorf("mapping: restored visibility counts cast at ray step %v, views resolve %v", inc.rayStep, resolved.RayStep)
+		}
+		inc.occ = occ
+	}
+	// A view with a longer range than any before it tightens the shared
+	// default ray step, which changes every cast; the merged views must be
+	// a prefix of the view list, or removed or edited views void them.
+	if inc.occ == nil || resolved.RayStep != inc.rayStep || len(inc.views) > len(views) {
 		inc.Invalidate()
 	}
 	for i := range inc.views {
@@ -469,73 +570,97 @@ func (inc *Incremental) Update(cloud *pointcloud.Cloud, views []View) (*Maps, er
 			break
 		}
 	}
+	if inc.cells == nil {
+		inc.cells = make([]cellCounts, len(occ))
+	}
 
-	// Recast cached views whose range disc contains an occupancy flip;
+	// Recast merged views whose range disc contains an occupancy flip;
 	// obstacle count changes that stay positive cannot alter a cast.
-	stale := make([]bool, len(views))
-	if inc.obstacles != nil {
-		changed := occupancyFlips(inc.obstacles, obstacles)
-		for i, v := range inc.views {
-			if viewNearAny(v, changed, inc.layout) {
-				stale[i] = true
+	var stale []int
+	if inc.occ != nil {
+		if changed := occupancyFlips(inc.occ, occ, inc.layout); len(changed) > 0 {
+			for i, v := range inc.views {
+				if viewNearAny(v, changed, inc.layout) {
+					stale = append(stale, i)
+				}
 			}
 		}
 	}
-
-	contribs := make([]Contribution, len(views))
-	copy(contribs, inc.contribs)
-	var fresh []View
-	var freshIdx []int
-	for i := len(inc.views); i < len(views); i++ {
-		stale[i] = true
-	}
-	for i, s := range stale {
-		if s {
-			fresh = append(fresh, views[i])
-			freshIdx = append(freshIdx, i)
+	var uncast []int
+	for _, i := range stale {
+		if inc.casts[i] == nil {
+			uncast = append(uncast, i)
 		}
 	}
-	freshContribs := make([]Contribution, len(fresh))
+	fresh := slices.Concat(stale, indexRange(len(inc.views), len(views)))
 	sp = inc.trace.Span("map.cast")
-	if err := castViews(freshContribs, fresh, obstacles, resolved); err != nil {
-		sp.End()
-		return nil, err
+	// A restored view's counts came from the restored basis, so that is
+	// what its cast must be taken against to subtract it.
+	for k, c := range castViews(pick(views, uncast), inc.layout, inc.occ, resolved.RayStep) {
+		inc.casts[uncast[k]] = c
 	}
+	casts := castViews(pick(views, fresh), inc.layout, occ, resolved.RayStep)
 	sp.End()
-	for k, i := range freshIdx {
-		contribs[i] = freshContribs[k]
-	}
 
 	sp = inc.trace.Span("map.merge")
-	vis, aspects := mergeContributions(contribs, inc.layout)
+	for _, i := range stale {
+		addCast(inc.cells, inc.layout, views[i], inc.casts[i], -1)
+	}
+	inc.counts.Restored += len(uncast)
+	inc.counts.Stale += len(stale)
+	inc.counts.New += len(views) - len(inc.views)
+	inc.views = append(inc.views, views[len(inc.views):]...)
+	inc.casts = append(inc.casts, make([][]int32, len(views)-len(inc.casts))...)
+	for k, i := range fresh {
+		inc.casts[i] = casts[k]
+		addCast(inc.cells, inc.layout, views[i], casts[k], 1)
+	}
+	vis, aspects := countMaps(inc.cells, inc.layout)
 	coverage, err := obstacles.Union(vis)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("mapping: coverage union: %w", err)
 	}
-
-	// Clone the basis: callers may decorate the returned obstacles map
-	// (e.g. entrance barriers) without poisoning the cache.
-	inc.views = append(inc.views[:0:0], views...)
-	inc.contribs = contribs
-	inc.obstacles = obstacles.Clone()
+	inc.occ = occ
 	inc.rayStep = resolved.RayStep
 	return &Maps{Obstacles: obstacles, Visibility: vis, Aspects: aspects, Coverage: coverage}, nil
 }
 
-// CachedViews reports how many per-view casts the builder currently holds;
-// exposed for tests and instrumentation.
+// indexRange returns the integers lo..hi-1.
+func indexRange(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// pick returns views[i] for each i in idx.
+func pick(views []View, idx []int) []View {
+	out := make([]View, len(idx))
+	for k, i := range idx {
+		out[k] = views[i]
+	}
+	return out
+}
+
+// CachedViews reports how many views the builder holds merged; exposed for
+// tests and instrumentation.
 func (inc *Incremental) CachedViews() int { return len(inc.views) }
 
-// occupancyFlips returns the cells whose occupancy (value > 0) differs
-// between two same-layout maps.
-func occupancyFlips(prev, cur *grid.Map) []grid.Cell {
+// Casts returns how many views the builder has cast, by cause.
+func (inc *Incremental) Casts() CastCounts { return inc.counts }
+
+// occupancyFlips returns the cells whose occupancy differs between two
+// occupancy slices of the layout.
+func occupancyFlips(prev, cur []bool, layout *grid.Map) []grid.Cell {
 	var out []grid.Cell
-	prev.Each(func(c grid.Cell, v int) {
-		if (v > 0) != (cur.At(c) > 0) {
-			out = append(out, c)
+	w := layout.Width()
+	for i := range prev {
+		if prev[i] != cur[i] {
+			out = append(out, grid.Cell{I: i % w, J: i / w})
 		}
-	})
+	}
 	return out
 }
 

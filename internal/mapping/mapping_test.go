@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"snaptask/internal/camera"
@@ -578,7 +579,8 @@ func TestConfigExplicitZeroHeightBand(t *testing.T) {
 
 // castViewRef is the map-based reference cast CastView replaced: every
 // in-bounds cell a ray reaches (obstacle cells included, rays stop there)
-// hashed into a set, then emitted with its viewing-quadrant mask.
+// hashed into a set, then emitted with its viewing-quadrant mask binned by
+// angle.
 func castViewRef(v View, obstacles *grid.Map, step float64) map[int32]uint8 {
 	covered := make(map[grid.Cell]bool)
 	own := obstacles.CellOf(v.Pose.Pos)
@@ -602,7 +604,7 @@ func castViewRef(v View, obstacles *grid.Map, step float64) map[int32]uint8 {
 	}
 	out := make(map[int32]uint8, len(covered))
 	for c := range covered {
-		m := uint8(quadrantBit(v.Pose.Pos, obstacles.CenterOf(c)))
+		m := uint8(quadrantAngle(obstacles.CenterOf(c).Sub(v.Pose.Pos)))
 		if hasOwn && c == own {
 			m = 0xF
 		}
@@ -642,17 +644,18 @@ func TestCastViewMatchesMapReference(t *testing.T) {
 	for vi, v := range views {
 		got := CastView(v, obstacles, step)
 		want := castViewRef(v, obstacles, step)
-		if len(got.Idx) != len(got.Mask) || len(got.Idx) != len(want) {
-			t.Fatalf("view %d: %d cells / %d masks, want %d cells", vi, len(got.Idx), len(got.Mask), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("view %d: %d cells, want %d", vi, len(got), len(want))
 		}
-		seen := make(map[int32]bool, len(got.Idx))
-		for k, idx := range got.Idx {
+		own := ownCell(v, obstacles)
+		seen := make(map[int32]bool, len(got))
+		for _, idx := range got {
 			if seen[idx] {
 				t.Fatalf("view %d: cell %d emitted twice", vi, idx)
 			}
 			seen[idx] = true
-			if m, ok := want[idx]; !ok || m != got.Mask[k] {
-				t.Fatalf("view %d: cell %d mask %x, reference %x (present %v)", vi, idx, got.Mask[k], m, ok)
+			if m, ok := want[idx]; !ok || int(m) != castMask(v, obstacles, own, idx) {
+				t.Fatalf("view %d: cell %d mask %x, reference %x (present %v)", vi, idx, castMask(v, obstacles, own, idx), m, ok)
 			}
 		}
 		again := CastView(v, obstacles, step)
@@ -662,13 +665,145 @@ func TestCastViewMatchesMapReference(t *testing.T) {
 	}
 	// The pooled path (one reused scratch per worker) agrees with
 	// independent casts, slice for slice.
-	contribs := make([]Contribution, len(views))
-	if err := castViews(contribs, views, obstacles, Config{RayStep: step}); err != nil {
-		t.Fatal(err)
-	}
+	casts := castViews(views, obstacles, obstacles.Occupancy(), step)
 	for vi, v := range views {
-		if !reflect.DeepEqual(contribs[vi], CastView(v, obstacles, step)) {
+		if !reflect.DeepEqual(casts[vi], CastView(v, obstacles, step)) {
 			t.Fatalf("view %d: pooled cast differs from a fresh cast", vi)
 		}
+	}
+}
+
+// TestQuadrantBitMatchesAngle checks the comparison-based quadrant against
+// the atan2 binning where they could part: cells exactly on a diagonal,
+// one ulp to either side of it, on the axes, and at random.
+func TestQuadrantBitMatchesAngle(t *testing.T) {
+	check := func(cam, cell geom.Vec2) {
+		t.Helper()
+		if got, want := quadrantBit(cam, cell), quadrantAngle(cell.Sub(cam)); got != want {
+			t.Fatalf("quadrantBit(%v -> %v) = %b, atan2 bins %b", cam, cell, got, want)
+		}
+	}
+	cams := []geom.Vec2{geom.V2(0, 0), geom.V2(3.3, -1.7), geom.V2(-0.075, 12.525)}
+	for _, cam := range cams {
+		for _, r := range []float64{1e-5, 0.15, 0.7, 3, 8.95} {
+			for _, sx := range []float64{1, -1} {
+				for _, sy := range []float64{1, -1} {
+					x := sx * r
+					for _, y := range []float64{sy * r, math.Nextafter(sy*r, math.Inf(1)), math.Nextafter(sy*r, math.Inf(-1))} {
+						check(cam, cam.Add(geom.V2(x, y)))
+						check(cam, cam.Add(geom.V2(y, x)))
+					}
+				}
+			}
+			for _, d := range []geom.Vec2{geom.V2(r, 0), geom.V2(-r, 0), geom.V2(0, r), geom.V2(0, -r)} {
+				check(cam, cam.Add(d))
+			}
+		}
+		check(cam, cam)
+	}
+	// Cell centres seen from a camera on a diagonal through them.
+	layout := layout10(t)
+	for j := 0; j < layout.Height(); j += 3 {
+		for i := 0; i < layout.Width(); i += 3 {
+			c := layout.CenterOf(grid.Cell{I: i, J: j})
+			for _, cam := range []geom.Vec2{geom.V2(0.075, 0.075), geom.V2(5.025, 5.025), geom.V2(10.425, 0.075)} {
+				check(cam, c)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 10000; k++ {
+		check(geom.V2(rng.Float64()*10, rng.Float64()*10), geom.V2(rng.Float64()*10, rng.Float64()*10))
+	}
+}
+
+// TestIncrementalRestore writes a builder's merged state, restores it into
+// a fresh builder and checks that the restored builder casts nothing until
+// an occupancy flip, then casts each stale restored view once against the
+// restored basis and stays equal to a full build.
+func TestIncrementalRestore(t *testing.T) {
+	layout := layout10(t)
+	rng := rand.New(rand.NewSource(13))
+	var views []View
+	for v := 0; v < 12; v++ {
+		views = append(views, View{
+			Pose:       camera.Pose{Pos: geom.V2(1+rng.Float64()*8, 1+rng.Float64()*3), Yaw: rng.Float64() * 2 * math.Pi},
+			Intrinsics: camera.DefaultIntrinsics(),
+		})
+	}
+	live, err := NewIncremental(layout, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud := wallCloud(6)
+	if _, err := live.Update(cloud, views); err != nil {
+		t.Fatal(err)
+	}
+	if !live.Holds(len(views)) {
+		t.Fatal("builder does not hold the views it built")
+	}
+	state := live.AppendState(nil)
+
+	restored, err := NewIncremental(layout, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(views, state); err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Update(cloud, views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build(cloud, views, layout, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapsEqual(got, want) {
+		t.Fatal("restored maps differ from a full build")
+	}
+	if c := restored.Casts(); c != (CastCounts{}) {
+		t.Fatalf("restore cast %+v; want nothing", c)
+	}
+	if !reflect.DeepEqual(restored.AppendState(nil), state) {
+		t.Fatal("restored state does not write back identically")
+	}
+
+	// A pillar appearing among the views makes some of them stale.
+	grown := wallCloud(6)
+	id := uint64(1 << 20)
+	for k := 0; k < 8; k++ {
+		id++
+		grown.Add(pointcloud.Point{Pos: geom.V3(5.02, 3.52, 0.3+0.2*float64(k)), FeatureID: id, Views: 3})
+	}
+	views = append(views, View{Pose: camera.Pose{Pos: geom.V2(2, 2), Yaw: 0.4}, Intrinsics: camera.DefaultIntrinsics()})
+	for _, b := range []*Incremental{restored, live} {
+		if got, err = b.Update(grown, views); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err = Build(grown, views, layout, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if !mapsEqual(got, want) {
+		t.Fatal("restored builder diverged from a full build after an occupancy flip")
+	}
+	c := restored.Casts()
+	if c.Stale == 0 || c.Restored != c.Stale || c.New != 1 {
+		t.Fatalf("casts after the flip %+v; want every stale view restored-cast once and one new view", c)
+	}
+	if !reflect.DeepEqual(restored.AppendState(nil), live.AppendState(nil)) {
+		t.Fatal("restored and live builders hold different state")
+	}
+
+	if err := restored.Restore(views, state[:len(state)-1]); err == nil {
+		t.Error("truncated state accepted")
+	}
+	other, _ := NewIncremental(layout, Config{})
+	if err := other.Restore(views[:12], state); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Update(grown, views[:12]); err == nil || !strings.Contains(err.Error(), "occupancy") {
+		t.Errorf("restore against other obstacles: err = %v, want an occupancy mismatch", err)
 	}
 }

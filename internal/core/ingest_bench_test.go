@@ -145,7 +145,8 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 // BenchmarkLoadSystem measures restoring a campaign model on a ~1500-view
-// library model at the server's default 12 m margin: snapshot decode, kNN
+// library model at the server's default 12 m margin: snapshot decode
+// (views, points and only the few tracks of untriangulated features), kNN
 // index rebuild around the adopted SOR distances, the obstacle map and its
 // occupancy check, and adopting the stored visibility counts (no view is
 // cast).

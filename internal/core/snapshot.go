@@ -32,7 +32,7 @@ import (
 // its uint64 length.
 const (
 	snapshotMagic   = "SNAPTASK"
-	snapshotVersion = 3
+	snapshotVersion = 4
 	snapshotHeader  = len(snapshotMagic) + 4
 )
 

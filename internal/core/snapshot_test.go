@@ -234,10 +234,11 @@ func TestLoadSystemValidation(t *testing.T) {
 		world *camera.World
 		want  string
 	}{
-		{"empty", nil, world(1), "not a v3 snapshot"},
-		{"pre-change gob file", v1, world(1), "not a v3 snapshot"},
-		{"version 2 file", version(2), world(1), "not a v3 snapshot (version 2)"},
-		{"future version", version(4), world(1), "not a v3 snapshot (version 4)"},
+		{"empty", nil, world(1), "not a v4 snapshot"},
+		{"pre-change gob file", v1, world(1), "not a v4 snapshot"},
+		{"version 2 file", version(2), world(1), "not a v4 snapshot (version 2)"},
+		{"version 3 file", version(3), world(1), "not a v4 snapshot (version 3)"},
+		{"future version", version(5), world(1), "not a v4 snapshot (version 5)"},
 		{"torn to header", snap[:snapshotHeader], world(1), "truncated"},
 		{"torn mid-file", snap[:len(snap)/2], world(1), "checksum"},
 		{"torn trailer", snap[:len(snap)-1], world(1), "checksum"},

@@ -159,7 +159,7 @@ func (s *IncrementalSOR) Adopt(c *Cloud, split int, mean, kth []float64) error {
 		}
 	}
 	s.Reset()
-	s.idx = &knnIndex{cellSize: s.opts.CellSize, cells: make(map[uint64][]int, n/2+1)}
+	s.idx = &knnIndex{cellSize: s.opts.CellSize, cells: make(map[uint64][]int, n/2+1), pts: make([]Point, 0, n)}
 	s.extA = make([]int, split)
 	s.extB = make([]int, n-split)
 	for j := range n {

@@ -137,7 +137,11 @@ type Model struct {
 
 	featPos map[uint64]featureInfo
 	views   []View
-	// tracks maps feature ID → indices of views observing it.
+	// tracks maps a feature that has not triangulated to the indices of the
+	// views observing it. A feature's list is dropped when it triangulates:
+	// from then on its point's Views carries the count, the only thing
+	// later steps read. (A bundle-adjustment step, which this simulation
+	// does not run, would need the lists back.)
 	tracks map[uint64][]int
 	// pts holds triangulated points in insertion order (the deterministic
 	// cloud order); ptIdx maps a feature ID to its index in pts.
@@ -146,10 +150,10 @@ type Model struct {
 	// outliers are spurious points not tied to any feature.
 	outliers []pointcloud.Point
 
-	// touched collects the feature IDs whose track gained an observation
-	// in the current batch — the only tracks whose triangulation state can
-	// have changed, so triangulate visits just these instead of re-sorting
-	// every track ID the model has ever seen.
+	// touched collects the untriangulated feature IDs whose track gained an
+	// observation in the current batch — the only tracks whose
+	// triangulation state can have changed, so triangulate visits just
+	// these instead of re-sorting every track ID the model has ever seen.
 	touched map[uint64]struct{}
 
 	// cloudMarkPts/cloudMarkOut record how much of pts/outliers has been
@@ -357,11 +361,11 @@ func (m *Model) RegisterBatch(photos []camera.Photo, rng *rand.Rand) (BatchResul
 // the pending candidates until no photo registers. Instead of rescanning
 // every candidate's matches against m.tracks on every sweep, it maintains
 // per-candidate shared-match counts and an inverted feature→candidate
-// index: when a registration activates a track (its view list flips from
-// empty to non-empty), only the candidates observing that feature have
-// their counts bumped. Candidates are always visited in batch order, so
-// registration order — and with it view indices and rng draws — is
-// identical to the full rescan.
+// index: when a registration activates a feature (its first observation),
+// only the candidates observing that feature have their counts bumped.
+// Candidates are always visited in batch order, so registration order —
+// and with it view indices and rng draws — is identical to the full
+// rescan.
 func (m *Model) registerSweep(pending []cand, res *BatchResult, rng *rand.Rand) {
 	if len(pending) == 0 {
 		return
@@ -380,7 +384,7 @@ func (m *Model) registerSweep(pending []cand, res *BatchResult, rng *rand.Rand) 
 	shared := make([]int, len(pending))
 	for ci, c := range pending {
 		for _, id := range c.obs {
-			if len(m.tracks[id]) > 0 {
+			if m.observed(id) {
 				shared[ci]++
 			}
 		}
@@ -393,11 +397,11 @@ func (m *Model) registerSweep(pending []cand, res *BatchResult, rng *rand.Rand) 
 			if done[ci] || shared[ci] < m.cfg.MinSharedForReg {
 				continue
 			}
-			// Tracks this registration flips empty→non-empty, deduped
-			// (an id observed twice still activates once).
+			// Features this registration observes for the first time,
+			// deduped (an id observed twice still activates once).
 			activated = activated[:0]
 			for _, id := range c.obs {
-				if len(m.tracks[id]) == 0 && !slices.Contains(activated, id) {
+				if !m.observed(id) && !slices.Contains(activated, id) {
 					activated = append(activated, id)
 				}
 			}
@@ -422,6 +426,15 @@ func (m *Model) registerSweep(pending []cand, res *BatchResult, rng *rand.Rand) 
 			res.Unregistered = append(res.Unregistered, c.photo.ID)
 		}
 	}
+}
+
+// observed reports whether a registered view observes feature id: it has
+// triangulated, or its pending track is non-empty.
+func (m *Model) observed(id uint64) bool {
+	if _, ok := m.ptIdx[id]; ok {
+		return true
+	}
+	return len(m.tracks[id]) > 0
 }
 
 // cand is a sharp photo awaiting registration, with the feature matches
@@ -476,7 +489,9 @@ func (m *Model) findSeedPair(pending []cand) (int, int, bool) {
 	return 0, 0, false
 }
 
-// register adds a photo as a view with pose noise and updates tracks. The
+// register adds a photo as a view with pose noise and records its
+// observations: a triangulated feature's point gains a view, any other
+// feature's track gains the view index and is touched. The
 // noise is a deterministic function of the true pose: re-registering a
 // photo taken from the same spot yields the same estimate, as a real
 // pipeline's systematic (scene-driven) pose error does — independent noise
@@ -494,6 +509,10 @@ func (m *Model) register(c cand, rng *rand.Rand) {
 		NumObs:     len(c.obs),
 	})
 	for _, id := range c.obs {
+		if i, ok := m.ptIdx[id]; ok {
+			m.pts[i].Views++
+			continue
+		}
 		m.tracks[id] = append(m.tracks[id], viewIdx)
 		m.touched[id] = struct{}{}
 	}
@@ -508,13 +527,14 @@ func (m *Model) register(c cand, rng *rand.Rand) {
 	}
 }
 
-// triangulate promotes every sufficiently-observed feature to a 3D point.
-// Only tracks touched by the current batch are visited — a track's view
-// list, and with it its triangulation state, can only change when one of
-// the batch's photos observed the feature. Candidates are visited in
-// feature-ID order: the untouched tracks a full scan would interleave
-// contribute no rng draws, so the noise sequence (and the point insertion
-// order) is identical to sorting every track ID the model holds.
+// triangulate promotes every sufficiently-observed feature to a 3D point
+// and drops its track. Only tracks touched by the current batch are
+// visited — a track's view list, and with it its triangulation state, can
+// only change when one of the batch's photos observed the feature.
+// Candidates are visited in feature-ID order: the untouched tracks a full
+// scan would interleave contribute no rng draws, so the noise sequence
+// (and the point insertion order) is identical to sorting every track ID
+// the model holds.
 func (m *Model) triangulate(rng *rand.Rand) {
 	if len(m.touched) == 0 {
 		return
@@ -528,15 +548,7 @@ func (m *Model) triangulate(rng *rand.Rand) {
 	sigma := nonneg(m.cfg.PointNoiseSigma)
 	for _, id := range ids {
 		viewIdxs := m.tracks[id]
-		if len(viewIdxs) < m.cfg.MinViewsForPoint {
-			continue
-		}
-		if i, done := m.ptIdx[id]; done {
-			// Already triangulated; update the view count.
-			m.pts[i].Views = len(viewIdxs)
-			continue
-		}
-		if !m.baselineOK(viewIdxs) {
+		if len(viewIdxs) < m.cfg.MinViewsForPoint || !m.baselineOK(viewIdxs) {
 			continue
 		}
 		info := m.featPos[id]
@@ -552,6 +564,7 @@ func (m *Model) triangulate(rng *rand.Rand) {
 			Views:      len(viewIdxs),
 			Artificial: info.artificial,
 		})
+		delete(m.tracks, id)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // referenceSweep is the pre-index registration fixpoint (rescan every
-// pending candidate's matches against m.tracks on every pass), kept as the
+// pending candidate's matches against the model on every pass), kept as the
 // behavioural reference for registerSweep.
 func referenceSweep(m *Model, pending []cand, res *BatchResult, rng *rand.Rand) {
 	for {
@@ -22,7 +22,7 @@ func referenceSweep(m *Model, pending []cand, res *BatchResult, rng *rand.Rand) 
 		for _, c := range pending {
 			shared := 0
 			for _, id := range c.obs {
-				if len(m.tracks[id]) > 0 {
+				if m.observed(id) {
 					shared++
 				}
 			}

@@ -416,3 +416,88 @@ func TestRegisterSamePoseSameEstimate(t *testing.T) {
 		}
 	}
 }
+
+// TestPointViewsMatchObservationReplay grows a model over batches that
+// re-upload earlier photos and repeat observations, and after every batch
+// checks the track bookkeeping against a replay of the registered
+// observations: no triangulated feature keeps a track, a pending track
+// lists one view per observation, and each point's Views equals its
+// feature's observation count.
+func TestPointViewsMatchObservationReplay(t *testing.T) {
+	w, feats := testScene(t)
+	known := make(map[uint64]bool, len(feats))
+	for _, f := range feats {
+		known[f.ID] = true
+	}
+	m := NewModel(Config{MatchDropProb: -1}, feats)
+	rng := rand.New(rand.NewSource(9))
+	count := make(map[uint64]int) // feature ID → registered observations
+	var uploaded []camera.Photo
+	nextID, pending := 0, 0
+	for batch := 0; batch < 6; batch++ {
+		var photos []camera.Photo
+		for k := 0; k < 4; k++ {
+			p := capture(t, w, 2+float64(batch)*0.9+float64(k)*0.35, rng)
+			if k == 1 && len(p.Obs) > 0 {
+				p.Obs = append(p.Obs, p.Obs[0]) // a repeated observation
+			}
+			photos = append(photos, p)
+		}
+		if batch > 0 {
+			photos = append(photos, uploaded[rng.Intn(len(uploaded))]) // a re-upload
+		}
+		for i := range photos {
+			nextID++
+			photos[i].ID = nextID
+		}
+		res, err := m.RegisterBatch(photos, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		registered := make(map[int]bool, len(res.Registered))
+		for _, id := range res.Registered {
+			registered[id] = true
+		}
+		for _, p := range photos {
+			if !registered[p.ID] {
+				continue
+			}
+			uploaded = append(uploaded, p)
+			for _, o := range p.Obs {
+				if known[o.FeatureID] {
+					count[o.FeatureID]++
+				}
+			}
+		}
+
+		pending += len(m.tracks)
+		for id, vs := range m.tracks {
+			if _, ok := m.ptIdx[id]; ok {
+				t.Fatalf("batch %d: triangulated feature %d keeps a track", batch, id)
+			}
+			if len(vs) != count[id] {
+				t.Fatalf("batch %d: feature %d track lists %d views, replay counts %d", batch, id, len(vs), count[id])
+			}
+		}
+		for _, p := range m.pts {
+			if p.Views != count[p.FeatureID] {
+				t.Fatalf("batch %d: point %d has %d views, replay counts %d", batch, p.FeatureID, p.Views, count[p.FeatureID])
+			}
+		}
+		for id := range count {
+			if !m.observed(id) {
+				t.Fatalf("batch %d: observed feature %d neither triangulated nor tracked", batch, id)
+			}
+		}
+	}
+	regrown := 0
+	for _, p := range m.pts {
+		if p.Views > m.cfg.MinViewsForPoint {
+			regrown++
+		}
+	}
+	if len(m.pts) == 0 || regrown == 0 || pending == 0 {
+		t.Fatalf("replay too small: %d points (%d regrown), no batch left a pending track: %v",
+			len(m.pts), regrown, pending == 0)
+	}
+}

@@ -24,9 +24,9 @@ import (
 //	views            count, then one column per viewCols field
 //	points           count, then one column per pointCols field
 //	outliers         as points
-//	tracks           count, then per track in ascending feature-ID order:
-//	                 uvarint ID delta, uvarint length, uvarint view-index
-//	                 deltas
+//	tracks           count, then per untriangulated track in ascending
+//	                 feature-ID order: uvarint ID delta, uvarint length,
+//	                 uvarint view-index deltas
 //	artificial feats count, then one column per featureCols field
 var (
 	viewCols = binenc.Columns[View]{
@@ -116,7 +116,9 @@ func (m *Model) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 // fresh from NewModel over the world the encoded model was built in. m
 // keeps its natural feature oracle, which must match the stored
 // fingerprint; views, points, tracks and artificial features come from
-// data. Nothing in m changes unless the whole encoding decodes.
+// data. A track of a triangulated feature is refused: the model drops
+// those, so accepting one would admit a second encoding of the same
+// state. Nothing in m changes unless the whole encoding decodes.
 func (m *Model) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	var c Config
@@ -139,7 +141,11 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	views := viewCols.Read(r)
 	pts := pointCols.Read(r)
 	outliers := pointCols.Read(r)
-	tracks := readTracks(r, len(views))
+	ptIdx := make(map[uint64]int, len(pts))
+	for i, p := range pts {
+		ptIdx[p.FeatureID] = i
+	}
+	tracks := readTracks(r, len(views), ptIdx)
 	artificial := featureCols.Read(r)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("sfm: decode model: %w", err)
@@ -154,10 +160,7 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	m.pts = pts
 	m.outliers = outliers
 	m.tracks = tracks
-	m.ptIdx = make(map[uint64]int, len(pts))
-	for i, p := range pts {
-		m.ptIdx[p.FeatureID] = i
-	}
+	m.ptIdx = ptIdx
 	clear(m.touched)
 	m.cloudMarkPts, m.cloudMarkOut = 0, 0
 	for id, f := range m.featPos {
@@ -171,11 +174,9 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// readTracks decodes the track section. Every view list gets its own
-// array: lists carved from one shared array would keep all of it alive once
-// appends had moved most of them, an extra copy of every track for the
-// life of a restored campaign.
-func readTracks(r *binenc.Reader, nViews int) map[uint64][]int {
+// readTracks decodes the track section, refusing a track whose feature
+// has a point in ptIdx.
+func readTracks(r *binenc.Reader, nViews int, ptIdx map[uint64]int) map[uint64][]int {
 	// An encoded track takes at least two bytes, a view reference one.
 	n := r.Count(2)
 	if r.Err() != nil {
@@ -191,6 +192,10 @@ func readTracks(r *binenc.Reader, nViews int) map[uint64][]int {
 		id += delta
 		l := r.Uvarint()
 		if r.Err() != nil {
+			return nil
+		}
+		if _, ok := ptIdx[id]; ok {
+			r.Fail(fmt.Errorf("sfm: track of triangulated feature %d", id))
 			return nil
 		}
 		if l > uint64(r.Remaining()) {

@@ -3,8 +3,10 @@ package sfm
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"snaptask/internal/camera"
@@ -77,8 +79,8 @@ func TestModelBinaryRoundTrip(t *testing.T) {
 }
 
 // TestUnmarshalBinaryRejects covers a different world, every truncation,
-// an out-of-range view reference and an oversized count: each is an error,
-// and m is left untouched.
+// an out-of-range view reference, an oversized count and a track of a
+// triangulated point: each is an error, and m is left untouched.
 func TestUnmarshalBinaryRejects(t *testing.T) {
 	m, feats := grownModel(t)
 	data := mustMarshal(t, m)
@@ -117,5 +119,16 @@ func TestUnmarshalBinaryRejects(t *testing.T) {
 	short.cfg, short.views, short.tracks = m.cfg, m.views[:len(m.views)-1], m.tracks
 	if err := NewModel(Config{}, feats).UnmarshalBinary(mustMarshal(t, short)); err == nil {
 		t.Error("track referencing a missing view accepted")
+	}
+
+	// A triangulated feature keeps no track, so a file holding one is not
+	// an encoding the model writes.
+	dup := NewModel(Config{}, feats)
+	dup.cfg, dup.views, dup.pts = m.cfg, m.views, m.pts
+	dup.tracks = maps.Clone(m.tracks)
+	dup.tracks[m.pts[0].FeatureID] = []int{0, 1, 2}
+	err := NewModel(Config{}, feats).UnmarshalBinary(mustMarshal(t, dup))
+	if err == nil || !strings.Contains(err.Error(), "track of triangulated feature") {
+		t.Errorf("track of a triangulated point: err = %v", err)
 	}
 }

@@ -229,7 +229,7 @@ const mullionFeatures = 6
 // venue and seed always produce the identical feature set; feature IDs
 // start at 1 and are dense.
 func (v *Venue) GenerateFeatures(rng *rand.Rand) []Feature {
-	var out []Feature
+	out := make([]Feature, 0, v.expectedFeatures())
 	var id uint64
 	for _, s := range v.surfaces {
 		area := s.Seg.Len() * s.Top
@@ -289,6 +289,25 @@ func (v *Venue) GenerateFeatures(rng *rand.Rand) []Feature {
 		}
 	}
 	return out
+}
+
+// expectedFeatures sizes GenerateFeatures' output from the venue alone,
+// without drawing from its rng: the mean feature count plus four standard
+// deviations of the Poisson draws, so the slice almost never regrows.
+func (v *Venue) expectedFeatures() int {
+	mean := 0.0
+	for _, s := range v.surfaces {
+		mean += s.Seg.Len() * s.Top * s.Material.FeatureDensity()
+		if s.Material == Glass {
+			mean += (s.Seg.Len()/MullionSpacing + 1) * mullionFeatures
+		}
+	}
+	for _, o := range v.obstacles {
+		if o.TopClutter > 0 {
+			mean += o.Poly.Area() * o.TopClutter
+		}
+	}
+	return int(mean + 4*math.Sqrt(mean) + 1)
 }
 
 // poissonRound samples a Poisson-distributed count with the given mean,

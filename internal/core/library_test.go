@@ -70,8 +70,9 @@ func TestLibraryIntegration(t *testing.T) {
 		t.Errorf("outer bounds after 40 tasks = %.1f%%", bounds)
 	}
 
-	// The brick walls must reconstruct as solid lines (the octree/layout
-	// alignment regression: pinholes here would leak the flood fill).
+	// The brick walls must reconstruct as solid lines (obstacle points are
+	// counted in the layout cell they fall in; pinholes here would leak the
+	// flood fill).
 	ob := sys.Maps().Obstacles
 	holes := 0
 	for _, s := range v.OuterSurfaces() {

@@ -37,6 +37,7 @@ type Log struct {
 	ckptSeq      uint64          // seq covered by the newest checkpoint
 	ckptDispatch json.RawMessage // dispatcher state carried by that checkpoint
 	lastCkptT    time.Time
+	ckptFailed   bool // the latest checkpoint write failed
 }
 
 // CheckpointPolicy says when a new checkpoint is due. Zero fields disable
@@ -60,9 +61,7 @@ func OpenDir(dir string, m *telemetry.EventMetrics, opts DirStoreOptions, policy
 	if err != nil {
 		return nil, err
 	}
-	l := OpenStore(ds, m)
-	l.policy = policy
-	l.lastCkptT = l.now()
+	l := OpenStore(ds, m, policy)
 	if c, ok := ds.Checkpoint(); ok {
 		l.ckptSeq = c.Seq
 		l.ckptDispatch = c.Dispatch
@@ -74,11 +73,14 @@ func OpenDir(dir string, m *telemetry.EventMetrics, opts DirStoreOptions, policy
 }
 
 // OpenStore returns a hub over an already-open store, numbering new events
-// after its newest stored one. metrics may be nil.
-func OpenStore(st Store, m *telemetry.EventMetrics) *Log {
+// after its newest stored one and checkpointing under policy. metrics may
+// be nil.
+func OpenStore(st Store, m *telemetry.EventMetrics, policy CheckpointPolicy) *Log {
 	l := NewLog(m)
 	l.store = st
 	l.seq = st.LastSeq()
+	l.policy = policy
+	l.lastCkptT = l.now()
 	return l
 }
 
@@ -202,7 +204,8 @@ func (l *Log) CheckpointDue() bool {
 // The tail is fsynced first, so the checkpoint never covers events that
 // could be lost, and the write is atomic (temp file, fsync, rename).
 // A no-op when nothing was folded since the last checkpoint, or without a
-// store.
+// store. A failure is counted in snaptask_events_checkpoint_failures_total
+// and reported by CheckpointFailing until a later write succeeds.
 func (l *Log) WriteCheckpoint(dispatch json.RawMessage) error {
 	if l == nil || l.store == nil {
 		return nil
@@ -212,6 +215,15 @@ func (l *Log) WriteCheckpoint(dispatch json.RawMessage) error {
 	if l.seq == l.ckptSeq {
 		return nil
 	}
+	err := l.writeCheckpointLocked(dispatch)
+	l.ckptFailed = err != nil
+	if err != nil {
+		l.m.CheckpointFailures.Inc()
+	}
+	return err
+}
+
+func (l *Log) writeCheckpointLocked(dispatch json.RawMessage) error {
 	if err := l.store.Sync(); err != nil {
 		return err
 	}
@@ -232,6 +244,16 @@ func (l *Log) WriteCheckpoint(dispatch json.RawMessage) error {
 	l.ckptDispatch = dispatch
 	l.lastCkptT = c.T
 	return nil
+}
+
+// CheckpointFailing reports whether the latest checkpoint write failed.
+func (l *Log) CheckpointFailing() bool {
+	if l == nil {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ckptFailed
 }
 
 // CheckpointSeq returns the sequence number covered by the newest

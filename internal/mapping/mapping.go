@@ -1,8 +1,9 @@
 // Package mapping implements SnapTask's Algorithms 2 and 3: converting an
-// SfM model into the 2D obstacles map (point cloud → OctoMap → up-axis merge
-// → threshold) and the visibility map (per-camera field-of-view ray casting
-// clipped by obstacles), plus the model-coverage union of Algorithm 1
-// line 5.
+// SfM model into the 2D obstacles map (point cloud → per-layout-cell count
+// of the points in the height band → threshold, the paper's OctoMap up-axis
+// merge with voxels anchored to the layout cells) and the visibility map
+// (per-camera field-of-view ray casting clipped by obstacles), plus the
+// model-coverage union of Algorithm 1 line 5.
 package mapping
 
 import (
@@ -16,21 +17,21 @@ import (
 	"snaptask/internal/camera"
 	"snaptask/internal/geom"
 	"snaptask/internal/grid"
-	"snaptask/internal/octomap"
 	"snaptask/internal/pointcloud"
 	"snaptask/internal/telemetry"
 )
 
 // Config tunes map construction. Zero fields take paper defaults.
 type Config struct {
-	// ObstacleThreshold is the minimum number of 3D points in a merged
-	// OctoMap column for the cell to count as an obstacle
-	// (OBSTACLE_THRESHOLD = 4 in the paper).
+	// ObstacleThreshold is the minimum number of 3D points in a layout
+	// cell's column (the paper's merged OctoMap column) for the cell to
+	// count as an obstacle (OBSTACLE_THRESHOLD = 4 in the paper).
 	ObstacleThreshold int
-	// MinZ and MaxZ bound the height band merged along the up axis;
-	// points outside (floor noise, ceiling) are ignored. When both are
-	// zero they default to 0.05–2.6 m; a negative value selects an
-	// explicit 0.0 bound (which the zero value cannot express).
+	// MinZ and MaxZ bound the height band counted along the up axis: a
+	// point counts when the centre of its height layer lies in the band,
+	// so floor noise and ceiling points are ignored. When both are zero
+	// they default to 0.05–2.6 m; a negative value selects an explicit
+	// 0.0 bound (which the zero value cannot express).
 	MinZ, MaxZ float64
 	// RayStep is the angular step of visibility ray casting in radians.
 	// Defaults to a step fine enough that adjacent rays are under one
@@ -157,10 +158,14 @@ func resolveRayStep(cfg Config, res float64, views []View) Config {
 	return cfg
 }
 
-// ObstaclesMap implements Algorithm 2 (calculateObstaclesMap): insert the
-// cloud into an OctoMap at the layout resolution, merge cells along the up
-// axis within the configured height band, and keep columns with at least
-// ObstacleThreshold points.
+// ObstaclesMap implements Algorithm 2 (calculateObstaclesMap) in one pass
+// over the cloud. The paper inserts the cloud into an OctoMap at the layout
+// resolution, merges voxels along the up axis within the height band and
+// keeps columns with at least ObstacleThreshold points. With the voxel grid
+// anchored to the layout, each column is one layout cell, so the merge is a
+// per-cell count: a point counts in layout.CellOf(x, y) when the centre of
+// its res-thick height layer, (floor(z/res)+0.5)·res, lies in [MinZ, MaxZ].
+// A point on a cell or layer edge belongs to the cell or layer above it.
 func ObstaclesMap(cloud *pointcloud.Cloud, layout *grid.Map, cfg Config) (*grid.Map, error) {
 	if layout == nil {
 		return nil, fmt.Errorf("mapping: nil layout")
@@ -170,36 +175,18 @@ func ObstaclesMap(cloud *pointcloud.Cloud, layout *grid.Map, cfg Config) (*grid.
 	if cloud == nil || cloud.Len() == 0 {
 		return out, nil
 	}
-
-	// Size the octree to cover the layout bounds plus slack for stray
-	// points, and align its voxel grid exactly with the layout cells so a
-	// merged column maps one-to-one onto a map cell (misalignment would
-	// alias two columns into one cell and leave pinholes in walls).
-	b := layout.Bounds()
-	side := math.Max(b.Width(), b.Height()) + 20
-	depth := 1
-	for layout.Res()*float64(int(1)<<depth) < side && depth < 21 {
-		depth++
-	}
-	size := layout.Res() * float64(int(1)<<depth)
-	center := layout.Origin().Add(geom.V2(size/2, size/2)).Lift(0)
-	tree, err := octomap.New(center, layout.Res(), depth)
-	if err != nil {
-		return nil, fmt.Errorf("mapping: octree: %w", err)
-	}
+	res := layout.Res()
 	cloud.Each(func(p pointcloud.Point) {
-		tree.Insert(p.Pos)
+		if z := (math.Floor(p.Pos.Z/res) + 0.5) * res; z < cfg.MinZ || z > cfg.MaxZ {
+			return
+		}
+		out.Add(out.CellOf(p.Pos.XY()), 1) // Add ignores cells off the layout
 	})
-
-	for _, col := range tree.MergeUp(cfg.MinZ, cfg.MaxZ) {
-		if col.Points < cfg.ObstacleThreshold {
-			continue
+	out.Each(func(c grid.Cell, n int) {
+		if n < cfg.ObstacleThreshold {
+			out.Set(c, 0)
 		}
-		cell := out.CellOf(tree.WorldXY(col.X, col.Y))
-		if out.InBounds(cell) {
-			out.Add(cell, col.Points)
-		}
-	}
+	})
 	return out, nil
 }
 

@@ -735,11 +735,11 @@ func (s *syncFailStore) Sync() error {
 	return s.Store.Sync()
 }
 
-// TestUploadFailsWhenJournalCommitFails pins that an upload whose events
-// never reached disk is not acknowledged: the commit error answers 500,
-// the model keeps the batch (and the read snapshot shows it), and uploads
-// succeed again once the store recovers.
-func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
+// journalServer starts a small-room server whose event log runs over the
+// store wrap builds around a fresh directory store, and uploads the
+// bootstrap capture.
+func journalServer(t *testing.T, wrap func(events.Store) events.Store, m *telemetry.EventMetrics, policy events.CheckpointPolicy) (*httptest.Server, *camera.World, *venue.Venue, *rand.Rand) {
+	t.Helper()
 	v, err := venue.SmallRoom()
 	if err != nil {
 		t.Fatal(err)
@@ -754,8 +754,7 @@ func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	store := &syncFailStore{Store: ds}
-	srv, err := New(sys, rand.New(rand.NewSource(2)), WithEvents(events.OpenStore(store, nil)))
+	srv, err := New(sys, rand.New(rand.NewSource(2)), WithEvents(events.OpenStore(wrap(ds), m, policy)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,11 +774,14 @@ func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/photos", req, &up); code != http.StatusOK {
 		t.Fatalf("bootstrap code %d", code)
 	}
-	var before StatusResponse
-	getJSON(t, ts.URL+"/v1/status", &before)
+	return ts, w, v, rng
+}
 
+// sweepUploader returns a function that claims a task for one registered
+// worker and uploads its sweep, returning the upload's status code.
+func sweepUploader(t *testing.T, ts *httptest.Server, w *camera.World, v *venue.Venue, rng *rand.Rand) func() int {
 	worker := registerWorker(t, ts.URL)
-	sweepUpload := func() int {
+	return func() int {
 		t.Helper()
 		claim, ok := claimTask(t, ts.URL, worker)
 		if !ok {
@@ -788,6 +790,21 @@ func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
 		var body map[string]any
 		return postJSON(t, ts.URL+"/v1/photos", sweepRequest(t, w, v, claim, rng), &body)
 	}
+}
+
+// TestUploadFailsWhenJournalCommitFails pins that an upload whose events
+// never reached disk is not acknowledged: the commit error answers 500,
+// the model keeps the batch (and the read snapshot shows it), and uploads
+// succeed again once the store recovers.
+func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
+	store := &syncFailStore{}
+	ts, w, v, rng := journalServer(t, func(st events.Store) events.Store {
+		store.Store = st
+		return store
+	}, nil, events.CheckpointPolicy{})
+	var before StatusResponse
+	getJSON(t, ts.URL+"/v1/status", &before)
+	sweepUpload := sweepUploader(t, ts, w, v, rng)
 
 	store.fail.Store(true)
 	if code := sweepUpload(); code != http.StatusInternalServerError {
@@ -803,5 +820,76 @@ func TestUploadFailsWhenJournalCommitFails(t *testing.T) {
 	store.fail.Store(false)
 	if code := sweepUpload(); code != http.StatusOK {
 		t.Fatalf("upload after the store recovered: code %d, want 200", code)
+	}
+}
+
+// checkpointFailStore is a store whose WriteCheckpoint fails while fail
+// is set, standing in for a full disk under the checkpoint file.
+type checkpointFailStore struct {
+	events.Store
+	fail atomic.Bool
+}
+
+func (s *checkpointFailStore) WriteCheckpoint(c events.Checkpoint) error {
+	if s.fail.Load() {
+		return fmt.Errorf("simulated checkpoint write failure")
+	}
+	return s.Store.WriteCheckpoint(c)
+}
+
+// TestFailedCheckpointFailsReadiness pins that a failed periodic
+// checkpoint is not silent: the upload that triggered it is still
+// acknowledged (its events are durable in the journal), the failure is
+// counted, and /readyz answers 503 until a later checkpoint succeeds.
+func TestFailedCheckpointFailsReadiness(t *testing.T) {
+	store := &checkpointFailStore{}
+	em := telemetry.NewEventMetrics(telemetry.NewRegistry())
+	ts, w, v, rng := journalServer(t, func(st events.Store) events.Store {
+		store.Store = st
+		return store
+	}, em, events.CheckpointPolicy{Every: 1})
+	readyz := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("readyz before any failure: code %d", code)
+	}
+	sweepUpload := sweepUploader(t, ts, w, v, rng)
+	written := em.Checkpoints.Value()
+	if written == 0 {
+		t.Fatal("no checkpoint written under Every: 1")
+	}
+
+	store.fail.Store(true)
+	if code := sweepUpload(); code != http.StatusOK {
+		t.Fatalf("upload with failing checkpoint: code %d, want 200", code)
+	}
+	failures := em.CheckpointFailures.Value()
+	if failures == 0 {
+		t.Fatal("failed checkpoint not counted")
+	}
+	if em.Checkpoints.Value() != written {
+		t.Errorf("checkpoints %d -> %d while every write failed", written, em.Checkpoints.Value())
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after a failed checkpoint: code %d, want 503", code)
+	}
+
+	store.fail.Store(false)
+	if code := sweepUpload(); code != http.StatusOK {
+		t.Fatalf("upload after the store recovered: code %d, want 200", code)
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("readyz after a successful checkpoint: code %d, want 200", code)
+	}
+	if em.Checkpoints.Value() == written || em.CheckpointFailures.Value() != failures {
+		t.Errorf("after recovery: checkpoints %d -> %d, failures %d -> %d",
+			written, em.Checkpoints.Value(), failures, em.CheckpointFailures.Value())
 	}
 }

@@ -588,12 +588,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe: ready once the first ReadSnapshot
 // has been published (the read endpoints would panic without one) and any
-// journal replay has completed (counters would read zero mid-fold).
+// journal replay has completed (counters would read zero mid-fold), and
+// not ready while the latest checkpoint write has failed (the journal can
+// no longer be compacted, and a full disk fails the next commit too).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.replaying.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = io.WriteString(w, "journal replay in progress\n")
+		return
+	}
+	if s.evlog.CheckpointFailing() {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, "latest checkpoint failed\n")
 		return
 	}
 	if s.snap.Load() == nil {
@@ -1035,9 +1042,11 @@ func (s *Server) checkpointLocked() error {
 }
 
 // maybeCheckpointLocked runs on the owner path after mutations: when the
-// log's checkpoint policy says one is due, write it. Failures are logged
-// and otherwise ignored — the journal tail is still durable, a failed
-// checkpoint only costs restart time, not correctness.
+// log's checkpoint policy says one is due, write it. A failure does not
+// fail the mutation — the journal tail is still durable, a failed
+// checkpoint only costs restart time, not correctness — but the log counts
+// it in snaptask_events_checkpoint_failures_total and /readyz answers 503
+// until a later checkpoint succeeds.
 func (s *Server) maybeCheckpointLocked() {
 	if s.evlog == nil || !s.evlog.CheckpointDue() {
 		return

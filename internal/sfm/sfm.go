@@ -21,6 +21,7 @@
 package sfm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -136,7 +137,14 @@ type Model struct {
 	cfg Config
 
 	featPos map[uint64]featureInfo
-	views   []View
+	// natN and natSum are the count and fingerprint (the wrapping sum of
+	// featureHash) of the natural features in featPos, and artificial
+	// lists its artificial features in ascending ID order.
+	// AddWorldFeatures keeps all three in step with featPos, so a
+	// snapshot write or restore scans no oracle entry.
+	natN, natSum uint64
+	artificial   []venue.Feature
+	views        []View
 	// tracks maps a feature that has not triangulated to the indices of the
 	// views observing it. A feature's list is dropped when it triangulates:
 	// from then on its point's Views carries the count, the only thing
@@ -192,11 +200,34 @@ func NewModel(cfg Config, features []venue.Feature) *Model {
 func (m *Model) Config() Config { return m.cfg }
 
 // AddWorldFeatures registers additional true feature positions (artificial
-// texture features injected by the annotation pipeline).
+// texture features injected by the annotation pipeline). A feature whose
+// ID the oracle already holds replaces the earlier one.
 func (m *Model) AddWorldFeatures(features []venue.Feature) {
 	for _, f := range features {
+		if old, ok := m.featPos[f.ID]; ok {
+			if old.artificial {
+				i := m.artificialIndex(f.ID)
+				m.artificial = slices.Delete(m.artificial, i, i+1)
+			} else {
+				m.natN--
+				m.natSum -= featureHash(f.ID, old.pos)
+			}
+		}
 		m.featPos[f.ID] = featureInfo{pos: f.Pos, artificial: f.Artificial}
+		if f.Artificial {
+			i := m.artificialIndex(f.ID)
+			m.artificial = slices.Insert(m.artificial, i, venue.Feature{ID: f.ID, Pos: f.Pos, Artificial: true})
+		} else {
+			m.natN++
+			m.natSum += featureHash(f.ID, f.Pos)
+		}
 	}
+}
+
+// artificialIndex returns where id is or would be in m.artificial.
+func (m *Model) artificialIndex(id uint64) int {
+	i, _ := slices.BinarySearchFunc(m.artificial, id, func(f venue.Feature, id uint64) int { return cmp.Compare(f.ID, id) })
+	return i
 }
 
 // SetTrace sets the stage-span sink for subsequent RegisterBatch calls —

@@ -1,7 +1,6 @@
 package sfm
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -78,9 +77,8 @@ func (m *Model) AppendBinary(b []byte) ([]byte, error) {
 		b = binenc.AppendF64(b, v)
 	}
 	b = binenc.AppendU64(b, uint64(m.nextPhotoID))
-	n, sum := m.naturalFingerprint()
-	b = binenc.AppendU64(b, n)
-	b = binenc.AppendU64(b, sum)
+	b = binenc.AppendU64(b, m.natN)
+	b = binenc.AppendU64(b, m.natSum)
 	b = viewCols.Append(b, m.views)
 	b = pointCols.Append(b, m.pts)
 	b = pointCols.Append(b, m.outliers)
@@ -106,7 +104,7 @@ func (m *Model) AppendBinary(b []byte) ([]byte, error) {
 			prev = v
 		}
 	}
-	return featureCols.Append(b, m.ArtificialFeatures()), nil
+	return featureCols.Append(b, m.artificial), nil
 }
 
 // MarshalBinary returns the model's encoding (see AppendBinary).
@@ -118,7 +116,9 @@ func (m *Model) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 // fingerprint; views, points, tracks and artificial features come from
 // data. A track of a triangulated feature is refused: the model drops
 // those, so accepting one would admit a second encoding of the same
-// state. Nothing in m changes unless the whole encoding decodes.
+// state. So are artificial features out of ascending ID order or with a
+// natural feature's ID. Nothing in m changes unless the whole encoding
+// decodes.
 func (m *Model) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	var c Config
@@ -134,9 +134,9 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("sfm: decode model: %w", err)
 	}
-	if n, sum := m.naturalFingerprint(); n != wantN || sum != wantSum {
+	if m.natN != wantN || m.natSum != wantSum {
 		return fmt.Errorf("sfm: world feature oracle (%d features, fingerprint %016x) differs from the snapshot's (%d, %016x): different venue or world seed",
-			n, sum, wantN, wantSum)
+			m.natN, m.natSum, wantN, wantSum)
 	}
 	views := viewCols.Read(r)
 	pts := pointCols.Read(r)
@@ -153,6 +153,14 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	if r.Remaining() != 0 {
 		return fmt.Errorf("sfm: decode model: %d trailing bytes", r.Remaining())
 	}
+	for i, f := range artificial {
+		if i > 0 && f.ID <= artificial[i-1].ID {
+			return fmt.Errorf("sfm: artificial feature IDs not ascending at %d", f.ID)
+		}
+		if info, ok := m.featPos[f.ID]; ok && !info.artificial {
+			return fmt.Errorf("sfm: artificial feature %d is a natural feature of the world", f.ID)
+		}
+	}
 
 	m.cfg = c.withDefaults()
 	m.nextPhotoID = nextPhotoID
@@ -163,14 +171,14 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	m.ptIdx = ptIdx
 	clear(m.touched)
 	m.cloudMarkPts, m.cloudMarkOut = 0, 0
-	for id, f := range m.featPos {
-		if f.artificial {
-			delete(m.featPos, id)
-		}
+	for _, f := range m.artificial {
+		delete(m.featPos, f.ID)
 	}
-	for _, f := range artificial {
-		m.featPos[f.ID] = featureInfo{pos: f.Pos, artificial: true}
+	m.artificial = m.artificial[:0]
+	for i := range artificial {
+		artificial[i].Artificial = true
 	}
+	m.AddWorldFeatures(artificial)
 	return nil
 }
 
@@ -220,31 +228,11 @@ func readTracks(r *binenc.Reader, nViews int, ptIdx map[uint64]int) map[uint64][
 
 // ArtificialFeatures returns the artificial (annotation-imprinted) features
 // of the model's oracle in ascending ID order.
-func (m *Model) ArtificialFeatures() []venue.Feature {
-	var out []venue.Feature
-	for id, f := range m.featPos {
-		if f.artificial {
-			out = append(out, venue.Feature{ID: id, Pos: f.pos, Artificial: true})
-		}
-	}
-	slices.SortFunc(out, func(a, b venue.Feature) int { return cmp.Compare(a.ID, b.ID) })
-	return out
-}
+func (m *Model) ArtificialFeatures() []venue.Feature { return slices.Clone(m.artificial) }
 
-// naturalFingerprint returns the count and an order-independent hash of
-// the natural (world-generated) features in the oracle: a wrapping sum of
-// one mixed hash per feature over its ID and position bits.
-func (m *Model) naturalFingerprint() (n, sum uint64) {
-	for id, f := range m.featPos {
-		if f.artificial {
-			continue
-		}
-		n++
-		sum += featureHash(id, f.pos)
-	}
-	return n, sum
-}
-
+// featureHash is one natural feature's term in the oracle fingerprint (a
+// wrapping sum over the natural features, so it does not depend on their
+// order): a mixed hash of the ID and position bits.
 func featureHash(id uint64, p geom.Vec3) uint64 {
 	h := id
 	for _, v := range [3]float64{p.X, p.Y, p.Z} {

@@ -2,10 +2,13 @@ package sfm
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,8 +82,9 @@ func TestModelBinaryRoundTrip(t *testing.T) {
 }
 
 // TestUnmarshalBinaryRejects covers a different world, every truncation,
-// an out-of-range view reference, an oversized count and a track of a
-// triangulated point: each is an error, and m is left untouched.
+// an out-of-range view reference, an oversized count, a track of a
+// triangulated point and non-canonical artificial features: each is an
+// error, and m is left untouched.
 func TestUnmarshalBinaryRejects(t *testing.T) {
 	m, feats := grownModel(t)
 	data := mustMarshal(t, m)
@@ -130,5 +134,92 @@ func TestUnmarshalBinaryRejects(t *testing.T) {
 	err := NewModel(Config{}, feats).UnmarshalBinary(mustMarshal(t, dup))
 	if err == nil || !strings.Contains(err.Error(), "track of triangulated feature") {
 		t.Errorf("track of a triangulated point: err = %v", err)
+	}
+
+	// Nor does the model write artificial features out of ID order, twice,
+	// or under a natural feature's ID.
+	for name, art := range map[string][]venue.Feature{
+		"not ascending": {m.artificial[1], m.artificial[0]},
+		"duplicated":    {m.artificial[0], m.artificial[0]},
+		"natural ID":    {{ID: feats[0].ID, Pos: feats[0].Pos}},
+	} {
+		odd := NewModel(Config{}, feats)
+		odd.cfg, odd.artificial = m.cfg, art
+		err := NewModel(Config{}, feats).UnmarshalBinary(mustMarshal(t, odd))
+		if err == nil || !strings.Contains(err.Error(), "artificial feature") {
+			t.Errorf("artificial features %s: err = %v", name, err)
+		}
+	}
+}
+
+// rescanOracle recomputes, from featPos alone, the natural-feature count
+// and fingerprint and the ID-sorted artificial list the model keeps.
+func rescanOracle(m *Model) (n, sum uint64, artificial []venue.Feature) {
+	for id, f := range m.featPos {
+		if f.artificial {
+			artificial = append(artificial, venue.Feature{ID: id, Pos: f.pos, Artificial: true})
+			continue
+		}
+		n++
+		sum += featureHash(id, f.pos)
+	}
+	slices.SortFunc(artificial, func(a, b venue.Feature) int { return cmp.Compare(a.ID, b.ID) })
+	return n, sum, artificial
+}
+
+func checkOracle(t *testing.T, m *Model, when string) {
+	t.Helper()
+	n, sum, artificial := rescanOracle(m)
+	if m.natN != n || m.natSum != sum {
+		t.Fatalf("%s: natural fingerprint (%d, %016x), rescan gives (%d, %016x)", when, m.natN, m.natSum, n, sum)
+	}
+	if got := m.ArtificialFeatures(); !slices.Equal(got, artificial) {
+		t.Fatalf("%s: artificial features %v, rescan gives %v", when, got, artificial)
+	}
+}
+
+// TestOracleSummaryMatchesRescan adds batches of features over a small ID
+// space, so IDs are re-added with a new position and switch between
+// natural and artificial, and requires the kept fingerprint and artificial
+// list to equal a full rescan of the oracle after every batch and after a
+// decode.
+func TestOracleSummaryMatchesRescan(t *testing.T) {
+	_, feats := testScene(t)
+	m := NewModel(Config{}, feats)
+	checkOracle(t, m, "new model")
+	rng := rand.New(rand.NewSource(9))
+	maxID := uint64(len(feats)) + 40
+	for batch := 0; batch < 200; batch++ {
+		var add []venue.Feature
+		for k := rng.Intn(6); k >= 0; k-- {
+			add = append(add, venue.Feature{
+				ID:         uint64(rng.Int63n(int64(maxID))),
+				Pos:        geom.V3(rng.Float64(), rng.Float64(), rng.Float64()),
+				Artificial: rng.Intn(2) == 0,
+			})
+		}
+		m.AddWorldFeatures(add)
+		checkOracle(t, m, fmt.Sprintf("batch %d", batch))
+	}
+	if len(m.artificial) == 0 {
+		t.Fatal("no artificial feature left to check")
+	}
+
+	// A decode drops the fresh model's artificial features and adopts
+	// the encoded ones.
+	var natural []venue.Feature
+	for id, f := range m.featPos {
+		if !f.artificial {
+			natural = append(natural, venue.Feature{ID: id, Pos: f.pos})
+		}
+	}
+	fresh := NewModel(Config{}, natural)
+	fresh.AddWorldFeatures([]venue.Feature{{ID: maxID + 1, Pos: geom.V3(1, 1, 1), Artificial: true}})
+	if err := fresh.UnmarshalBinary(mustMarshal(t, m)); err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, fresh, "after decode")
+	if !maps.Equal(fresh.featPos, m.featPos) {
+		t.Error("decoded oracle differs")
 	}
 }

@@ -10,10 +10,10 @@
 // the default campaign that every legacy route aliases to, POST
 // /v1/campaigns creates more (each with its own model, owner lock, journal
 // directory, dispatcher and admission queue), /v1/campaigns/{id}/... scopes
-// any campaign route, POST /v1/pool/claim claims from the shared
-// cross-campaign worker pool, and /v1/status + /metrics carry per-campaign
-// rollups. Named campaigns are journaled under
-// <journal-dir>/campaigns/<id>/ and restored on restart.
+// any campaign route (a worker registers with one campaign and claims its
+// tasks there), and /v1/status + /metrics carry per-campaign rollups.
+// Named campaigns are journaled under <journal-dir>/campaigns/<id>/ and
+// restored on restart.
 //
 // Observability: GET /metrics on the main listener exposes the Prometheus
 // text exposition, GET /v1/slo reports multi-window burn rates against the
@@ -24,7 +24,7 @@
 // plus GET /debug/traces, the tail-sampled span store of recent, error and
 // slowest request traces (off by default). Pass -profile-dir to let the
 // runtime watchdog write goroutine/heap/CPU profiles there when the owner
-// path stalls (-stall-threshold) or an SLO burns fast.
+// lock is held past 5 s or an SLO burns fast.
 //
 // Admission control keeps overload observable and survivable: -max-queue
 // bounds the owner-path queue (excess requests are shed with 429 +
@@ -116,13 +116,8 @@ func run(ctx context.Context, args []string) error {
 		"serve net/http/pprof and /debug/traces on this address (e.g. localhost:6060); empty disables")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
-	traceCap := fs.Int("trace-cap", 64, "ingest batch traces retained for /debug/traces")
 	profileDir := fs.String("profile-dir", "",
 		"directory for watchdog-triggered pprof profiles (owner-path stalls, fast SLO burns); empty disables triggered capture")
-	watchdogInterval := fs.Duration("watchdog-interval", time.Second,
-		"runtime watchdog tick: gauge refresh and owner-path stall probing")
-	stallThreshold := fs.Duration("stall-threshold", 5*time.Second,
-		"owner lock held longer than this counts as a stall and triggers a profile capture")
 	maxQueue := fs.Int("max-queue", 256,
 		"bounded owner-path admission queue: requests beyond this many waiting for (or holding) the owner lock are shed with 429 + Retry-After; 0 disables the bound")
 	rateLimit := fs.Float64("rate-limit", 0,
@@ -141,7 +136,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	tel := telemetry.New(logger, *traceCap)
+	tel := telemetry.New(logger, 64)
 
 	// -load restores the default campaign's model from an explicit snapshot
 	// file; otherwise the manager restores <journal-dir>/model.snap when
@@ -170,10 +165,8 @@ func run(ctx context.Context, args []string) error {
 			slog.Bool("covered", sys.Covered()))
 	}
 	wd := telemetry.NewWatchdog(tel.Registry, telemetry.WatchdogConfig{
-		Interval:       *watchdogInterval,
-		StallThreshold: *stallThreshold,
-		ProfileDir:     *profileDir,
-		Logger:         logger,
+		ProfileDir: *profileDir,
+		Logger:     logger,
 	})
 	// The campaign manager hosts every venue campaign (the legacy routes
 	// alias to the default one) and restores named campaigns from the
@@ -217,9 +210,7 @@ func run(ctx context.Context, args []string) error {
 	wd.Start()
 	defer wd.Stop()
 	if *profileDir != "" {
-		logger.Info("watchdog armed",
-			slog.String("profile_dir", *profileDir),
-			slog.Duration("stall_threshold", *stallThreshold))
+		logger.Info("watchdog armed", slog.String("profile_dir", *profileDir))
 	}
 	if *journalDir != "" {
 		evlog := def.Log()

@@ -57,8 +57,9 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Error("bogus log format accepted")
 	}
 	// -journal-dir is the only way a campaign persists; -journal and
-	// -save are unknown flags.
-	for _, flag := range []string{"-journal", "-save"} {
+	// -save are unknown flags. The trace store size and the watchdog's
+	// tick and stall threshold are fixed in code.
+	for _, flag := range []string{"-journal", "-save", "-trace-cap", "-watchdog-interval", "-stall-threshold"} {
 		if err := run(ctx, []string{flag, "x"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s x: err = %v, want unknown flag", flag, err)
 		}

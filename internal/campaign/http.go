@@ -43,8 +43,6 @@ func (m *Manager) routes() {
 	m.mux.HandleFunc("GET /v1/campaigns/{id}", m.handleGet)
 	m.mux.HandleFunc("POST /v1/campaigns/{id}/archive", m.handleArchive)
 	m.mux.HandleFunc("/v1/campaigns/{id}/{rest...}", m.handleDelegate)
-	m.mux.HandleFunc("POST /v1/pool/workers", m.handlePoolRegister)
-	m.mux.HandleFunc("POST /v1/pool/claim", m.handlePoolClaim)
 	m.mux.HandleFunc("GET /v1/status", m.handleStatus)
 	m.mux.HandleFunc("/", m.handleDefaultAlias)
 }

@@ -6,12 +6,11 @@
 // Sharding model: a campaign is one fully wired server.Server. The manager
 // routes /v1/campaigns/{id}/... to the owning campaign's mux by rewriting
 // the path, keeps the legacy single-campaign routes as aliases to a
-// default campaign, and adds three cross-campaign surfaces of its own:
+// default campaign, and adds two cross-campaign surfaces of its own:
 // lifecycle endpoints (create/list/archive, journaled in a manifest and
-// restored on restart), a shared worker pool that claims from whichever
-// campaign currently has the most work, and rollups on /v1/status and
-// /metrics (per-campaign labels on the existing families via
-// telemetry.Registry const-label views, plus aggregate gauges).
+// restored on restart) and rollups on /v1/status and /metrics
+// (per-campaign labels on the existing families via telemetry.Registry
+// const-label views, plus aggregate gauges).
 //
 // Persistence layout under the manager's journal root:
 //
@@ -63,7 +62,7 @@ type Spec struct {
 	// (<=0 takes the server default of 12).
 	Margin float64 `json:"margin,omitempty"`
 	// Archived is manifest state only: archived campaigns stay listable
-	// and readable but reject mutations and leave the shared pool.
+	// and readable but reject mutations.
 	Archived bool `json:"archived,omitempty"`
 }
 
@@ -133,10 +132,9 @@ func (c *Campaign) Archived() bool { return c.archived.Load() }
 
 // Manager hosts the campaigns and the cross-campaign surfaces.
 type Manager struct {
-	cfg  ManagerConfig
-	mux  *http.ServeMux
-	cm   *telemetry.CampaignMetrics
-	pool *pool
+	cfg ManagerConfig
+	mux *http.ServeMux
+	cm  *telemetry.CampaignMetrics
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
@@ -159,7 +157,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	}
 	m.cm = telemetry.NewCampaignMetrics(reg)
 	telemetry.RegisterCampaignRollups(reg, m.totalPendingTasks, m.coveredCampaigns)
-	m.pool = newPool(m)
 	m.routes()
 	cfg.Watchdog.SetOwnerBusy(m.maxOwnerBusy)
 
@@ -224,8 +221,8 @@ func parallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ServeHTTP routes to lifecycle endpoints, campaign-scoped delegates, the
-// shared pool, or the default-campaign aliases.
+// ServeHTTP routes to lifecycle endpoints, campaign-scoped delegates or
+// the default-campaign aliases.
 func (m *Manager) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.mux.ServeHTTP(w, r)
 }
@@ -419,7 +416,7 @@ func (m *Manager) refreshGaugesLocked() {
 // Archive marks a campaign archived (idempotently), persists the manifest,
 // and — when journaled — writes a final checkpoint plus model snapshot so
 // a restart restores it without replay. Archived campaigns stay readable
-// but reject mutations and leave the shared pool.
+// but reject mutations.
 func (m *Manager) Archive(id string) (*Campaign, error) {
 	m.mu.Lock()
 	c, ok := m.campaigns[id]

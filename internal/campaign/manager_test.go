@@ -215,6 +215,15 @@ func TestLifecycleHTTP(t *testing.T) {
 		t.Fatalf("scoped status unknown campaign: code %d", code)
 	}
 
+	// Claims go only through the campaign-scoped register-then-claim
+	// path: there is no cross-campaign claim route, so these answer like
+	// any unknown route.
+	for _, path := range []string{"/v1/nope", "/v1/pool/workers", "/v1/pool/claim"} {
+		if code := postJSON(t, ts.URL+path, server.ClaimRequest{WorkerID: "w1"}, nil); code != http.StatusNotFound {
+			t.Fatalf("POST %s: code %d, want 404", path, code)
+		}
+	}
+
 	// Archive: mutations 410, reads still fine, idempotent, default refused.
 	if code := postJSON(t, campaignBase(ts, "alpha")+"/archive", struct{}{}, nil); code != http.StatusOK {
 		t.Fatalf("archive: code %d", code)
@@ -300,76 +309,6 @@ func TestStatusRollupAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-func TestSharedWorkerPool(t *testing.T) {
-	m, ts := newTestManager(t, ManagerConfig{})
-	specs := []Spec{
-		{ID: "wing-a", Venue: "small", Seed: 31},
-		{ID: "wing-b", Venue: "small", Seed: 32},
-	}
-	for _, sp := range specs {
-		if _, err := m.Create(sp); err != nil {
-			t.Fatal(err)
-		}
-		bootstrapCampaign(t, campaignBase(ts, sp.ID), sp, 9)
-	}
-
-	// Claims from an unregistered worker are rejected.
-	if code := postJSON(t, ts.URL+"/v1/pool/claim", server.ClaimRequest{WorkerID: "nobody"}, nil); code != http.StatusNotFound {
-		t.Fatalf("unknown worker claim: code %d", code)
-	}
-
-	var reg PoolRegisterResponse
-	if code := postJSON(t, ts.URL+"/v1/pool/workers", server.RegisterWorkerRequest{ID: "w1"}, &reg); code != http.StatusOK {
-		t.Fatalf("pool register: code %d", code)
-	}
-	if reg.ID != "w1" {
-		t.Fatalf("pool register id %q", reg.ID)
-	}
-
-	// The pool routes claims to whichever campaign has the most pending
-	// work; over enough claims both bootstrapped campaigns must grant.
-	granted := map[string]int{}
-	for i := 0; i < 8; i++ {
-		var resp PoolClaimResponse
-		code := postJSON(t, ts.URL+"/v1/pool/claim", server.ClaimRequest{WorkerID: "w1"}, &resp)
-		if code == http.StatusNotFound {
-			break
-		}
-		if code != http.StatusOK {
-			t.Fatalf("pool claim %d: code %d", i, code)
-		}
-		if resp.AllCovered {
-			break
-		}
-		if resp.Campaign == "" || resp.Task.ID == 0 {
-			t.Fatalf("pool claim %d: %+v", i, resp)
-		}
-		granted[resp.Campaign]++
-	}
-	if len(granted) < 2 {
-		t.Fatalf("pool claims did not spread across campaigns: %v", granted)
-	}
-	// The default campaign was never bootstrapped: no pending tasks, so
-	// the pool must not have enrolled the worker there.
-	if granted[DefaultID] != 0 {
-		t.Fatalf("pool claimed from the empty default campaign: %v", granted)
-	}
-	// Archived campaigns leave the pool.
-	if _, err := m.Archive("wing-a"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		var resp PoolClaimResponse
-		code := postJSON(t, ts.URL+"/v1/pool/claim", server.ClaimRequest{WorkerID: "w1"}, &resp)
-		if code == http.StatusNotFound {
-			break
-		}
-		if resp.Campaign == "wing-a" {
-			t.Fatal("pool claimed from an archived campaign")
 		}
 	}
 }

@@ -270,3 +270,70 @@ func TestCheckpointAttemptsEveryCampaign(t *testing.T) {
 		t.Fatalf("Checkpoint error = %v, want the first failing campaign's (%s)", err, mallPath)
 	}
 }
+
+// TestRestartNeverReissuesWorkerID restarts a journaled manager while an
+// auto-named worker holds a lease, once after a shutdown checkpoint and
+// once from the journal tail alone. In both cases a fresh registration
+// gets a new ID, so it can neither inherit the holder's lease nor its
+// blur exclusions, and the restored holder still holds its lease.
+func TestRestartNeverReissuesWorkerID(t *testing.T) {
+	for _, checkpoint := range []bool{true, false} {
+		name := "journal-tail"
+		if checkpoint {
+			name = "shutdown-checkpoint"
+		}
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			spec := Spec{ID: "wing-a", Venue: "small", Seed: 31}
+			m1 := buildJournaledManager(t, root)
+			if _, err := m1.Create(spec); err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(m1)
+			base := campaignBase(ts1, spec.ID)
+			bootstrapCampaign(t, base, spec, 9)
+			var holder server.RegisterWorkerResponse
+			if code := postJSON(t, base+"/workers", server.RegisterWorkerRequest{}, &holder); code != http.StatusOK {
+				t.Fatalf("register: code %d", code)
+			}
+			var held server.ClaimResponse
+			if code := postJSON(t, base+"/task/claim", server.ClaimRequest{WorkerID: holder.ID}, &held); code != http.StatusOK || held.LeaseID == "" {
+				t.Fatalf("claim: code %d %+v", code, held)
+			}
+			ts1.Close()
+			if checkpoint {
+				if err := m1.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			m2 := buildJournaledManager(t, root)
+			defer m2.Close()
+			ts2 := httptest.NewServer(m2)
+			defer ts2.Close()
+			base = campaignBase(ts2, spec.ID)
+			var fresh server.RegisterWorkerResponse
+			if code := postJSON(t, base+"/workers", server.RegisterWorkerRequest{}, &fresh); code != http.StatusOK {
+				t.Fatalf("register after restart: code %d", code)
+			}
+			if fresh.ID == holder.ID {
+				t.Fatalf("restart reissued worker ID %q", fresh.ID)
+			}
+			var claim server.ClaimResponse
+			code := postJSON(t, base+"/task/claim", server.ClaimRequest{WorkerID: fresh.ID}, &claim)
+			if code != http.StatusOK && code != http.StatusNotFound {
+				t.Fatalf("claim after restart: code %d", code)
+			}
+			if code == http.StatusOK && (claim.LeaseID == held.LeaseID || claim.Task.ID == held.Task.ID) {
+				t.Fatalf("fresh worker %q got the holder's lease %q on task %d", fresh.ID, claim.LeaseID, claim.Task.ID)
+			}
+			var hb server.HeartbeatResponse
+			if code := postJSON(t, base+"/workers/"+holder.ID+"/heartbeat", struct{}{}, &hb); code != http.StatusOK || !hb.Active {
+				t.Fatalf("holder %q lost its lease across restart: code %d %+v", holder.ID, code, hb)
+			}
+		})
+	}
+}

@@ -1,12 +1,10 @@
 // Package floorplan turns SnapTask's raster obstacle maps into vector
 // floor plans: wall segments extracted with a Hough transform over
-// obstacle cells, exported as GeoJSON for downstream consumers (the
-// "indoor maps compiled from 3D models" the paper delivers to its
-// navigation clients).
+// obstacle cells (the "indoor maps compiled from 3D models" the paper
+// delivers to its navigation clients).
 package floorplan
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -253,49 +251,4 @@ func (h *hough) peak() (theta, rho float64, votes int) {
 	theta = math.Pi * float64(t) / float64(h.bins)
 	rho = h.rhoMin + (float64(r)+0.5)*h.rhoRes
 	return theta, rho, best
-}
-
-// geoJSON shapes a minimal GeoJSON FeatureCollection.
-type geoJSON struct {
-	Type     string       `json:"type"`
-	Features []geoFeature `json:"features"`
-}
-
-type geoFeature struct {
-	Type       string         `json:"type"`
-	Geometry   geoGeometry    `json:"geometry"`
-	Properties map[string]any `json:"properties"`
-}
-
-type geoGeometry struct {
-	Type        string       `json:"type"`
-	Coordinates [][2]float64 `json:"coordinates"`
-}
-
-// GeoJSON exports the plan as a GeoJSON FeatureCollection of LineString
-// walls (coordinates in venue metres).
-func (p *Plan) GeoJSON() ([]byte, error) {
-	fc := geoJSON{Type: "FeatureCollection"}
-	for i, w := range p.Walls {
-		fc.Features = append(fc.Features, geoFeature{
-			Type: "Feature",
-			Geometry: geoGeometry{
-				Type: "LineString",
-				Coordinates: [][2]float64{
-					{w.Seg.A.X, w.Seg.A.Y},
-					{w.Seg.B.X, w.Seg.B.Y},
-				},
-			},
-			Properties: map[string]any{
-				"id":       i + 1,
-				"cells":    w.Cells,
-				"length_m": w.Length(),
-			},
-		})
-	}
-	out, err := json.MarshalIndent(fc, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("floorplan: geojson: %w", err)
-	}
-	return out, nil
 }

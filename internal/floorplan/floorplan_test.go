@@ -1,7 +1,6 @@
 package floorplan
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -129,41 +128,6 @@ func TestExtractEmptyAndNil(t *testing.T) {
 	}
 	if _, err := Extract(nil, Config{}); err == nil {
 		t.Error("nil map should error")
-	}
-}
-
-func TestGeoJSON(t *testing.T) {
-	m := wallsMap(t, geom.Seg(geom.V2(1, 5), geom.V2(11, 5)))
-	plan, err := Extract(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := plan.GeoJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Type     string `json:"type"`
-		Features []struct {
-			Geometry struct {
-				Type        string       `json:"type"`
-				Coordinates [][2]float64 `json:"coordinates"`
-			} `json:"geometry"`
-			Properties map[string]any `json:"properties"`
-		} `json:"features"`
-	}
-	if err := json.Unmarshal(out, &parsed); err != nil {
-		t.Fatalf("invalid GeoJSON: %v", err)
-	}
-	if parsed.Type != "FeatureCollection" || len(parsed.Features) != len(plan.Walls) {
-		t.Errorf("GeoJSON shape wrong: %s / %d features", parsed.Type, len(parsed.Features))
-	}
-	f := parsed.Features[0]
-	if f.Geometry.Type != "LineString" || len(f.Geometry.Coordinates) != 2 {
-		t.Error("feature geometry wrong")
-	}
-	if _, ok := f.Properties["length_m"]; !ok {
-		t.Error("length property missing")
 	}
 }
 

@@ -84,7 +84,7 @@ func (p Polygon) Centroid() Vec2 {
 
 // Contains reports whether the point lies strictly inside the polygon, using
 // the even-odd ray-crossing rule. Points on the boundary may report either
-// value; callers that care use DistToBoundary.
+// value.
 func (p Polygon) Contains(pt Vec2) bool {
 	if len(p) < 3 {
 		return false
@@ -102,17 +102,6 @@ func (p Polygon) Contains(pt Vec2) bool {
 	return inside
 }
 
-// DistToBoundary returns the distance from pt to the nearest polygon edge.
-func (p Polygon) DistToBoundary(pt Vec2) float64 {
-	best := math.Inf(1)
-	for _, e := range p.Edges() {
-		if d := e.DistToPoint(pt); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Bounds returns the axis-aligned bounding box of the polygon.
 func (p Polygon) Bounds() AABB {
 	b := EmptyAABB()
@@ -120,23 +109,4 @@ func (p Polygon) Bounds() AABB {
 		b = b.AddPoint(v)
 	}
 	return b
-}
-
-// Translate returns a copy of the polygon moved by d.
-func (p Polygon) Translate(d Vec2) Polygon {
-	out := make(Polygon, len(p))
-	for i, v := range p {
-		out[i] = v.Add(d)
-	}
-	return out
-}
-
-// RotateAround returns a copy of the polygon rotated by theta radians about
-// the pivot c.
-func (p Polygon) RotateAround(c Vec2, theta float64) Polygon {
-	out := make(Polygon, len(p))
-	for i, v := range p {
-		out[i] = v.Sub(c).Rotate(theta).Add(c)
-	}
-	return out
 }

@@ -1,38 +1,5 @@
 package grid
 
-// FloodFill performs a breadth-first traversal over 4-connected in-bounds
-// cells starting at start, visiting every reachable cell for which pass
-// returns true. It invokes visit on each accepted cell and returns the set
-// of visited cells. Cells failing pass are never visited and block traversal
-// through them.
-//
-// This is the primitive behind Algorithm 4 (findUnvisited): SnapTask walks
-// out from the initial position through free space, looking for cells with
-// too few camera views.
-func FloodFill(m *Map, start Cell, pass func(c Cell) bool, visit func(c Cell)) map[Cell]bool {
-	seen := make(map[Cell]bool)
-	if !m.InBounds(start) || !pass(start) {
-		return seen
-	}
-	queue := []Cell{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		if visit != nil {
-			visit(c)
-		}
-		for _, n := range c.Neighbors4() {
-			if !m.InBounds(n) || seen[n] || !pass(n) {
-				continue
-			}
-			seen[n] = true
-			queue = append(queue, n)
-		}
-	}
-	return seen
-}
-
 // Region is a 4-connected set of cells found by ConnectedComponents or
 // ExpandRegion.
 type Region struct {

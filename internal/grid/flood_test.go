@@ -21,9 +21,16 @@ func free(m *Map) func(Cell) bool {
 	return func(c Cell) bool { return m.At(c) == 0 }
 }
 
+// flood runs ExpandRegion with no size limit: the whole 4-connected
+// component of passing cells around start, in visit order, and as a set.
+func flood(m *Map, start Cell, pass func(Cell) bool) ([]Cell, map[Cell]bool) {
+	seen := make(map[Cell]bool)
+	return ExpandRegion(m, start, m.Width()*m.Height(), pass, seen).Cells, seen
+}
+
 func TestFloodFillRespectsWalls(t *testing.T) {
 	m := wallMap(t)
-	seen := FloodFill(m, Cell{0, 0}, free(m), nil)
+	_, seen := flood(m, Cell{0, 0}, free(m))
 	// Reachable: all free cells (wall has a gap at row 6).
 	wantCells := 7*7 - 6
 	if len(seen) != wantCells {
@@ -42,7 +49,7 @@ func TestFloodFillSealedRoom(t *testing.T) {
 	for j := 0; j < 7; j++ {
 		m.Set(Cell{3, j}, 1) // full wall, no gap
 	}
-	seen := FloodFill(m, Cell{0, 0}, free(m), nil)
+	_, seen := flood(m, Cell{0, 0}, free(m))
 	if len(seen) != 3*7 {
 		t.Errorf("sealed flood reached %d cells, want 21", len(seen))
 	}
@@ -55,18 +62,17 @@ func TestFloodFillSealedRoom(t *testing.T) {
 
 func TestFloodFillBadStart(t *testing.T) {
 	m := wallMap(t)
-	if got := FloodFill(m, Cell{3, 0}, free(m), nil); len(got) != 0 {
+	if got, _ := flood(m, Cell{3, 0}, free(m)); len(got) != 0 {
 		t.Error("start on a wall should visit nothing")
 	}
-	if got := FloodFill(m, Cell{-1, -1}, free(m), nil); len(got) != 0 {
+	if got, _ := flood(m, Cell{-1, -1}, free(m)); len(got) != 0 {
 		t.Error("out-of-bounds start should visit nothing")
 	}
 }
 
 func TestFloodFillVisitOrderIsBFS(t *testing.T) {
 	m := mustNew(t, geom.V2(0, 0), 1, 5, 5)
-	var order []Cell
-	FloodFill(m, Cell{2, 2}, free(m), func(c Cell) { order = append(order, c) })
+	order, _ := flood(m, Cell{2, 2}, free(m))
 	if order[0] != (Cell{2, 2}) {
 		t.Fatalf("first visited = %v, want start", order[0])
 	}

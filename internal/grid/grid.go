@@ -247,21 +247,10 @@ func (m *Map) RasterizeSegment(s geom.Segment, fn func(c Cell)) {
 	}
 }
 
-// WalkSegment visits the cells of RasterizeSegment's traversal in order from
-// the segment's start, stopping early at the first cell for which fn
-// returns false.
-func (m *Map) WalkSegment(s geom.Segment, fn func(c Cell) bool) {
-	for st := m.Stepper(s); fn(Cell{st.I, st.J}); {
-		if !st.Next() {
-			return
-		}
-	}
-}
-
 // Stepper is the one voxel traversal (Amanatides & Woo, in grid
-// coordinates) behind RasterizeSegment, WalkSegment and the visibility ray
-// cast, which steps it inline over a flat occupancy slice. (I, J) is the
-// current cell, which may lie outside the map; Next moves to the next one.
+// coordinates) behind RasterizeSegment and the visibility ray cast, which
+// steps it inline over a flat occupancy slice. (I, J) is the current cell,
+// which may lie outside the map; Next moves to the next one.
 type Stepper struct {
 	I, J             int
 	iEnd, jEnd       int

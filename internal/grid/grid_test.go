@@ -207,22 +207,31 @@ func TestRasterizeSegmentLeavingGrid(t *testing.T) {
 	}
 }
 
+// TestWalkSegmentStopsEarly drives the Stepper the way the visibility
+// ray cast does: cell by cell from the segment's start, stopping at the
+// first cell the caller rejects.
 func TestWalkSegmentStopsEarly(t *testing.T) {
 	m := mustNew(t, geom.V2(0, 0), 1, 10, 10)
 	seg := geom.Seg(geom.V2(0.5, 0.5), geom.V2(7.5, 3.5))
 	var all []Cell
 	m.RasterizeSegment(seg, func(c Cell) { all = append(all, c) })
+	walk := func(stop Cell) []Cell {
+		var walked []Cell
+		for st := m.Stepper(seg); ; {
+			c := Cell{st.I, st.J}
+			walked = append(walked, c)
+			if c == stop || !st.Next() {
+				return walked
+			}
+		}
+	}
 	// Walking the whole segment visits exactly RasterizeSegment's cells.
-	var walked []Cell
-	m.WalkSegment(seg, func(c Cell) bool { walked = append(walked, c); return true })
-	if !reflect.DeepEqual(walked, all) {
+	if walked := walk(Cell{-1, -1}); !reflect.DeepEqual(walked, all) {
 		t.Fatalf("full walk %v, rasterize %v", walked, all)
 	}
-	// Returning false stops the walk on that cell.
+	// Stopping on a cell ends the walk there.
 	stop := all[len(all)/2]
-	var prefix []Cell
-	m.WalkSegment(seg, func(c Cell) bool { prefix = append(prefix, c); return c != stop })
-	if !reflect.DeepEqual(prefix, all[:len(all)/2+1]) {
+	if prefix := walk(stop); !reflect.DeepEqual(prefix, all[:len(all)/2+1]) {
 		t.Errorf("stopped walk %v, want prefix %v", prefix, all[:len(all)/2+1])
 	}
 }

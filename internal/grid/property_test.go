@@ -66,7 +66,7 @@ func TestFloodFillSubsetProperty(t *testing.T) {
 		}
 		pass := func(c Cell) bool { return m.At(c) == 0 }
 		start := Cell{I: rng.Intn(15), J: rng.Intn(15)}
-		seen := FloodFill(m, start, pass, nil)
+		_, seen := flood(m, start, pass)
 		for c := range seen {
 			if !m.InBounds(c) || !pass(c) {
 				t.Fatalf("flood visited invalid cell %v", c)

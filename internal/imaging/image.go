@@ -100,38 +100,6 @@ func (g *Gray) LaplacianVariance() float64 {
 	return sumSq/float64(n) - mean*mean
 }
 
-// BoxBlur returns a copy of the image blurred with a (2r+1)×(2r+1) box
-// kernel, applied `passes` times. Three passes approximate a Gaussian.
-func (g *Gray) BoxBlur(r, passes int) *Gray {
-	if r <= 0 || passes <= 0 {
-		return g.Clone()
-	}
-	src := g.Clone()
-	dst, _ := NewGray(g.W, g.H)
-	for p := 0; p < passes; p++ {
-		// Horizontal then vertical pass (separable kernel).
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				var s float64
-				for k := -r; k <= r; k++ {
-					s += src.At(x+k, y)
-				}
-				dst.Pix[y*g.W+x] = s / float64(2*r+1)
-			}
-		}
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				var s float64
-				for k := -r; k <= r; k++ {
-					s += dst.At(x, y+k)
-				}
-				src.Pix[y*g.W+x] = s / float64(2*r+1)
-			}
-		}
-	}
-	return src
-}
-
 // MotionBlur returns a copy blurred along the x axis over `length` pixels,
 // simulating camera movement during exposure — the failure mode of workers
 // who move too fast while capturing.

@@ -91,25 +91,6 @@ func SelectParticipant(task taskgen.Task, pool []Participant, busy map[int]bool,
 	return best, best.Score >= 0
 }
 
-// AssignTasks performs a greedy budgeted assignment of tasks to the pool:
-// tasks are considered in order, each receiving the currently
-// best-scoring free participant the remaining budget can afford. It
-// returns the assignments and the unspent budget.
-func AssignTasks(tasks []taskgen.Task, pool []Participant, budget float64) ([]Assignment, float64) {
-	busy := make(map[int]bool)
-	var out []Assignment
-	for _, t := range tasks {
-		a, ok := SelectParticipant(t, pool, busy, budget)
-		if !ok {
-			continue
-		}
-		busy[a.ParticipantID] = true
-		budget -= a.Cost
-		out = append(out, a)
-	}
-	return out, budget
-}
-
 // Campaign tracks spending over a mapping campaign.
 type Campaign struct {
 	// Budget is the total incentive budget.

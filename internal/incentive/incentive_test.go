@@ -68,34 +68,6 @@ func TestSelectParticipant(t *testing.T) {
 	}
 }
 
-func TestAssignTasks(t *testing.T) {
-	tasks := []taskgen.Task{
-		{ID: 1, Location: geom.V2(1, 1)},
-		{ID: 2, Location: geom.V2(9, 9)},
-		{ID: 3, Location: geom.V2(5, 5)},
-	}
-	pool := []Participant{
-		{ID: 1, Pos: geom.V2(1, 1), BaseReward: 2, PerMetre: 0.1, Reliability: 0.9},
-		{ID: 2, Pos: geom.V2(9, 9), BaseReward: 2, PerMetre: 0.1, Reliability: 0.9},
-	}
-	assignments, remaining := AssignTasks(tasks, pool, 10)
-	if len(assignments) != 2 {
-		t.Fatalf("assignments = %d, want 2 (pool exhausted)", len(assignments))
-	}
-	// Each participant at most once.
-	if assignments[0].ParticipantID == assignments[1].ParticipantID {
-		t.Error("participant double-booked")
-	}
-	if remaining >= 10 {
-		t.Error("budget not decremented")
-	}
-	// Tight budget limits assignments.
-	assignments, _ = AssignTasks(tasks, pool, 2.5)
-	if len(assignments) != 1 {
-		t.Errorf("tight budget assignments = %d, want 1", len(assignments))
-	}
-}
-
 func TestCampaignAccounting(t *testing.T) {
 	c, err := NewCampaign(10)
 	if err != nil {

@@ -133,12 +133,6 @@ func TestSchedules(t *testing.T) {
 	if mean < 4*time.Millisecond || mean > 6*time.Millisecond {
 		t.Fatalf("poisson mean gap %v, want ~5ms", mean)
 	}
-	if _, ok := ParseArrivals("poisson", 1); !ok {
-		t.Fatal("poisson not parseable")
-	}
-	if _, ok := ParseArrivals("weird", 1); ok {
-		t.Fatal("bogus schedule accepted")
-	}
 }
 
 func TestThinkTimeHeavyTail(t *testing.T) {

@@ -36,17 +36,6 @@ func (p Poisson) Next(rng *rand.Rand) time.Duration {
 }
 func (p Poisson) Rate() float64 { return p.PerSec }
 
-// ParseArrivals maps a schedule name to its Arrivals implementation.
-func ParseArrivals(name string, perSec float64) (Arrivals, bool) {
-	switch name {
-	case "poisson":
-		return Poisson{PerSec: perSec}, true
-	case "constant":
-		return Constant{PerSec: perSec}, true
-	}
-	return nil, false
-}
-
 // ThinkTime is a heavy-tailed (lognormal) pause: most workers resume
 // quickly, a few wander off for much longer — the shape crowdsourcing
 // deployments report for human task gaps. Median is the lognormal median;

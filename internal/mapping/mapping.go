@@ -666,14 +666,3 @@ func viewNearAny(v View, changed []grid.Cell, layout *grid.Map) bool {
 	}
 	return false
 }
-
-// ViewsFromSfM adapts any slice with camera pose and intrinsics into
-// mapping views. It is a small helper so packages need not depend on sfm
-// directly; the core orchestrator performs the conversion.
-func ViewsFromSfM(poses []camera.Pose, intr camera.Intrinsics) []View {
-	out := make([]View, len(poses))
-	for i, p := range poses {
-		out[i] = View{Pose: p, Intrinsics: intr}
-	}
-	return out
-}

@@ -273,15 +273,6 @@ func TestCoverageHelper(t *testing.T) {
 	}
 }
 
-func TestViewsFromSfM(t *testing.T) {
-	in := camera.DefaultIntrinsics()
-	poses := []camera.Pose{{Pos: geom.V2(1, 1)}, {Pos: geom.V2(2, 2)}}
-	views := ViewsFromSfM(poses, in)
-	if len(views) != 2 || views[1].Pose.Pos != poses[1].Pos {
-		t.Error("conversion wrong")
-	}
-}
-
 // Property: visibility is monotone — adding a camera never reduces any
 // cell's count.
 func TestVisibilityMonotone(t *testing.T) {

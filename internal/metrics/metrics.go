@@ -126,17 +126,6 @@ func MergeIntervals(in []Interval) []Interval {
 	return out
 }
 
-// TotalLength sums interval lengths.
-func TotalLength(in []Interval) float64 {
-	var sum float64
-	for _, iv := range in {
-		if iv.Hi > iv.Lo {
-			sum += iv.Hi - iv.Lo
-		}
-	}
-	return sum
-}
-
 // FeaturelessPRF scores reconstructed spans against a featureless surface:
 // precision is the fraction of reconstructed span length lying on the true
 // surface (within tol), recall the fraction of the surface's visible

@@ -135,9 +135,6 @@ func TestMergeIntervals(t *testing.T) {
 			}
 		})
 	}
-	if got := TotalLength([]Interval{{1, 3}, {5, 6}}); math.Abs(got-3) > 1e-9 {
-		t.Errorf("TotalLength = %v, want 3", got)
-	}
 }
 
 func TestFeaturelessPRFPerfect(t *testing.T) {

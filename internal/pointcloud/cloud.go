@@ -83,15 +83,6 @@ func (c *Cloud) Merge(o *Cloud) {
 	c.pts = append(c.pts, o.pts...)
 }
 
-// Bounds2D returns the floor-plane bounding box of the cloud.
-func (c *Cloud) Bounds2D() geom.AABB {
-	b := geom.EmptyAABB()
-	for _, p := range c.pts {
-		b = b.AddPoint(p.Pos.XY())
-	}
-	return b
-}
-
 // CountArtificial returns how many points carry the Artificial mark.
 func (c *Cloud) CountArtificial() int {
 	n := 0

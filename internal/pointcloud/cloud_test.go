@@ -58,12 +58,8 @@ func TestCloudMergeAndBounds(t *testing.T) {
 	if a.Len() != 3 {
 		t.Fatalf("merged len = %d", a.Len())
 	}
-	box := a.Bounds2D()
-	if !box.Min.ApproxEq(geom.V2(-1, 0)) || !box.Max.ApproxEq(geom.V2(2, 4)) {
-		t.Errorf("bounds = %+v", box)
-	}
-	if !NewCloud(nil).Bounds2D().Empty() {
-		t.Error("empty cloud bounds should be empty")
+	if got := a.At(2).Pos; got != geom.V3(-1, 4, 0) {
+		t.Errorf("merged point = %+v, want b's point appended", got)
 	}
 }
 

@@ -203,46 +203,3 @@ func (s *Server) claimResult(result string) {
 		s.dispM.Claims.With(result).Inc()
 	}
 }
-
-// RegisterWorker registers (or re-announces) a worker directly, without
-// HTTP — the campaign manager's shared pool uses it to lazily enrol a
-// fleet worker into whichever campaign currently has work. Like the HTTP
-// path it publishes the read snapshot under the owner lock.
-func (s *Server) RegisterWorker(info dispatch.WorkerInfo) (dispatch.WorkerInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out, err := s.disp.Register(info)
-	if err != nil {
-		return out, err
-	}
-	s.publishLocked()
-	s.maybeCheckpointLocked()
-	return out, nil
-}
-
-// ClaimTask pops a pending task under a lease for a registered worker,
-// without HTTP admission (the shared pool is its own caller and picks the
-// campaign first). Errors are the dispatch sentinels (ErrNoTask,
-// ErrUnknownWorker, ErrBudgetExhausted); a covered venue answers
-// Task.Covered with no lease, mirroring POST /v1/task/claim.
-func (s *Server) ClaimTask(workerID string, pos *geom.Vec2) (ClaimResponse, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sys.Covered() {
-		s.claimResult("covered")
-		return ClaimResponse{Task: TaskDTO{Covered: true}}, nil
-	}
-	task, lease, err := s.disp.Claim(workerID, pos, s.sys)
-	if err != nil {
-		return ClaimResponse{}, err
-	}
-	s.claimResult("granted")
-	s.publishLocked()
-	s.maybeCheckpointLocked()
-	return ClaimResponse{
-		Task:     taskToDTO(task),
-		LeaseID:  lease.ID,
-		WorkerID: lease.Worker,
-		Deadline: lease.Deadline,
-	}, nil
-}

@@ -190,16 +190,6 @@ func (v *Venue) Occluders() []Occluder {
 	return out
 }
 
-// WallSegments returns every surface footprint (for collision testing of
-// straight-line moves).
-func (v *Venue) WallSegments() []geom.Segment {
-	out := make([]geom.Segment, 0, len(v.surfaces))
-	for _, s := range v.surfaces {
-		out = append(out, s.Seg)
-	}
-	return out
-}
-
 // RandomFreePoint returns a uniformly sampled unblocked interior point. It
 // returns an error if none is found after many attempts (a malformed venue).
 func (v *Venue) RandomFreePoint(rng *rand.Rand) (geom.Vec2, error) {

@@ -106,7 +106,7 @@ func run(ctx context.Context, args []string) error {
 	checkpointEvery := fs.Uint64("checkpoint-every", 4096,
 		"with -journal-dir: write a checkpoint after this many events since the last one (0 disables the count trigger)")
 	segmentMaxBytes := fs.Int64("journal-segment-bytes", 4<<20,
-		"with -journal-dir: rotate the active journal segment beyond this size")
+		"with -journal-dir: rotate the active journal segment beyond this size (a checkpoint covering the whole segment also rotates it)")
 	leaseTTL := fs.Duration("lease-ttl", 60*time.Second,
 		"task lease duration: a claimed task whose worker stops heartbeating this long is requeued for other workers")
 	incentiveBudget := fs.Float64("incentive-budget", 0,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"snaptask/internal/geom"
 	"snaptask/internal/imaging"
@@ -125,74 +126,101 @@ func (o CaptureOptions) withDefaults() CaptureOptions {
 	return o
 }
 
-// featureCell is the spatial-hash bucket size for the feature index,
-// chosen close to the default camera range so a capture touches only a few
-// buckets.
+// featureCell is the side of a feature-index bucket, chosen close to the
+// default camera range so a capture touches only a few buckets.
 const featureCell = 4.0
 
 // World is the subset of venue geometry a camera interacts with. Features
-// are indexed in a floor-plane spatial hash so captures only examine
-// candidates within camera range.
+// are indexed in floor-plane buckets so captures only examine candidates
+// within camera range.
 type World struct {
 	occluders []venue.Occluder
 	features  []venue.Feature
-	index     map[[2]int][]int
+
+	// The bucket index is one counting-sorted flat array (CSR) over the
+	// venue's bucket range: x0, y0 is its lowest bucket and nx × ny its
+	// size. Bucket b = (x-x0)*ny + (y-y0) lists the indices of its
+	// features, ascending, in index[start[b]:start[b+1]], so candidates
+	// walks buckets x-major and a column's buckets are one run of index.
+	// A feature outside the venue is filed under the nearest edge bucket,
+	// so no feature position can size the index.
+	x0, y0, nx, ny int
+	start, index   []int32
 }
 
 // NewWorld prepares capture state for a venue and its feature set. Extra
 // features (e.g. artificial ones injected by the annotation pipeline) can
 // be added later with AddFeatures.
 func NewWorld(v *venue.Venue, features []venue.Feature) *World {
+	b := v.Bounds()
 	w := &World{
 		occluders: v.Occluders(),
 		features:  append([]venue.Feature(nil), features...),
-		index:     make(map[[2]int][]int),
+		x0:        int(math.Floor(b.Min.X / featureCell)),
+		y0:        int(math.Floor(b.Min.Y / featureCell)),
 	}
-	for i := range w.features {
-		k := featureKey(w.features[i].Pos.XY())
-		w.index[k] = append(w.index[k], i)
-	}
+	w.nx = int(math.Floor(b.Max.X/featureCell)) - w.x0 + 1
+	w.ny = int(math.Floor(b.Max.Y/featureCell)) - w.y0 + 1
+	w.buildIndex()
 	return w
 }
 
-func featureKey(p geom.Vec2) [2]int {
-	return [2]int{int(math.Floor(p.X / featureCell)), int(math.Floor(p.Y / featureCell))}
+// bucket returns the index coordinates of the bucket holding floor point
+// p, clamped into the index.
+func (w *World) bucket(p geom.Vec2) (x, y int) {
+	x = int(math.Floor(p.X/featureCell)) - w.x0
+	y = int(math.Floor(p.Y/featureCell)) - w.y0
+	return min(max(x, 0), w.nx-1), min(max(y, 0), w.ny-1)
 }
 
-// AddFeatures appends additional world features (artificial texture points).
-func (w *World) AddFeatures(fs []venue.Feature) {
-	for _, f := range fs {
-		w.features = append(w.features, f)
-		k := featureKey(f.Pos.XY())
-		w.index[k] = append(w.index[k], len(w.features)-1)
+// buildIndex counting-sorts every feature into its bucket.
+func (w *World) buildIndex() {
+	w.start = make([]int32, w.nx*w.ny+1)
+	buckets := make([]int32, len(w.features))
+	for i := range w.features {
+		x, y := w.bucket(w.features[i].Pos.XY())
+		buckets[i] = int32(x*w.ny + y)
+		w.start[buckets[i]+1]++
 	}
+	for b := 1; b < len(w.start); b++ {
+		w.start[b] += w.start[b-1]
+	}
+	next := slices.Clone(w.start[:len(w.start)-1])
+	w.index = make([]int32, len(w.features))
+	for i, b := range buckets {
+		w.index[next[b]] = int32(i)
+		next[b]++
+	}
+}
+
+// AddFeatures appends additional world features (artificial texture points)
+// and rebuilds the bucket index.
+func (w *World) AddFeatures(fs []venue.Feature) {
+	w.features = append(w.features, fs...)
+	w.buildIndex()
 }
 
 // Clone returns an independent copy of the world: annotation pipelines
 // mutate their world by injecting artificial features, so experiments that
 // must not observe each other's reconstructions run on clones.
 func (w *World) Clone() *World {
-	out := &World{
-		occluders: append([]venue.Occluder(nil), w.occluders...),
-		features:  append([]venue.Feature(nil), w.features...),
-		index:     make(map[[2]int][]int, len(w.index)),
-	}
-	for k, v := range w.index {
-		out.index[k] = append([]int(nil), v...)
-	}
-	return out
+	out := *w
+	out.occluders = slices.Clone(w.occluders)
+	out.features = slices.Clone(w.features)
+	out.start = slices.Clone(w.start)
+	out.index = slices.Clone(w.index)
+	return &out
 }
 
 // candidates calls fn for every feature within range r of pos (plus some
-// slack from bucket granularity).
+// slack from bucket granularity), bucket by bucket x-major and in feature
+// order within a bucket.
 func (w *World) candidates(pos geom.Vec2, r float64, fn func(f venue.Feature)) {
-	lo := featureKey(pos.Sub(geom.V2(r, r)))
-	hi := featureKey(pos.Add(geom.V2(r, r)))
-	for x := lo[0]; x <= hi[0]; x++ {
-		for y := lo[1]; y <= hi[1]; y++ {
-			for _, i := range w.index[[2]int{x, y}] {
-				fn(w.features[i])
-			}
+	x0, y0 := w.bucket(pos.Sub(geom.V2(r, r)))
+	x1, y1 := w.bucket(pos.Add(geom.V2(r, r)))
+	for x := x0; x <= x1; x++ {
+		for _, i := range w.index[w.start[x*w.ny+y0]:w.start[x*w.ny+y1+1]] {
+			fn(w.features[i])
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package camera
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snaptask/internal/geom"
@@ -318,5 +320,62 @@ func TestWorldCloneIsolation(t *testing.T) {
 	}
 	if !found {
 		t.Error("clone index missing added feature")
+	}
+}
+
+// TestCandidatesOrder pins the bucket index's visiting order, which decides
+// the order of a capture's detection draws: every feature within range of
+// the query point comes out, once, ordered by floor-plane bucket (x-major)
+// and then by feature index. A feature outside the venue counts in the
+// nearest bucket inside it. The world mixes generated library features,
+// features added later and some placed outside the venue, and queries
+// start inside and outside it.
+func TestCandidatesOrder(t *testing.T) {
+	v, err := venue.Library()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	w := NewWorld(v, v.GenerateFeatures(rng))
+	b := v.Bounds()
+	var extra []venue.Feature
+	for i := 0; i < 300; i++ {
+		extra = append(extra, feat(uint64(1e6+i),
+			b.Min.X-8+rng.Float64()*(b.Width()+16), b.Min.Y-8+rng.Float64()*(b.Height()+16), 1))
+	}
+	w.AddFeatures(extra)
+	cell := func(v, lo, hi float64) float64 {
+		return geom.Clamp(math.Floor(v/featureCell), math.Floor(lo/featureCell), math.Floor(hi/featureCell))
+	}
+	key := func(p geom.Vec2) [2]float64 {
+		return [2]float64{cell(p.X, b.Min.X, b.Max.X), cell(p.Y, b.Min.Y, b.Max.Y)}
+	}
+	const r = 6.0
+	for q := 0; q < 200; q++ {
+		pos := geom.V2(b.Min.X-10+rng.Float64()*(b.Width()+20), b.Min.Y-10+rng.Float64()*(b.Height()+20))
+		var want []int
+		for i, f := range w.features {
+			if f.Pos.XY().Dist(pos) <= r {
+				want = append(want, i)
+			}
+		}
+		slices.SortStableFunc(want, func(i, j int) int {
+			ki, kj := key(w.features[i].Pos.XY()), key(w.features[j].Pos.XY())
+			return cmp.Or(cmp.Compare(ki[0], kj[0]), cmp.Compare(ki[1], kj[1]))
+		})
+		var got []uint64
+		w.candidates(pos, r, func(f venue.Feature) {
+			if f.Pos.XY().Dist(pos) <= r {
+				got = append(got, f.ID)
+			}
+		})
+		if len(got) != len(want) {
+			t.Fatalf("query %v: %d features in range, want %d", pos, len(got), len(want))
+		}
+		for k, i := range want {
+			if got[k] != w.features[i].ID {
+				t.Fatalf("query %v: candidate %d is feature %d, want %d", pos, k, got[k], w.features[i].ID)
+			}
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"snaptask/internal/camera"
@@ -93,5 +95,33 @@ func BenchmarkManagerRestore(b *testing.B) {
 		if err := m.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkManagerCreate measures the cold start of a new campaign:
+// Manager.Create of a library campaign on a journal root, which builds the
+// venue, its features and their world index, a fresh system (layout grids
+// and feature oracle), the campaign's journal and server, and publishes
+// the first snapshot. Each iteration creates into a fresh manager and
+// root; setting those up and closing them is not timed.
+func BenchmarkManagerCreate(b *testing.B) {
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := NewManager(ManagerConfig{JournalRoot: filepath.Join(root, strconv.Itoa(i))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := m.Create(Spec{ID: "lib", Venue: "library", Seed: 21}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

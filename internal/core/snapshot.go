@@ -173,7 +173,7 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 		return nil, fmt.Errorf("core: decode snapshot meta: %w", err)
 	}
 
-	s, err := NewSystem(v, world, meta.Config)
+	s, err := newSystem(v, world, meta.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -142,6 +142,23 @@ type System struct {
 // NewSystem creates a backend for a venue. The world must be built over the
 // same venue; its features are the reconstruction oracle.
 func NewSystem(v *venue.Venue, world *camera.World, cfg Config) (*System, error) {
+	s, err := newSystem(v, world, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.maps = &mapping.Maps{
+		Obstacles:  grid.NewLike(s.layout),
+		Visibility: grid.NewLike(s.layout),
+		Aspects:    grid.NewLike(s.layout),
+		Coverage:   grid.NewLike(s.layout),
+	}
+	s.applyBarrier()
+	return s, nil
+}
+
+// newSystem is NewSystem without the maps: LoadSystem builds those from
+// the restored model, so empty ones would be allocated only to be dropped.
+func newSystem(v *venue.Venue, world *camera.World, cfg Config) (*System, error) {
 	if v == nil || world == nil {
 		return nil, fmt.Errorf("core: nil venue or world")
 	}
@@ -177,13 +194,6 @@ func NewSystem(v *venue.Venue, world *camera.World, cfg Config) (*System, error)
 			}
 		})
 	}
-	s.maps = &mapping.Maps{
-		Obstacles:  grid.NewLike(layout),
-		Visibility: grid.NewLike(layout),
-		Aspects:    grid.NewLike(layout),
-		Coverage:   grid.NewLike(layout),
-	}
-	s.applyBarrier()
 	return s, nil
 }
 

@@ -24,12 +24,13 @@ import (
 //
 // Each segment is a journal file named after the sequence number of its
 // first event; the highest-named segment is the active one and rotates
-// when it exceeds SegmentMaxBytes. A checkpoint at seq S is written
-// atomically (temp file, fsync, rename, directory fsync) and makes every
-// segment that ends at or before S redundant — but segments are only
-// deleted once they are covered by the *oldest retained* checkpoint, so a
-// corrupt newest checkpoint can always fall back to the previous one plus
-// a longer tail. With KeepCheckpoints=2 (the default) the invariant is:
+// when it exceeds SegmentMaxBytes or when a checkpoint covers all of it.
+// A checkpoint at seq S is written atomically (temp file, fsync, rename,
+// directory fsync) and makes every segment that ends at or before S
+// redundant — but segments are only deleted once they are covered by the
+// *oldest retained* checkpoint, so a corrupt newest checkpoint can always
+// fall back to the previous one plus a longer tail. With KeepCheckpoints=2
+// (the default) the invariant is:
 //
 //	oldest segment's first seq  <=  oldest retained checkpoint seq + 1
 //
@@ -350,7 +351,10 @@ func (ds *DirStore) ReadAfter(after uint64, fn func(Event) error) error {
 // checkpoint files beyond KeepCheckpoints are removed and segments fully
 // covered by the oldest retained checkpoint are deleted. The caller (the
 // Log) has already fsynced the tail, so the checkpoint never claims to
-// cover events that could be lost.
+// cover events that could be lost. A checkpoint that covers every stored
+// event also seals the active segment, when it holds any: a reopen then
+// scans and replays none of the covered events, and compaction later
+// deletes the sealed segment whole.
 func (ds *DirStore) WriteCheckpoint(c Checkpoint) error {
 	data, err := json.Marshal(c)
 	if err != nil {
@@ -374,6 +378,12 @@ func (ds *DirStore) WriteCheckpoint(c Checkpoint) error {
 	cc := c
 	ds.ckpt = &cc
 	ds.ckptSeqs = append(ds.ckptSeqs, c.Seq)
+	if c.Seq == ds.lastSeq && ds.active.Len() > 0 {
+		if err := ds.rotateLocked(); err != nil {
+			ds.err = err
+			return err
+		}
+	}
 	ds.compactLocked()
 	return nil
 }

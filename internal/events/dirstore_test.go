@@ -1,6 +1,8 @@
 package events
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -553,5 +555,104 @@ func TestLogCheckpointDueTriggers(t *testing.T) {
 	}
 	if err := ln.WriteCheckpoint(nil); err != nil {
 		t.Fatalf("WriteCheckpoint without a store: %v (want nil no-op)", err)
+	}
+}
+
+// TestLogCheckpointAtLastSeqSealsSegment: a checkpoint covering every
+// stored event (the shutdown checkpoint) seals the active segment, so a
+// reopen replays nothing: Replay folds no event, ReadAfter from the
+// checkpoint yields none, and neither open nor either read touches the
+// sealed segment, here overwritten with unparseable lines that any read
+// would report as corrupt and that open would truncate.
+func TestLogCheckpointAtLastSeqSealsSegment(t *testing.T) {
+	dir := t.TempDir()
+	evs := sampleEvents()
+	l := openTestDir(t, dir, nil)
+	emitAll(t, l, evs)
+	if err := l.WriteCheckpoint(json.RawMessage(`{"workers":null}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := filepath.Join(dir, segName(1))
+	active := filepath.Join(dir, segName(uint64(len(evs))+1))
+	if info, err := os.Stat(active); err != nil || info.Size() != 0 {
+		t.Fatalf("no empty segment after the checkpoint seq: %v %v", info, err)
+	}
+	garbage := []byte("not an event\nnor this\n")
+	if err := os.WriteFile(sealed, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openTestDir(t, dir, nil)
+	defer l2.Close()
+	folded := 0
+	if err := l2.Replay(func(Event) { folded++ }); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if folded != 0 {
+		t.Fatalf("replay folded %d events the checkpoint covers", folded)
+	}
+	if err := l2.ReadAfter(l2.CheckpointSeq(), func(e Event) error {
+		t.Errorf("ReadAfter(%d) yielded seq %d", l2.CheckpointSeq(), e.Seq)
+		return nil
+	}); err != nil {
+		t.Fatalf("ReadAfter: %v", err)
+	}
+	full := NewLog(nil)
+	emitAll(t, full, evs)
+	if got, want := l2.Campaign().Counters(), full.Campaign().Counters(); got != want {
+		t.Fatalf("restored counters %+v != full fold %+v", got, want)
+	}
+	if string(l2.CheckpointDispatch()) != `{"workers":null}` {
+		t.Fatalf("checkpoint dispatch state %s", l2.CheckpointDispatch())
+	}
+	if got, err := os.ReadFile(sealed); err != nil || !bytes.Equal(got, garbage) {
+		t.Fatalf("sealed segment changed: %q %v", got, err)
+	}
+	l2.Emit(Event{T: fixedTime(99), Kind: KindTaskIssued, TaskKind: "photo"})
+	if err := l2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if l2.LastSeq() != uint64(len(evs))+1 {
+		t.Fatalf("post-restart LastSeq = %d, want %d", l2.LastSeq(), len(evs)+1)
+	}
+}
+
+// TestLogReplayFoldsTailOnce: after a crash (events appended past the
+// newest checkpoint, no shutdown checkpoint) Replay hands exactly those
+// events, once each and in order, to the campaign aggregate and to the
+// fold function, in one pass.
+func TestLogReplayFoldsTailOnce(t *testing.T) {
+	dir := t.TempDir()
+	evs := sampleEvents()
+	const split = 4
+	l := openTestDir(t, dir, nil)
+	emitAll(t, l, evs[:split])
+	if err := l.WriteCheckpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	emitAll(t, l, evs[split:])
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openTestDir(t, dir, nil)
+	defer l2.Close()
+	var folded []uint64
+	if err := l2.Replay(func(e Event) {
+		if l2.Campaign().Counters().LastSeq != e.Seq {
+			t.Errorf("seq %d reached the fold before the aggregate", e.Seq)
+		}
+		folded = append(folded, e.Seq)
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	wantContiguous(t, folded, split+1, len(evs))
+	full := NewLog(nil)
+	emitAll(t, full, evs)
+	if got, want := l2.Campaign().Counters(), full.Campaign().Counters(); got != want {
+		t.Fatalf("checkpoint+tail counters %+v != full fold %+v", got, want)
 	}
 }

@@ -62,10 +62,6 @@ func OpenDir(dir string, m *telemetry.EventMetrics, opts DirStoreOptions, policy
 		return nil, err
 	}
 	l := OpenStore(ds, m, policy)
-	if c, ok := ds.Checkpoint(); ok {
-		l.ckptSeq = c.Seq
-		l.ckptDispatch = c.Dispatch
-	}
 	if n := ds.CorruptCheckpoints(); n > 0 {
 		l.m.Corrupt.Add(uint64(n))
 	}
@@ -81,6 +77,10 @@ func OpenStore(st Store, m *telemetry.EventMetrics, policy CheckpointPolicy) *Lo
 	l.seq = st.LastSeq()
 	l.policy = policy
 	l.lastCkptT = l.now()
+	if c, ok := st.Checkpoint(); ok {
+		l.ckptSeq = c.Seq
+		l.ckptDispatch = c.Dispatch
+	}
 	return l
 }
 
@@ -98,8 +98,10 @@ func NewLog(m *telemetry.EventMetrics) *Log {
 // Replay restores the campaign aggregate: the newest checkpoint's folded
 // state first (when the store has one), then every stored event after it,
 // producing exactly the counters and progress history an uninterrupted run
-// would hold. Call once, before Emit.
-func (l *Log) Replay() error {
+// would hold. Each fold function also sees every one of those tail events,
+// in order, after the aggregate has applied it: the server restores its
+// dispatcher in the same pass over the journal. Call once, before Emit.
+func (l *Log) Replay(fold ...func(Event)) error {
 	if l == nil || l.store == nil {
 		return nil
 	}
@@ -110,6 +112,9 @@ func (l *Log) Replay() error {
 	}
 	err := l.store.ReadAfter(from, func(e Event) error {
 		l.camp.Apply(e)
+		for _, fn := range fold {
+			fn(e)
+		}
 		return nil
 	})
 	if errors.Is(err, ErrCorrupt) {
@@ -257,8 +262,7 @@ func (l *Log) CheckpointFailing() bool {
 }
 
 // CheckpointSeq returns the sequence number covered by the newest
-// checkpoint (0 when none). After Replay, the dispatcher folds journal
-// events starting here.
+// checkpoint (0 when none); Replay folds the journal events after it.
 func (l *Log) CheckpointSeq() uint64 {
 	if l == nil {
 		return 0

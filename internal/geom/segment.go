@@ -50,45 +50,6 @@ func (s Segment) DistToPoint(p Vec2) float64 {
 	return p.Dist(q)
 }
 
-// Intersect computes the intersection of two segments. It returns the
-// intersection point and true when the segments cross (including touching at
-// endpoints); collinear overlap reports the first endpoint of the overlap.
-func (s Segment) Intersect(o Segment) (Vec2, bool) {
-	r := s.B.Sub(s.A)
-	d := o.B.Sub(o.A)
-	denom := r.Cross(d)
-	qp := o.A.Sub(s.A)
-	if math.Abs(denom) < Eps {
-		// Parallel. Check for collinear overlap.
-		if math.Abs(qp.Cross(r)) > Eps {
-			return Vec2{}, false
-		}
-		rl2 := r.Len2()
-		if rl2 < Eps {
-			// s is a point.
-			if o.DistToPoint(s.A) < Eps {
-				return s.A, true
-			}
-			return Vec2{}, false
-		}
-		t0 := qp.Dot(r) / rl2
-		t1 := o.B.Sub(s.A).Dot(r) / rl2
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		if t1 < -Eps || t0 > 1+Eps {
-			return Vec2{}, false
-		}
-		return s.At(Clamp(t0, 0, 1)), true
-	}
-	t := qp.Cross(d) / denom
-	u := qp.Cross(r) / denom
-	if t < -Eps || t > 1+Eps || u < -Eps || u > 1+Eps {
-		return Vec2{}, false
-	}
-	return s.At(Clamp(t, 0, 1)), true
-}
-
 // Ray is a half line starting at Origin in unit direction Dir.
 type Ray struct {
 	Origin Vec2

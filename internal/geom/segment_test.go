@@ -49,6 +49,9 @@ func TestSegmentClosestPoint(t *testing.T) {
 	}
 }
 
+// TestSegmentIntersect checks segment-segment intersection as the capture
+// occlusion test computes it: a ray from s.A towards s.B that hits o no
+// farther than s is long.
 func TestSegmentIntersect(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -66,7 +69,10 @@ func TestSegmentIntersect(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, ok := tt.s.Intersect(tt.o)
+			r := NewRay(tt.s.A, tt.s.B.Sub(tt.s.A))
+			d, ok := r.IntersectSegment(tt.o)
+			ok = ok && d <= tt.s.Len()+Eps
+			got := r.At(d)
 			if ok != tt.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
 			}

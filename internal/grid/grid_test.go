@@ -83,6 +83,45 @@ func TestAtSetAdd(t *testing.T) {
 	}
 }
 
+// TestCellValueRange pins the int32 cell storage: the extremes round-trip,
+// and a Set, Add or Fill that would leave the range panics rather than
+// wrap, leaving the cell as it was.
+func TestCellValueRange(t *testing.T) {
+	m := mustNew(t, geom.V2(0, 0), 1, 2, 2)
+	c := Cell{1, 1}
+	for _, v := range []int{math.MaxInt32, math.MinInt32} {
+		m.Set(c, v)
+		if got := m.At(c); got != v {
+			t.Errorf("Set(%d): At = %d", v, got)
+		}
+	}
+	m.Set(c, math.MaxInt32-1)
+	m.Add(c, 1)
+	if got := m.At(c); got != math.MaxInt32 {
+		t.Errorf("Add to the maximum: At = %d", got)
+	}
+	panics := map[string]func(){
+		"set above":  func() { m.Set(c, math.MaxInt32+1) },
+		"set below":  func() { m.Set(c, math.MinInt32-1) },
+		"add over":   func() { m.Add(c, 1) },
+		"add under":  func() { m.Add(Cell{0, 0}, math.MinInt32-1) },
+		"fill above": func() { m.Fill(1 << 40) },
+	}
+	for name, fn := range panics {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			fn()
+		})
+	}
+	if m.At(c) != math.MaxInt32 || m.At(Cell{0, 0}) != 0 {
+		t.Errorf("a refused write changed a cell: %d, %d", m.At(c), m.At(Cell{0, 0}))
+	}
+}
+
 func TestCellOfCenterOfRoundTrip(t *testing.T) {
 	m := mustNew(t, geom.V2(-2, 3), 0.15, 40, 40)
 	for _, c := range []Cell{{0, 0}, {5, 7}, {39, 39}, {13, 2}} {

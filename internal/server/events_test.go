@@ -481,6 +481,98 @@ func TestRestartWithCheckpointStoreRestoresStatusAndProgress(t *testing.T) {
 	}
 }
 
+// readCountingStore counts the passes New makes over the journal and the
+// events they yield.
+type readCountingStore struct {
+	events.Store
+	passes, read int
+}
+
+func (s *readCountingStore) ReadAfter(after uint64, fn func(events.Event) error) error {
+	s.passes++
+	return s.Store.ReadAfter(after, func(e events.Event) error {
+		s.read++
+		return fn(e)
+	})
+}
+
+// TestRestartFoldsJournalTailOnce restarts a server twice over one journal
+// directory. After a crash, with a tail of events past the newest
+// checkpoint, New reads the journal in one pass that yields exactly the
+// tail, and both the campaign counters and the dispatcher come back: the
+// status is byte-identical and the tail's lease is alive. After a shutdown
+// checkpoint the next restart's pass yields no event.
+func TestRestartFoldsJournalTailOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "campaign.d")
+	ts, srv, log, w, v := newCheckpointTestServer(t, dir)
+	if code := postJSON(t, ts.URL+"/v1/workers", RegisterWorkerRequest{ID: "w1"}, new(RegisterWorkerResponse)); code != http.StatusOK {
+		t.Fatalf("register code %d", code)
+	}
+	driveCampaign(t, ts, w, v, 2)
+	if err := srv.CheckpointState(nil); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	ckptSeq := log.CheckpointSeq()
+	var claim ClaimResponse
+	if code := postJSON(t, ts.URL+"/v1/task/claim", ClaimRequest{WorkerID: "w1"}, &claim); code != http.StatusOK || claim.LeaseID == "" {
+		t.Fatalf("tail claim code %d: %+v", code, claim)
+	}
+	tail := int(log.LastSeq() - ckptSeq)
+	if tail == 0 {
+		t.Fatal("no tail events after the checkpoint")
+	}
+	statusBefore := rawGET(t, ts.URL+"/v1/status")
+	state := rawGET(t, ts.URL+"/v1/snapshot")
+	ts.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// restart returns the restarted server and its journal store, which
+	// the caller closes.
+	restart := func(wantRead int) (*Server, *events.DirStore) {
+		t.Helper()
+		sys, err := core.LoadSystem(strings.NewReader(state), v, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := events.OpenDirStore(dir, events.DirStoreOptions{SegmentMaxBytes: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &readCountingStore{Store: ds}
+		srv, err := New(sys, rand.New(rand.NewSource(9)), WithEvents(events.OpenStore(st, nil, events.CheckpointPolicy{})),
+			WithDispatch(dispatch.New(dispatch.Config{LeaseTTL: 30 * time.Second})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.passes != 1 || st.read != wantRead {
+			t.Errorf("New made %d journal passes yielding %d events, want 1 pass yielding %d", st.passes, st.read, wantRead)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		if got := rawGET(t, ts.URL+"/v1/status"); got != statusBefore {
+			t.Errorf("status differs after restart:\nbefore: %s\nafter:  %s", statusBefore, got)
+		}
+		var hb HeartbeatResponse
+		if code := postJSON(t, ts.URL+"/v1/workers/w1/heartbeat", struct{}{}, &hb); code != http.StatusOK || !hb.Active {
+			t.Fatalf("heartbeat after restart: code %d, active %v", code, hb.Active)
+		}
+		return srv, ds
+	}
+	srv2, ds2 := restart(tail)
+	if err := srv2.CheckpointState(nil); err != nil {
+		t.Fatalf("shutdown checkpoint: %v", err)
+	}
+	if err := ds2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ds3 := restart(0)
+	if err := ds3.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSSEHistoryTruncatedOnCompactedResume compacts history away and then
 // resumes an SSE client from before the horizon: the stream must open with
 // an explicit history_truncated frame whose id is the horizon (so a plain

@@ -402,19 +402,6 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 		}
 		s.sloT.OnTransition(s.onSLOTransition)
 	}
-	if s.evlog != nil {
-		// Fold the journal's history into the campaign aggregate before the
-		// first snapshot publication, so restored counters appear in the very
-		// first /v1/status. The replaying flag keeps /readyz honest while the
-		// fold runs.
-		s.replaying.Store(true)
-		err := s.evlog.Replay()
-		s.replaying.Store(false)
-		if err != nil {
-			return nil, fmt.Errorf("server: journal replay: %w", err)
-		}
-		sys.SetEvents(s.evlog)
-	}
 	if s.disp == nil {
 		s.disp = dispatch.New(dispatch.Config{})
 	}
@@ -424,20 +411,25 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 	}
 	s.disp.AttachLog(s.evlog)
 	if s.evlog != nil {
-		// Restore the dispatcher too: the newest checkpoint's serialised
-		// state first (a no-op without one), then the journal tail after the
-		// checkpoint seq — registry, per-worker counters and active leases
-		// (re-armed with a fresh TTL) come back, making the status dispatch
-		// section byte-identical post-restart at O(tail) cost.
+		// Restore the campaign aggregate and the dispatcher before the
+		// first snapshot publication, so restored counters appear in the
+		// very first /v1/status: each starts from the newest checkpoint's
+		// state (the dispatcher's is a no-op without one), then one pass
+		// over the journal tail after the checkpoint folds every event
+		// into both. Registry, per-worker counters and active leases
+		// (re-armed with a fresh TTL) come back, making the status
+		// dispatch section byte-identical post-restart at O(tail) cost.
+		// The replaying flag keeps /readyz honest while the fold runs.
 		if err := s.disp.RestoreState(s.evlog.CheckpointDispatch()); err != nil {
 			return nil, fmt.Errorf("server: dispatch restore: %w", err)
 		}
-		if err := s.evlog.ReadAfter(s.evlog.CheckpointSeq(), func(e events.Event) error {
-			s.disp.Restore(e)
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("server: dispatch restore: %w", err)
+		s.replaying.Store(true)
+		err := s.evlog.Replay(s.disp.Restore)
+		s.replaying.Store(false)
+		if err != nil {
+			return nil, fmt.Errorf("server: journal replay: %w", err)
 		}
+		sys.SetEvents(s.evlog)
 	}
 	if s.admCfg != nil {
 		var (
@@ -537,7 +529,8 @@ func (s *Server) publishLocked() {
 		rows = append(rows, string(row))
 	}
 
-	features := make(map[uint64]bool)
+	// Every triangulated point carries its own feature ID; outliers carry 0.
+	features := make(map[uint64]bool, s.sys.NumPoints())
 	s.sys.EachCloudPoint(func(p pointcloud.Point) {
 		if p.FeatureID != 0 {
 			features[p.FeatureID] = true

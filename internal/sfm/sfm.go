@@ -136,12 +136,14 @@ type View struct {
 type Model struct {
 	cfg Config
 
-	featPos map[uint64]featureInfo
-	// natN and natSum are the count and fingerprint (the wrapping sum of
-	// featureHash) of the natural features in featPos, and artificial
-	// lists its artificial features in ascending ID order.
-	// AddWorldFeatures keeps all three in step with featPos, so a
-	// snapshot write or restore scans no oracle entry.
+	// natural is the oracle's natural features, indexed by feature ID
+	// (venue.GenerateFeatures numbers them densely from 1), and
+	// artificial its artificial features in ascending ID order: an ID is
+	// in one or the other, never both. natN and natSum are the count and
+	// fingerprint (the wrapping sum of featureHash) of the natural
+	// features. AddWorldFeatures keeps all four in step, so a snapshot
+	// write or restore scans no oracle entry.
+	natural      []naturalFeature
 	natN, natSum uint64
 	artificial   []venue.Feature
 	views        []View
@@ -176,18 +178,26 @@ type Model struct {
 	nextPhotoID int
 }
 
-type featureInfo struct {
-	pos        geom.Vec3
-	artificial bool
+// naturalFeature is one slot of the ID-indexed natural oracle; known is
+// false for an ID the oracle does not hold.
+type naturalFeature struct {
+	pos   geom.Vec3
+	known bool
 }
+
+// maxNaturalID bounds the natural oracle's ID-indexed table: a natural
+// feature's ID must be below it. Artificial IDs start there
+// (annotation.ArtificialIDBase).
+const maxNaturalID = uint64(1) << 32
 
 // NewModel returns an empty model over the given world features. The
 // feature set can grow later via AddWorldFeatures (annotation pipeline).
+// It panics on a natural feature whose ID is not below 2^32.
 func NewModel(cfg Config, features []venue.Feature) *Model {
 	cfg = cfg.withDefaults()
 	m := &Model{
 		cfg:     cfg,
-		featPos: make(map[uint64]featureInfo, len(features)),
+		natural: make([]naturalFeature, 0, len(features)+1),
 		tracks:  make(map[uint64][]int),
 		ptIdx:   make(map[uint64]int),
 		touched: make(map[uint64]struct{}),
@@ -201,33 +211,55 @@ func (m *Model) Config() Config { return m.cfg }
 
 // AddWorldFeatures registers additional true feature positions (artificial
 // texture features injected by the annotation pipeline). A feature whose
-// ID the oracle already holds replaces the earlier one.
+// ID the oracle already holds replaces the earlier one. It panics on a
+// natural feature whose ID is not below 2^32.
 func (m *Model) AddWorldFeatures(features []venue.Feature) {
 	for _, f := range features {
-		if old, ok := m.featPos[f.ID]; ok {
-			if old.artificial {
-				i := m.artificialIndex(f.ID)
-				m.artificial = slices.Delete(m.artificial, i, i+1)
-			} else {
-				m.natN--
-				m.natSum -= featureHash(f.ID, old.pos)
-			}
+		if m.isNatural(f.ID) {
+			m.natN--
+			m.natSum -= featureHash(f.ID, m.natural[f.ID].pos)
+			m.natural[f.ID] = naturalFeature{}
+		} else if i, ok := m.artificialIndex(f.ID); ok {
+			m.artificial = slices.Delete(m.artificial, i, i+1)
 		}
-		m.featPos[f.ID] = featureInfo{pos: f.Pos, artificial: f.Artificial}
 		if f.Artificial {
-			i := m.artificialIndex(f.ID)
+			i, _ := m.artificialIndex(f.ID)
 			m.artificial = slices.Insert(m.artificial, i, venue.Feature{ID: f.ID, Pos: f.Pos, Artificial: true})
-		} else {
-			m.natN++
-			m.natSum += featureHash(f.ID, f.Pos)
+			continue
 		}
+		if f.ID >= maxNaturalID {
+			panic(fmt.Sprintf("sfm: natural feature ID %d not below %d", f.ID, maxNaturalID))
+		}
+		for uint64(len(m.natural)) <= f.ID {
+			m.natural = append(m.natural, naturalFeature{})
+		}
+		m.natural[f.ID] = naturalFeature{pos: f.Pos, known: true}
+		m.natN++
+		m.natSum += featureHash(f.ID, f.Pos)
 	}
 }
 
-// artificialIndex returns where id is or would be in m.artificial.
-func (m *Model) artificialIndex(id uint64) int {
-	i, _ := slices.BinarySearchFunc(m.artificial, id, func(f venue.Feature, id uint64) int { return cmp.Compare(f.ID, id) })
-	return i
+// isNatural reports whether id is a natural feature of the oracle.
+func (m *Model) isNatural(id uint64) bool {
+	return id < uint64(len(m.natural)) && m.natural[id].known
+}
+
+// artificialIndex returns where id is or would be in m.artificial, and
+// whether it is there.
+func (m *Model) artificialIndex(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(m.artificial, id, func(f venue.Feature, id uint64) int { return cmp.Compare(f.ID, id) })
+}
+
+// feature returns the oracle's position for id, whether the feature is
+// artificial, and whether the oracle holds id at all.
+func (m *Model) feature(id uint64) (pos geom.Vec3, artificial, ok bool) {
+	if m.isNatural(id) {
+		return m.natural[id].pos, false, true
+	}
+	if i, ok := m.artificialIndex(id); ok {
+		return m.artificial[i].Pos, true, true
+	}
+	return geom.Vec3{}, false, false
 }
 
 // SetTrace sets the stage-span sink for subsequent RegisterBatch calls —
@@ -346,7 +378,7 @@ func (m *Model) RegisterBatch(photos []camera.Photo, rng *rand.Rand) (BatchResul
 		}
 		var obs []uint64
 		for _, o := range p.Obs {
-			if _, known := m.featPos[o.FeatureID]; !known {
+			if _, _, known := m.feature(o.FeatureID); !known {
 				continue
 			}
 			if rng.Float64() < nonneg(m.cfg.MatchDropProb) {
@@ -582,7 +614,7 @@ func (m *Model) triangulate(rng *rand.Rand) {
 		if len(viewIdxs) < m.cfg.MinViewsForPoint || !m.baselineOK(viewIdxs) {
 			continue
 		}
-		info := m.featPos[id]
+		pos, artificial, _ := m.feature(id)
 		noise := geom.V3(
 			rng.NormFloat64()*sigma,
 			rng.NormFloat64()*sigma,
@@ -590,10 +622,10 @@ func (m *Model) triangulate(rng *rand.Rand) {
 		)
 		m.ptIdx[id] = len(m.pts)
 		m.pts = append(m.pts, pointcloud.Point{
-			Pos:        info.pos.Add(noise),
+			Pos:        pos.Add(noise),
 			FeatureID:  id,
 			Views:      len(viewIdxs),
-			Artificial: info.artificial,
+			Artificial: artificial,
 		})
 		delete(m.tracks, id)
 	}

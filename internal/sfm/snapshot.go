@@ -157,7 +157,7 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 		if i > 0 && f.ID <= artificial[i-1].ID {
 			return fmt.Errorf("sfm: artificial feature IDs not ascending at %d", f.ID)
 		}
-		if info, ok := m.featPos[f.ID]; ok && !info.artificial {
+		if m.isNatural(f.ID) {
 			return fmt.Errorf("sfm: artificial feature %d is a natural feature of the world", f.ID)
 		}
 	}
@@ -171,14 +171,10 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	m.ptIdx = ptIdx
 	clear(m.touched)
 	m.cloudMarkPts, m.cloudMarkOut = 0, 0
-	for _, f := range m.artificial {
-		delete(m.featPos, f.ID)
-	}
-	m.artificial = m.artificial[:0]
 	for i := range artificial {
 		artificial[i].Artificial = true
 	}
-	m.AddWorldFeatures(artificial)
+	m.artificial = artificial
 	return nil
 }
 

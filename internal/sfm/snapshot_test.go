@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -70,7 +71,7 @@ func TestModelBinaryRoundTrip(t *testing.T) {
 		"outliers": {m2.outliers, m.outliers},
 		"tracks":   {m2.tracks, m.tracks},
 		"ptIdx":    {m2.ptIdx, m.ptIdx},
-		"features": {m2.featPos, m.featPos},
+		"features": {oracle(m2), oracle(m)},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {
 			t.Errorf("%s differ after round trip", name)
@@ -99,7 +100,7 @@ func TestUnmarshalBinaryRejects(t *testing.T) {
 		if err := fresh.UnmarshalBinary(data[:n]); err == nil {
 			t.Fatalf("encoding truncated to %d of %d bytes accepted", n, len(data))
 		}
-		if len(fresh.views) != 0 || len(fresh.featPos) != len(feats) {
+		if len(fresh.views) != 0 || fresh.natN != uint64(len(feats)) || len(fresh.artificial) != 0 {
 			t.Fatalf("failed decode of %d bytes modified the model", n)
 		}
 	}
@@ -152,22 +153,40 @@ func TestUnmarshalBinaryRejects(t *testing.T) {
 	}
 }
 
-// rescanOracle recomputes, from featPos alone, the natural-feature count
-// and fingerprint and the ID-sorted artificial list the model keeps.
+// oracle returns every feature the model's oracle holds, natural and
+// artificial, by ID.
+func oracle(m *Model) map[uint64]venue.Feature {
+	out := make(map[uint64]venue.Feature)
+	for id, f := range m.natural {
+		if f.known {
+			out[uint64(id)] = venue.Feature{ID: uint64(id), Pos: f.pos}
+		}
+	}
+	for _, f := range m.artificial {
+		out[f.ID] = f
+	}
+	return out
+}
+
+// rescanOracle recomputes, from the oracle's entries alone, the
+// natural-feature count and fingerprint and the ID-sorted artificial list
+// the model keeps.
 func rescanOracle(m *Model) (n, sum uint64, artificial []venue.Feature) {
-	for id, f := range m.featPos {
-		if f.artificial {
-			artificial = append(artificial, venue.Feature{ID: id, Pos: f.pos, Artificial: true})
+	for id, f := range oracle(m) {
+		if f.Artificial {
+			artificial = append(artificial, f)
 			continue
 		}
 		n++
-		sum += featureHash(id, f.pos)
+		sum += featureHash(id, f.Pos)
 	}
 	slices.SortFunc(artificial, func(a, b venue.Feature) int { return cmp.Compare(a.ID, b.ID) })
 	return n, sum, artificial
 }
 
-func checkOracle(t *testing.T, m *Model, when string) {
+// checkOracle requires the kept fingerprint and artificial list to match a
+// rescan, and want (when not nil) to be exactly the oracle's content.
+func checkOracle(t *testing.T, m *Model, want map[uint64]venue.Feature, when string) {
 	t.Helper()
 	n, sum, artificial := rescanOracle(m)
 	if m.natN != n || m.natSum != sum {
@@ -175,6 +194,15 @@ func checkOracle(t *testing.T, m *Model, when string) {
 	}
 	if got := m.ArtificialFeatures(); !slices.Equal(got, artificial) {
 		t.Fatalf("%s: artificial features %v, rescan gives %v", when, got, artificial)
+	}
+	if want != nil && !maps.Equal(oracle(m), want) {
+		t.Fatalf("%s: oracle holds %d features, want %d", when, len(oracle(m)), len(want))
+	}
+	for id, f := range want {
+		pos, artificial, ok := m.feature(id)
+		if !ok || pos != f.Pos || artificial != f.Artificial {
+			t.Fatalf("%s: feature(%d) = %v %v %v, want %v", when, id, pos, artificial, ok, f)
+		}
 	}
 }
 
@@ -186,7 +214,13 @@ func checkOracle(t *testing.T, m *Model, when string) {
 func TestOracleSummaryMatchesRescan(t *testing.T) {
 	_, feats := testScene(t)
 	m := NewModel(Config{}, feats)
-	checkOracle(t, m, "new model")
+	// want models the oracle: the ID, position and kind of the feature
+	// most recently added under each ID.
+	want := make(map[uint64]venue.Feature)
+	for _, f := range feats {
+		want[f.ID] = venue.Feature{ID: f.ID, Pos: f.Pos}
+	}
+	checkOracle(t, m, want, "new model")
 	rng := rand.New(rand.NewSource(9))
 	maxID := uint64(len(feats)) + 40
 	for batch := 0; batch < 200; batch++ {
@@ -199,7 +233,10 @@ func TestOracleSummaryMatchesRescan(t *testing.T) {
 			})
 		}
 		m.AddWorldFeatures(add)
-		checkOracle(t, m, fmt.Sprintf("batch %d", batch))
+		for _, f := range add {
+			want[f.ID] = f
+		}
+		checkOracle(t, m, want, fmt.Sprintf("batch %d", batch))
 	}
 	if len(m.artificial) == 0 {
 		t.Fatal("no artificial feature left to check")
@@ -208,9 +245,9 @@ func TestOracleSummaryMatchesRescan(t *testing.T) {
 	// A decode drops the fresh model's artificial features and adopts
 	// the encoded ones.
 	var natural []venue.Feature
-	for id, f := range m.featPos {
-		if !f.artificial {
-			natural = append(natural, venue.Feature{ID: id, Pos: f.pos})
+	for _, f := range want {
+		if !f.Artificial {
+			natural = append(natural, f)
 		}
 	}
 	fresh := NewModel(Config{}, natural)
@@ -218,8 +255,22 @@ func TestOracleSummaryMatchesRescan(t *testing.T) {
 	if err := fresh.UnmarshalBinary(mustMarshal(t, m)); err != nil {
 		t.Fatal(err)
 	}
-	checkOracle(t, fresh, "after decode")
-	if !maps.Equal(fresh.featPos, m.featPos) {
-		t.Error("decoded oracle differs")
+	checkOracle(t, fresh, want, "after decode")
+}
+
+// TestNaturalFeatureIDBound: the ID-indexed natural oracle refuses an ID
+// that would size its table past 2^32 entries, while an artificial feature
+// may carry any ID.
+func TestNaturalFeatureIDBound(t *testing.T) {
+	m := NewModel(Config{}, []venue.Feature{{ID: 5}})
+	m.AddWorldFeatures([]venue.Feature{{ID: maxNaturalID, Artificial: true}, {ID: math.MaxUint64, Artificial: true}})
+	if m.natN != 1 || len(m.artificial) != 2 {
+		t.Fatalf("oracle holds %d natural and %d artificial features, want 1 and 2", m.natN, len(m.artificial))
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("natural feature ID 2^32 accepted")
+		}
+	}()
+	m.AddWorldFeatures([]venue.Feature{{ID: maxNaturalID}})
 }

@@ -175,7 +175,7 @@ func run(ctx context.Context, args []string) error {
 		JournalRoot:     *journalDir,
 		SegmentMaxBytes: *segmentMaxBytes,
 		Checkpoint:      events.CheckpointPolicy{Interval: *checkpointInterval, Every: *checkpointEvery},
-		Admission: &server.AdmissionConfig{
+		Admission: server.AdmissionConfig{
 			MaxQueue:     *maxQueue,
 			RatePerSec:   *rateLimit,
 			RateBurst:    *rateBurst,
@@ -186,7 +186,6 @@ func run(ctx context.Context, args []string) error {
 		IncentiveBudget: *incentiveBudget,
 		Telemetry:       tel,
 		Watchdog:        wd,
-		SLO:             true,
 	})
 	if err != nil {
 		return err

@@ -14,46 +14,30 @@ import (
 	"snaptask/internal/telemetry/slo"
 )
 
-// blockWriter blocks the first Write until released — handed to
-// Server.CheckpointState it pins the campaign's owner lock, simulating a
-// stuck owner path in exactly one shard.
-type blockWriter struct {
-	gate    chan struct{}
-	entered chan struct{}
-	once    sync.Once
-}
-
-func newBlockWriter() *blockWriter {
-	return &blockWriter{gate: make(chan struct{}), entered: make(chan struct{})}
-}
-
-func (b *blockWriter) Write(p []byte) (int, error) {
-	b.once.Do(func() { close(b.entered) })
-	<-b.gate
-	return len(p), nil
-}
-
-func (b *blockWriter) release() { close(b.gate) }
-
-// blockOwner pins a campaign's owner lock via CheckpointState until the
-// returned release func is called.
+// blockOwner pins a campaign's owner lock via CheckpointState, whose
+// model-save callback runs under it, until the returned release func is
+// called — a stuck owner path in exactly one shard.
 func blockOwner(t *testing.T, c *Campaign) (release func()) {
 	t.Helper()
-	bw := newBlockWriter()
+	entered, gate := make(chan struct{}), make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = c.Server().CheckpointState(bw)
+		_ = c.Server().CheckpointState(func(uint64) error {
+			close(entered)
+			<-gate
+			return nil
+		})
 	}()
 	select {
-	case <-bw.entered:
+	case <-entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("owner block never engaged")
 	}
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			bw.release()
+			close(gate)
 			<-done
 		})
 	}
@@ -82,7 +66,7 @@ func gaugeValue(t *testing.T, m *Manager, name, campaign string) float64 {
 // through the per-campaign admission queue-depth series.
 func TestConcurrentIngestIsolation(t *testing.T) {
 	m, ts := newTestManager(t, ManagerConfig{
-		Admission: &server.AdmissionConfig{MaxQueue: 16},
+		Admission: server.AdmissionConfig{MaxQueue: 16},
 	})
 	specs := []Spec{
 		{ID: "c1", Venue: "small", Seed: 41},
@@ -163,7 +147,7 @@ func TestConcurrentIngestIsolation(t *testing.T) {
 // serving with a healthy SLO and zero sheds.
 func TestAdmissionIsolationSLO(t *testing.T) {
 	m, ts := newTestManager(t, ManagerConfig{
-		Admission: &server.AdmissionConfig{MaxQueue: 1},
+		Admission: server.AdmissionConfig{MaxQueue: 1},
 	})
 	quiet := Spec{ID: "quiet", Venue: "small", Seed: 51}
 	noisy := Spec{ID: "noisy", Venue: "small", Seed: 52}

@@ -44,7 +44,6 @@ import (
 	"snaptask/internal/events"
 	"snaptask/internal/server"
 	"snaptask/internal/telemetry"
-	"snaptask/internal/telemetry/slo"
 	"snaptask/internal/venue"
 )
 
@@ -76,17 +75,20 @@ func (s Spec) withDefaults() Spec {
 
 // ManagerConfig carries the per-campaign wiring templates: every campaign
 // gets its own journal directory, dispatcher, admission instance and SLO
-// tracker cut from these shared settings.
+// tracker (served at /v1/campaigns/{id}/slo) cut from these shared
+// settings.
 type ManagerConfig struct {
 	// JournalRoot is the checkpointing store root ("" = campaigns are
 	// ephemeral: live events and progress, no durability, no manifest).
 	JournalRoot     string
 	SegmentMaxBytes int64
 	Checkpoint      events.CheckpointPolicy
-	// Admission, when non-nil, is instantiated per campaign — each venue
-	// gets its own bounded owner queue and token buckets, so one venue's
-	// overload sheds only that venue's traffic.
-	Admission       *server.AdmissionConfig
+	// Admission is instantiated per campaign — each venue gets its own
+	// bounded owner queue and token buckets, so one venue's overload sheds
+	// only that venue's traffic. The zero config admits everything.
+	Admission server.AdmissionConfig
+	// LeaseTTL and IncentiveBudget configure every campaign's dispatcher
+	// (zero keeps the dispatch defaults: a 60 s lease, no budget).
 	LeaseTTL        time.Duration
 	IncentiveBudget float64
 	// Telemetry is the root bundle. Campaigns observe through
@@ -96,13 +98,6 @@ type ManagerConfig struct {
 	// Watchdog, when non-nil, probes the busiest owner path across all
 	// campaigns and ticks every campaign's SLO evaluator.
 	Watchdog *telemetry.Watchdog
-	// SLO wires a per-campaign slo.Tracker (served at
-	// /v1/campaigns/{id}/slo).
-	SLO bool
-	// SSEHeartbeat and SSEBuf tune every campaign's event stream (zero
-	// keeps the server defaults).
-	SSEHeartbeat time.Duration
-	SSEBuf       int
 }
 
 // Campaign is one hosted venue campaign: a fully wired server plus the
@@ -113,8 +108,15 @@ type Campaign struct {
 	srv       *server.Server
 	sys       *core.System
 	log       *events.Log
-	sloT      *slo.Tracker
 	archived  atomic.Bool
+
+	// modelSaved reports that the campaign's model.snap holds the model as
+	// of log seq modelSeq: it was read from that file or last written to
+	// it then. Every model mutation emits an event, so while the log's
+	// seq stays at modelSeq the file needs no rewrite. Read and written
+	// only under the server's owner lock (inside CheckpointState).
+	modelSaved bool
+	modelSeq   uint64
 }
 
 // ID returns the campaign identifier.
@@ -179,10 +181,11 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 // manifest is left untouched: a restore changes no lifecycle state.
 func (m *Manager) restore(specs []Spec) error {
 	systems := make([]*core.System, len(specs))
+	loaded := make([]bool, len(specs))
 	errs := make([]error, len(specs))
 	parallel(len(specs), func(i int) {
 		if errs[i] = validateID(specs[i].ID); errs[i] == nil {
-			systems[i], errs[i] = m.loadCampaign(specs[i], false)
+			systems[i], loaded[i], errs[i] = m.loadCampaign(specs[i], false)
 		}
 	})
 	m.mu.Lock()
@@ -195,7 +198,7 @@ func (m *Manager) restore(specs []Spec) error {
 		if err != nil {
 			return fmt.Errorf("restore campaign %q: %w", spec.ID, err)
 		}
-		c, err := m.build(spec, systems[i], false)
+		c, err := m.build(spec, systems[i], loaded[i], false)
 		if err != nil {
 			return fmt.Errorf("restore campaign %q: %w", spec.ID, err)
 		}
@@ -239,7 +242,7 @@ func (m *Manager) CreateDefault(spec Spec, sys *core.System) (*Campaign, error) 
 	if _, ok := m.campaigns[DefaultID]; ok {
 		return nil, fmt.Errorf("campaign: default campaign already installed")
 	}
-	c, err := m.build(spec, sys, true)
+	c, err := m.build(spec, sys, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +272,7 @@ func (m *Manager) create(spec Spec, sys *core.System) (*Campaign, error) {
 	if _, ok := m.campaigns[spec.ID]; ok {
 		return nil, fmt.Errorf("campaign: %w: %q", ErrExists, spec.ID)
 	}
-	c, err := m.build(spec, sys, false)
+	c, err := m.build(spec, sys, false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -282,33 +285,35 @@ func (m *Manager) create(spec Spec, sys *core.System) (*Campaign, error) {
 
 // loadCampaign builds a campaign's model: venue and feature world from the
 // spec, then the campaign's model snapshot when it is journaled and has
-// one, else a fresh system. It reads no mutable manager state, so restores
-// run it for several campaigns at once.
-func (m *Manager) loadCampaign(spec Spec, isDefault bool) (*core.System, error) {
+// one (fromSnap), else a fresh system. It reads no mutable manager state,
+// so restores run it for several campaigns at once.
+func (m *Manager) loadCampaign(spec Spec, isDefault bool) (sys *core.System, fromSnap bool, err error) {
 	spec = spec.withDefaults()
 	v, err := venue.ByName(spec.Venue, spec.Seed)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	world := camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(spec.Seed))))
 	if m.cfg.JournalRoot != "" {
 		sys, err := loadModelSnap(m.modelPath(spec.ID, isDefault), v, world)
 		if err != nil || sys != nil {
-			return sys, err
+			return sys, sys != nil, err
 		}
 	}
-	return core.NewSystem(v, world, core.Config{Margin: spec.Margin})
+	sys, err = core.NewSystem(v, world, core.Config{Margin: spec.Margin})
+	return sys, false, err
 }
 
 // build wires one campaign around its model (loaded by loadCampaign when
-// sys is nil): a telemetry view labelled with the campaign ID, its own
+// sys is nil; fromSnap marks a sys the caller read from the campaign's
+// model.snap): a telemetry view labelled with the campaign ID, its own
 // journal (replayed inside server.New), dispatcher, admission instance and
 // SLO tracker. Caller holds m.mu.
-func (m *Manager) build(spec Spec, sys *core.System, isDefault bool) (*Campaign, error) {
+func (m *Manager) build(spec Spec, sys *core.System, fromSnap, isDefault bool) (*Campaign, error) {
 	spec = spec.withDefaults()
 	var err error
 	if sys == nil {
-		if sys, err = m.loadCampaign(spec, isDefault); err != nil {
+		if sys, fromSnap, err = m.loadCampaign(spec, isDefault); err != nil {
 			return nil, err
 		}
 	} else if _, err = venue.ByName(spec.Venue, spec.Seed); err != nil {
@@ -352,31 +357,19 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool) (*Campaign,
 		sys.SetTelemetry(tel)
 	}
 
-	opts := []server.Option{server.WithEvents(log)}
-	if tel != nil {
-		opts = append(opts, server.WithTelemetry(tel))
-	}
-	if m.cfg.LeaseTTL > 0 || m.cfg.IncentiveBudget > 0 {
-		opts = append(opts, server.WithDispatch(dispatch.New(dispatch.Config{
+	opts := []server.Option{
+		server.WithEvents(log),
+		server.WithDispatch(dispatch.New(dispatch.Config{
 			LeaseTTL: m.cfg.LeaseTTL,
 			Budget:   m.cfg.IncentiveBudget,
-		})))
-	}
-	var sloT *slo.Tracker
-	if m.cfg.SLO {
-		sloT = slo.New(reg)
-		opts = append(opts, server.WithSLO(sloT))
-	}
-	if m.cfg.Admission != nil {
-		opts = append(opts, server.WithAdmission(*m.cfg.Admission))
-	}
-	if m.cfg.SSEHeartbeat > 0 || m.cfg.SSEBuf > 0 {
-		opts = append(opts, server.WithSSE(m.cfg.SSEHeartbeat, m.cfg.SSEBuf))
-	}
-	if m.cfg.Watchdog != nil {
+		})),
+		server.WithAdmission(m.cfg.Admission),
 		// The shared watchdog ticks each campaign's SLO evaluator and
 		// captures profiles on fast burns (wired inside server.New).
-		opts = append(opts, server.WithWatchdog(m.cfg.Watchdog))
+		server.WithWatchdog(m.cfg.Watchdog),
+	}
+	if tel != nil {
+		opts = append(opts, server.WithTelemetry(tel))
 	}
 	srv, err := server.New(sys, rand.New(rand.NewSource(spec.Seed+1)), opts...)
 	if err != nil {
@@ -387,7 +380,8 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool) (*Campaign,
 	// restore the cross-campaign probe (longest-held owner lock anywhere).
 	m.cfg.Watchdog.SetOwnerBusy(m.maxOwnerBusy)
 
-	c := &Campaign{spec: spec, isDefault: isDefault, srv: srv, sys: sys, log: log, sloT: sloT}
+	c := &Campaign{spec: spec, isDefault: isDefault, srv: srv, sys: sys, log: log,
+		modelSaved: fromSnap, modelSeq: log.LastSeq()}
 	c.archived.Store(spec.Archived)
 	return c, nil
 }
@@ -470,9 +464,10 @@ func (m *Manager) List() []*Campaign {
 // Checkpoint persists every journaled campaign: an event-log checkpoint
 // and the model snapshot, captured under one owner-lock acquisition per
 // campaign. The shutdown path calls it so the next start replays (almost)
-// no tail and restores each model byte-identically. Campaigns checkpoint
-// side by side; every one is attempted, and the first error in campaign
-// order is returned.
+// no tail and restores each model byte-identically. A model.snap that
+// already holds the current model (no event since it was read or written)
+// is left alone. Campaigns checkpoint side by side; every one is
+// attempted, and the first error in campaign order is returned.
 func (m *Manager) Checkpoint() error {
 	cs := m.List()
 	errs := make([]error, len(cs))
@@ -485,13 +480,22 @@ func (m *Manager) Checkpoint() error {
 	return nil
 }
 
+// checkpointCampaign is a no-op for an ephemeral manager: its campaigns'
+// logs have no store to checkpoint into and no model file.
 func (m *Manager) checkpointCampaign(c *Campaign) error {
 	if m.cfg.JournalRoot == "" {
-		return c.srv.CheckpointState(nil)
+		return nil
 	}
 	path := m.modelPath(c.spec.ID, c.isDefault)
-	return events.WriteFileAtomic(path, func(w io.Writer) error {
-		return c.srv.CheckpointState(w)
+	return c.srv.CheckpointState(func(seq uint64) error {
+		if c.modelSaved && c.modelSeq == seq {
+			return nil
+		}
+		if err := events.WriteFileAtomic(path, c.sys.WriteSnapshot); err != nil {
+			return err
+		}
+		c.modelSaved, c.modelSeq = true, seq
+		return nil
 	})
 }
 

@@ -34,7 +34,6 @@ func newTestManager(t *testing.T, cfg ManagerConfig) (*Manager, *httptest.Server
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = time.Minute
 	}
-	cfg.SLO = true
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)

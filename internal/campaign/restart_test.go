@@ -40,7 +40,6 @@ func buildJournaledManager(t *testing.T, root string) *Manager {
 		JournalRoot: root,
 		Telemetry:   testTelemetry(),
 		LeaseTTL:    time.Minute,
-		SLO:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,4 +335,104 @@ func TestRestartNeverReissuesWorkerID(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointSkipsUnchangedModel pins the shutdown checkpoint's
+// model.snap skip. A fresh campaign writes its model the first time, even
+// with no traffic. A restart with no traffic in between leaves the file
+// alone: same inode, bytes and mtime. A restart after traffic — a bare
+// claim, whose TakeTask is the one model mutation outside a batch —
+// rewrites it. Status is byte-identical across every restart.
+func TestCheckpointSkipsUnchangedModel(t *testing.T) {
+	root := t.TempDir()
+	spec := Spec{ID: DefaultID, Venue: "small", Seed: 1}
+	annex := Spec{ID: "annex", Venue: "small", Seed: 63}
+	m1 := buildJournaledManager(t, root)
+	if _, err := m1.Create(annex); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(m1)
+	bootstrapCampaign(t, campaignBase(ts1, DefaultID), spec, 10)
+	status := rawGET(t, campaignBase(ts1, DefaultID)+"/status")
+	ts1.Close()
+	if err := m1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := m1.modelPath(DefaultID, true)
+	if _, err := os.Stat(m1.modelPath(annex.ID, false)); err != nil {
+		t.Fatalf("fresh campaign's first checkpoint wrote no model: %v", err)
+	}
+
+	// restart reopens the root, checks the status survived, runs traffic
+	// against the restored manager and checkpoints it; it returns the
+	// status taken just before the checkpoint.
+	restart := func(want string, traffic func(base string)) string {
+		t.Helper()
+		m := buildJournaledManager(t, root)
+		defer m.Close()
+		ts := httptest.NewServer(m)
+		base := campaignBase(ts, DefaultID)
+		if got := rawGET(t, base+"/status"); got != want {
+			t.Fatalf("status drifted across restart:\nbefore: %s\nafter:  %s", want, got)
+		}
+		traffic(base)
+		got := rawGET(t, base+"/status")
+		ts.Close()
+		if err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	original := filepath.Join(t.TempDir(), "model.snap")
+	if err := os.Link(path, original); err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func() bool {
+		t.Helper()
+		a, err := os.Stat(original)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return os.SameFile(a, b) && b.ModTime().Equal(old) && string(after) == string(before)
+	}
+
+	status = restart(status, func(string) {})
+	if !unchanged() {
+		t.Fatal("a restart with no traffic rewrote model.snap")
+	}
+
+	status = restart(status, func(base string) {
+		var reg server.RegisterWorkerResponse
+		if code := postJSON(t, base+"/workers", server.RegisterWorkerRequest{}, &reg); code != http.StatusOK {
+			t.Fatalf("register: code %d", code)
+		}
+		var claim server.ClaimResponse
+		if code := postJSON(t, base+"/task/claim", server.ClaimRequest{WorkerID: reg.ID}, &claim); code != http.StatusOK {
+			t.Fatalf("claim: code %d", code)
+		}
+	})
+	if unchanged() {
+		t.Fatal("a restart after a claim left model.snap alone")
+	}
+	restart(status, func(string) {})
 }

@@ -28,8 +28,6 @@ func TestSSECampaignFramesAndEviction(t *testing.T) {
 		JournalRoot: root,
 		Telemetry:   testTelemetry(),
 		LeaseTTL:    time.Minute,
-		SLO:         true,
-		SSEBuf:      4, // tiny server-side buffer: slow consumers evict fast
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +51,7 @@ func TestSSECampaignFramesAndEviction(t *testing.T) {
 	bootstrapCampaign(t, campaignBase(ts, "right"), right, 4)
 
 	// The consumer stalls completely after its first frame (blocking the
-	// TCP pipe, so the server-side 4-slot buffer must overflow), while
+	// TCP pipe, so the server-side 256-slot buffer must overflow), while
 	// both campaigns emit concurrently. The emitter keeps bursting until
 	// the eviction counter confirms the stream was dropped.
 	stalled := make(chan struct{})
@@ -128,7 +126,7 @@ func TestSSECampaignFramesAndEviction(t *testing.T) {
 		}
 	}
 	if evictions == 0 {
-		t.Error("stalled consumer was never evicted (SSEBuf not honoured?)")
+		t.Error("stalled consumer was never evicted")
 	}
 	if f := finalSeq.Load(); last != f {
 		t.Fatalf("reader stopped at seq %d, want %d", last, f)

@@ -36,8 +36,8 @@ const (
 )
 
 // AdmissionConfig bounds what the server accepts. Zero values disable the
-// corresponding control, so the zero config admits everything (the
-// behaviour of servers built without WithAdmission).
+// corresponding control, so the zero config — the default of servers
+// built without WithAdmission — admits everything.
 type AdmissionConfig struct {
 	// MaxQueue bounds how many requests may hold or wait for the owner
 	// lock; request MaxQueue+1 is shed with 429.
@@ -83,17 +83,16 @@ type admission struct {
 	shedLast    time.Time
 }
 
-func newAdmission(cfg AdmissionConfig, m *telemetry.AdmissionMetrics,
-	tracer *telemetry.Tracer, logger *slog.Logger, evlog *events.Log) *admission {
-	if cfg.RatePerSec > 0 && cfg.RateBurst <= 0 {
-		cfg.RateBurst = math.Max(1, cfg.RatePerSec)
+// init wires the observability sinks and fills the config defaults; New
+// calls it once the options have set cfg.
+func (a *admission) init(m *telemetry.AdmissionMetrics,
+	tracer *telemetry.Tracer, logger *slog.Logger, evlog *events.Log) {
+	if a.cfg.RatePerSec > 0 && a.cfg.RateBurst <= 0 {
+		a.cfg.RateBurst = math.Max(1, a.cfg.RatePerSec)
 	}
-	a := &admission{
-		cfg: cfg, m: m, tracer: tracer, logger: logger, evlog: evlog,
-		shedPending: make(map[[2]string]int),
-	}
+	a.m, a.tracer, a.logger, a.evlog = m, tracer, logger, evlog
+	a.shedPending = make(map[[2]string]int)
 	a.svcNanos.Store(int64(50 * time.Millisecond)) // prior until measured
-	return a
 }
 
 // tokenBucket is one worker's rate limiter.
@@ -123,7 +122,7 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 // allowRate checks the caller's token bucket, shedding with 429 +
 // Retry-After when empty. A true return means the request proceeds.
 func (a *admission) allowRate(w http.ResponseWriter, r *http.Request, endpoint, key string) bool {
-	if a == nil || a.cfg.RatePerSec <= 0 {
+	if a.cfg.RatePerSec <= 0 {
 		return true
 	}
 	if key == "" {
@@ -147,9 +146,6 @@ func (a *admission) allowRate(w http.ResponseWriter, r *http.Request, endpoint, 
 // Retry-After estimated from the current depth times the measured owner
 // service time. The caller must pair a true return with exitQueue.
 func (a *admission) enterQueue(w http.ResponseWriter, r *http.Request, endpoint string) bool {
-	if a == nil {
-		return true
-	}
 	q := a.queued.Add(1)
 	a.m.QueueDepth.Set(float64(q))
 	if a.cfg.MaxQueue > 0 && q > int64(a.cfg.MaxQueue) {
@@ -165,9 +161,6 @@ func (a *admission) enterQueue(w http.ResponseWriter, r *http.Request, endpoint 
 // the service-time EWMA (alpha 0.1; a lossy racy update only jitters the
 // Retry-After estimate).
 func (a *admission) exitQueue(service time.Duration) {
-	if a == nil {
-		return
-	}
 	a.m.QueueDepth.Set(float64(a.queued.Add(-1)))
 	old := a.svcNanos.Load()
 	a.svcNanos.Store(old + (int64(service)-old)/10)
@@ -247,7 +240,7 @@ func (a *admission) recordShed(r *http.Request, endpoint, cause string) {
 // balloon the decode path; decode errors surface as *http.MaxBytesError
 // and are answered by shedBody.
 func (a *admission) limitBody(w http.ResponseWriter, r *http.Request) {
-	if a == nil || a.cfg.MaxBodyBytes <= 0 {
+	if a.cfg.MaxBodyBytes <= 0 {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
@@ -258,7 +251,7 @@ func (a *admission) limitBody(w http.ResponseWriter, r *http.Request) {
 // model) indefinitely. Errors are ignored: test recorders and exotic
 // writers simply don't support deadlines.
 func (a *admission) armWriteDeadline(w http.ResponseWriter) {
-	if a == nil || a.cfg.WriteTimeout <= 0 {
+	if a.cfg.WriteTimeout <= 0 {
 		return
 	}
 	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
@@ -280,10 +273,6 @@ func remoteHost(r *http.Request) string {
 // release; on !ok the 429/413 response has already been written.
 func (s *Server) ownerAdmit(w http.ResponseWriter, r *http.Request, endpoint, workerKey string) (release func(), ok bool) {
 	a := s.adm
-	if a == nil {
-		s.mu.Lock()
-		return s.mu.Unlock, true
-	}
 	a.armWriteDeadline(w)
 	if !a.allowRate(w, r, endpoint, workerKey) {
 		return nil, false
@@ -304,9 +293,6 @@ func (s *Server) ownerAdmit(w http.ResponseWriter, r *http.Request, endpoint, wo
 // rateAdmit runs only the token-bucket check — for endpoints off the owner
 // path (locate, heartbeat) that still need per-worker throttling.
 func (s *Server) rateAdmit(w http.ResponseWriter, r *http.Request, endpoint, workerKey string) bool {
-	if s.adm == nil {
-		return true
-	}
 	s.adm.armWriteDeadline(w)
 	return s.adm.allowRate(w, r, endpoint, workerKey)
 }

@@ -14,9 +14,10 @@ import (
 )
 
 // TestConcurrentClients hammers the server from several goroutines at once:
-// mixed reads (status, map), task claims and batch uploads must interleave without
-// corrupting the model (mutex serialisation) and every response must be a
-// well-formed status code.
+// mixed reads (status, map), locates, task claims and batch uploads must
+// interleave without corrupting the model (mutex serialisation) and every
+// response must be a well-formed status code. The server is built with no
+// options, so its default admission config must shed none of the burst.
 func TestConcurrentClients(t *testing.T) {
 	ts, _, w, v := newTestServer(t)
 	rng := rand.New(rand.NewSource(77))
@@ -88,6 +89,23 @@ func TestConcurrentClients(t *testing.T) {
 				}
 			}
 		}()
+	}
+	// Locators: a located photo answers 200, an unlocalisable one 422;
+	// a shed (429) or body-cap (413) answer fails the test.
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				photo := sweeps[i][j%len(sweeps[i])]
+				var loc LocateResponse
+				code := postJSONNoFatal(ts.URL+"/v1/locate", LocateRequest{Photo: PhotoToDTO(photo)}, &loc)
+				if code != http.StatusOK && code != http.StatusUnprocessableEntity {
+					errs <- fmt.Errorf("locate code %d", code)
+					return
+				}
+			}
+		}(i)
 	}
 	// Task claimers, one registered worker each (may get 200 or 404
 	// depending on interleaving; both are valid).

@@ -147,8 +147,8 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		pos = &p
 	}
 	// Claims pop the shared task queue, so they run on the owner path —
-	// through admission control when configured (rate limit, then the
-	// bounded queue; a shed answers 429 + Retry-After before the lock).
+	// through admission control (rate limit, then the bounded queue; a
+	// shed answers 429 + Retry-After before the lock).
 	sp := tr.Span("claim.lock")
 	release, ok := s.ownerAdmit(w, r, "claim", req.WorkerID)
 	sp.End()

@@ -104,7 +104,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Subscribe before the journal catch-up: an event emitted while we read
 	// the backlog is then either already in the flushed journal or waiting
 	// in the channel — never lost. The overlap is deduplicated by sequence.
-	sub := s.evlog.Subscribe(s.sseBuf)
+	sub := s.evlog.Subscribe(sseBuf)
 	defer s.evlog.Unsubscribe(sub)
 
 	lastSent := after
@@ -143,7 +143,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	heartbeat := time.NewTicker(s.sseHeartbeat)
+	heartbeat := time.NewTicker(sseHeartbeat)
 	defer heartbeat.Stop()
 	ctx := r.Context()
 	for {

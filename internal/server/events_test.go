@@ -24,6 +24,7 @@ import (
 	"snaptask/internal/events"
 	"snaptask/internal/geom"
 	"snaptask/internal/telemetry"
+	"snaptask/internal/telemetry/slo"
 	"snaptask/internal/venue"
 )
 
@@ -217,9 +218,6 @@ func TestEventsStreamFullCampaign(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
 		t.Fatal("status fetch failed")
 	}
-	if status.Lifecycle == nil {
-		t.Fatal("status has no lifecycle counts despite event log")
-	}
 	if !status.Lifecycle.Covered || !status.Covered {
 		t.Fatalf("campaign not covered: %+v", status.Lifecycle)
 	}
@@ -290,6 +288,91 @@ func TestEventsStreamFullCampaign(t *testing.T) {
 	}
 	if tail[0].id != uint64(total-2) {
 		t.Fatalf("Last-Event-ID resume starts at %d, want %d", tail[0].id, total-2)
+	}
+}
+
+// TestModelMutationsEmitEvents pins what the campaign manager's
+// model.snap skip relies on: every request that changes the model — a
+// bootstrap, a claim's TakeTask, a leased and an unleased photo batch, an
+// annotation — also advances the event log, and requests that emit
+// nothing leave the model alone.
+func TestModelMutationsEmitEvents(t *testing.T) {
+	ts, _, w, v := newTestServer(t)
+	state := func() (string, uint64) {
+		t.Helper()
+		var st StatusResponse
+		if code := getJSON(t, ts.URL+"/v1/status", &st); code != http.StatusOK {
+			t.Fatalf("status code %d", code)
+		}
+		return rawGET(t, ts.URL+"/v1/snapshot"), st.Lifecycle.LastSeq
+	}
+	model, seq := state()
+	step := func(name string, mutates bool, do func()) {
+		t.Helper()
+		do()
+		m, sq := state()
+		if m != model && sq == seq {
+			t.Errorf("%s changed the model without emitting an event", name)
+		}
+		if mutates && m == model {
+			t.Errorf("%s left the model unchanged", name)
+		}
+		model, seq = m, sq
+	}
+	rng := rand.New(rand.NewSource(8))
+
+	step("bootstrap", true, func() { bootstrapUpload(t, ts, w, v, 3) })
+	step("repeated bootstrap (422)", false, func() { bootstrapUpload422(t, ts, w, v) })
+	var worker string
+	step("worker registration", false, func() { worker = registerWorker(t, ts.URL) })
+	var claim ClaimResponse
+	step("claim", true, func() {
+		var ok bool
+		if claim, ok = claimTask(t, ts.URL, worker); !ok {
+			t.Fatal("no task to claim after bootstrap")
+		}
+	})
+	step("leased photo batch", true, func() {
+		if _, code := uploadForClaim(t, ts.URL, w, claim, 0, rng); code != http.StatusOK {
+			t.Fatalf("leased upload code %d", code)
+		}
+	})
+	step("unleased photo batch", true, func() {
+		req := sweepRequest(t, w, v, ClaimResponse{Task: TaskDTO{X: 5, Y: 5}}, rng)
+		if code := postJSON(t, ts.URL+"/v1/photos", req, new(UploadResponse)); code != http.StatusOK {
+			t.Fatalf("unleased upload code %d", code)
+		}
+	})
+	step("annotation", true, func() {
+		sweep, err := w.Sweep(v.Entrance(), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := AnnotateRequest{TaskID: -1, LocX: v.Entrance().X, LocY: v.Entrance().Y}
+		for _, p := range sweep {
+			req.Photos = append(req.Photos, PhotoToDTO(p))
+		}
+		req.Marks = []AnnotationDTO{{WorkerID: 1, Corners: [4][2]float64{{0.2, 0.2}, {0.8, 0.2}, {0.8, 0.8}, {0.2, 0.8}}}}
+		if code := postJSON(t, ts.URL+"/v1/annotations", req, new(AnnotateResponse)); code != http.StatusOK {
+			t.Fatalf("annotation code %d", code)
+		}
+	})
+}
+
+// bootstrapUpload422 repeats the entrance capture on a bootstrapped model,
+// which the system refuses.
+func bootstrapUpload422(t *testing.T, ts *httptest.Server, w *camera.World, v *venue.Venue) {
+	t.Helper()
+	photos, err := core.BootstrapCapture(w, v, camera.DefaultIntrinsics(), rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := UploadRequest{Bootstrap: true}
+	for _, p := range photos {
+		req.Photos = append(req.Photos, PhotoToDTO(p))
+	}
+	if code := postJSON(t, ts.URL+"/v1/photos", req, new(UploadResponse)); code != http.StatusUnprocessableEntity {
+		t.Fatalf("repeated bootstrap code %d, want 422", code)
 	}
 }
 
@@ -694,19 +777,57 @@ func TestReadyzDuringJournalReplay(t *testing.T) {
 	}
 }
 
-// TestEventsEndpointsRequireLog verifies the event endpoints are not
-// mounted on a server running without an event log.
-func TestEventsEndpointsRequireLog(t *testing.T) {
-	ts, _, _, _ := newTestServer(t)
-	for _, path := range []string{"/v1/events", "/v1/progress"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s without event log: code %d, want 404", path, resp.StatusCode)
-		}
+// TestEventsEndpointsOnBareServer verifies that a server built with no
+// options has the one server shape: /v1/events streams the live feed off
+// the default store-less log, /v1/progress and /v1/slo answer, and
+// /v1/status reports lifecycle counts.
+func TestEventsEndpointsOnBareServer(t *testing.T) {
+	ts, _, w, v := newTestServer(t)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events code %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("events content type %q", ct)
+	}
+	bootstrapUpload(t, ts, w, v, 3)
+	frames := readSSE(t, resp.Body, 1)
+	cancel()
+	if len(frames) != 1 || frames[0].id != 1 {
+		t.Fatalf("live frames after bootstrap: %+v, want seq 1 first", frames)
+	}
+
+	var status StatusResponse
+	if code := getJSON(t, ts.URL+"/v1/status", &status); code != http.StatusOK {
+		t.Fatalf("status code %d", code)
+	}
+	if status.Lifecycle.BatchesAccepted != 1 {
+		t.Fatalf("status lifecycle %+v, want one accepted batch", status.Lifecycle)
+	}
+	var progress ProgressResponse
+	if code := getJSON(t, ts.URL+"/v1/progress", &progress); code != http.StatusOK {
+		t.Fatalf("progress code %d", code)
+	}
+	if progress.Counters != status.Lifecycle || len(progress.Points) != 1 {
+		t.Fatalf("progress %+v, want the status counters and one point", progress)
+	}
+	var report slo.Report
+	if code := getJSON(t, ts.URL+"/v1/slo", &report); code != http.StatusOK {
+		t.Fatalf("slo code %d", code)
+	}
+	if len(report.Endpoints) != len(slo.DefaultObjectives()) {
+		t.Fatalf("slo report %+v, want one row per default objective", report)
 	}
 }
 
@@ -717,7 +838,7 @@ func TestEventsEndpointsRequireLog(t *testing.T) {
 // gap-free stream. Run under -race, this is also the data-race check for
 // the emit/subscribe/evict paths.
 func TestSSESlowSubscriberDuringUploads(t *testing.T) {
-	ts, srv, log, w, v := newEventsTestServer(t, t.TempDir())
+	ts, _, log, w, v := newEventsTestServer(t, t.TempDir())
 
 	// Bootstrap so photo uploads are meaningful.
 	rng := rand.New(rand.NewSource(5))
@@ -737,9 +858,7 @@ func TestSSESlowSubscriberDuringUploads(t *testing.T) {
 	slow := log.Subscribe(1)
 	defer log.Unsubscribe(slow)
 
-	// A live SSE reader consuming from the current offset, with a tiny
-	// server-side buffer to exercise the eviction path under load too.
-	srv.sseBuf = 4
+	// A live SSE reader consuming from the current offset.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sseReq, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/events", nil)

@@ -215,10 +215,9 @@ type StatusResponse struct {
 	Covered         bool   `json:"covered"`
 	PendingTasks    int    `json:"pendingTasks"`
 	// Lifecycle carries the per-lifecycle campaign counts folded from the
-	// event stream (present only when the server runs with an event log).
-	// They are sourced from the same fold the journal replays, so status is
-	// identical before and after a restart.
-	Lifecycle *events.Counters `json:"lifecycle,omitempty"`
+	// event stream. They are sourced from the same fold the journal
+	// replays, so status is identical before and after a restart.
+	Lifecycle events.Counters `json:"lifecycle"`
 	// Dispatch carries the task-dispatch section: registry size, active
 	// leases, expiry/requeue totals and per-worker counters. Like
 	// Lifecycle, it is journal-restorable, so it too survives restarts
@@ -265,34 +264,39 @@ type Server struct {
 	tel   *telemetry.Telemetry
 	snapM *telemetry.SnapshotMetrics
 	locM  *telemetry.LocateMetrics
-	// SLO tracker and runtime watchdog (nil unless configured). The tracker
-	// observes every request through the HTTP middleware and serves
-	// GET /v1/slo; burn transitions are emitted onto the event bus and a
-	// fast burn triggers watchdog profile capture.
+	// SLO tracker and runtime watchdog (nil unless WithWatchdog; its
+	// methods are nil-safe). The tracker observes every request through
+	// the HTTP middleware and serves GET /v1/slo; burn transitions are
+	// emitted onto the event bus and a fast burn triggers watchdog
+	// profile capture.
 	sloT *slo.Tracker
 	wd   *telemetry.Watchdog
 
-	// Task dispatch: always present (New builds a default when no option
-	// supplies one), so the worker/claim endpoints are always live.
+	// Task dispatch, so the worker/claim endpoints are always live.
 	disp  *dispatch.Dispatcher
 	dispM *telemetry.DispatchMetrics
 
-	// Admission control (nil unless WithAdmission): bounded owner-path
-	// queue, per-worker rate limiting, body caps and write deadlines.
-	admCfg *AdmissionConfig
-	adm    *admission
+	// Admission control: bounded owner-path queue, per-worker rate
+	// limiting, body caps and write deadlines.
+	adm *admission
 
-	// Campaign event log (nil when the server runs without one). replaying
-	// is set while New folds a pre-existing journal into the campaign
-	// aggregate; /readyz reports not-ready until it clears. sseHeartbeat
-	// and sseBuf tune the event stream (overridable in tests).
-	evlog        *events.Log
-	replaying    atomic.Bool
-	sseHeartbeat time.Duration
-	sseBuf       int
+	// Campaign event log. replaying is set while New folds a pre-existing
+	// journal into the campaign aggregate; /readyz reports not-ready until
+	// it clears.
+	evlog     *events.Log
+	replaying atomic.Bool
 }
 
-// Option configures optional server behaviour.
+// The event stream's keep-alive interval and per-subscriber buffer: a
+// subscriber that falls sseBuf events behind is evicted.
+const (
+	sseHeartbeat = 15 * time.Second
+	sseBuf       = 256
+)
+
+// Option supplies a server dependency or setting in place of a default.
+// Only WithTelemetry adds a feature (GET /metrics, traces, access logs);
+// no option turns one off.
 type Option func(*Server)
 
 // WithTelemetry wires the observability bundle into the server: every
@@ -303,11 +307,12 @@ func WithTelemetry(tel *telemetry.Telemetry) Option {
 	return func(s *Server) { s.tel = tel }
 }
 
-// WithEvents wires a campaign event log into the server: the system emits
-// lifecycle events to it, New replays any pre-existing journal to restore
-// campaign counters and progress history (with /readyz reporting not-ready
-// until the fold completes), GET /v1/events streams the live feed over SSE
-// and GET /v1/progress serves the derived time series.
+// WithEvents supplies the campaign event log, in place of the default
+// store-less one (live events and progress, no durability). The system
+// emits lifecycle events to it, New replays any pre-existing journal to
+// restore campaign counters and progress history (with /readyz reporting
+// not-ready until the fold completes), GET /v1/events streams the live
+// feed over SSE and GET /v1/progress serves the derived time series.
 func WithEvents(log *events.Log) Option {
 	return func(s *Server) { s.evlog = log }
 }
@@ -318,131 +323,95 @@ func WithDispatch(d *dispatch.Dispatcher) Option {
 	return func(s *Server) { s.disp = d }
 }
 
-// WithSLO wires an SLO tracker into the server: the HTTP middleware feeds
-// it every upload/locate/claim request, GET /v1/slo serves its evaluated
-// report, and burn-rate transitions are emitted as slo_burn events on the
-// event bus (when one is configured).
+// WithSLO supplies the SLO tracker, in place of the default one over the
+// telemetry registry — tests inject a tracker with a fake clock. The HTTP
+// middleware feeds it every upload/locate/claim request, GET /v1/slo
+// serves its evaluated report, and burn-rate transitions are emitted as
+// slo_burn events on the event bus.
 func WithSLO(t *slo.Tracker) Option {
 	return func(s *Server) { s.sloT = t }
 }
 
-// WithAdmission wires admission control into the server: the owner path
-// gets a bounded queue (excess sheds with 429 + Retry-After), workers get
-// token-bucket rate limits, request bodies are capped and responses carry
-// write deadlines. Every rejection shows up in
-// snaptask_requests_shed_total{cause}, as an error-retained trace, and as
-// a coalesced load_shed event on the bus.
+// WithAdmission sets the admission bounds (the default is the zero
+// config, which admits everything): the owner path gets a bounded queue
+// (excess sheds with 429 + Retry-After), workers get token-bucket rate
+// limits, request bodies are capped and responses carry write deadlines.
+// Every rejection shows up in snaptask_requests_shed_total{cause}, as an
+// error-retained trace, and as a coalesced load_shed event on the bus.
 func WithAdmission(cfg AdmissionConfig) Option {
-	return func(s *Server) { s.admCfg = &cfg }
+	return func(s *Server) { s.adm.cfg = cfg }
 }
 
 // WithWatchdog wires a runtime watchdog into the server: New points its
-// owner-path probe at the owner lock and hangs the SLO evaluator (when
-// configured) on its tick, and a fast SLO burn triggers profile capture.
-// The caller still owns Start/Stop.
+// owner-path probe at the owner lock and hangs the SLO evaluator on its
+// tick, and a fast SLO burn triggers profile capture. The caller still
+// owns Start/Stop.
 func WithWatchdog(wd *telemetry.Watchdog) Option {
 	return func(s *Server) { s.wd = wd }
 }
 
-// WithSSE tunes the event stream: the keep-alive heartbeat interval and
-// the per-subscriber buffer (a full buffer evicts the subscriber). Zero
-// values keep the defaults. The campaign manager's eviction tests use
-// deliberately tiny buffers.
-func WithSSE(heartbeat time.Duration, buf int) Option {
-	return func(s *Server) {
-		if heartbeat > 0 {
-			s.sseHeartbeat = heartbeat
-		}
-		if buf > 0 {
-			s.sseBuf = buf
-		}
-	}
-}
-
 // New returns a server for the given system. The rng drives all stochastic
-// backend steps and is owned by the server afterwards.
+// backend steps and is owned by the server afterwards. Options replace
+// defaults; with none the server runs over a store-less event log, a
+// fresh dispatcher, an SLO tracker and admission that admits everything.
 func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 	if sys == nil || rng == nil {
 		return nil, fmt.Errorf("server: nil system or rng")
 	}
-	s := &Server{sys: sys, rng: rng, mux: http.NewServeMux(),
-		sseHeartbeat: 15 * time.Second, sseBuf: 256}
+	s := &Server{sys: sys, rng: rng, mux: http.NewServeMux(), adm: new(admission)}
 	for _, opt := range opts {
 		opt(s)
 	}
-	var httpI *telemetry.HTTP
-	if s.tel != nil || s.sloT != nil {
-		var (
-			httpM  *telemetry.HTTPMetrics
-			logger *slog.Logger
-		)
-		if s.tel != nil {
-			httpM = telemetry.NewHTTPMetrics(s.tel.Registry)
-			s.snapM = telemetry.NewSnapshotMetrics(s.tel.Registry)
-			s.locM = telemetry.NewLocateMetrics(s.tel.Registry)
-			logger = s.tel.Logger
-		}
-		var observers []telemetry.RequestObserver
-		if s.sloT != nil {
-			observers = append(observers, s.sloT)
-		}
-		httpI = telemetry.NewHTTP(httpM, logger, observers...)
-	}
-	if s.locM == nil {
-		// handleLocate observes unconditionally; without a registry the
-		// instruments are nil-safe no-ops.
-		s.locM = telemetry.NewLocateMetrics(nil)
-	}
-	if s.wd != nil {
-		s.wd.SetOwnerBusy(s.OwnerBusy)
-	}
-	if s.sloT != nil {
-		if s.wd != nil {
-			s.wd.AddHook(func() { s.sloT.Evaluate() })
-		}
-		s.sloT.OnTransition(s.onSLOTransition)
+	if s.evlog == nil {
+		s.evlog = events.NewLog(nil)
 	}
 	if s.disp == nil {
 		s.disp = dispatch.New(dispatch.Config{})
 	}
+	var (
+		reg    *telemetry.Registry
+		tracer *telemetry.Tracer
+		logger *slog.Logger
+		httpM  *telemetry.HTTPMetrics
+	)
 	if s.tel != nil {
-		s.dispM = telemetry.NewDispatchMetrics(s.tel.Registry)
+		reg, tracer, logger = s.tel.Registry, s.tel.Tracer, s.tel.Logger
+		httpM = telemetry.NewHTTPMetrics(reg)
+		s.snapM = telemetry.NewSnapshotMetrics(reg)
+		s.dispM = telemetry.NewDispatchMetrics(reg)
 		s.disp.SetMetrics(s.dispM)
 	}
+	// handleLocate observes unconditionally; without a registry the
+	// instruments are nil-safe no-ops.
+	s.locM = telemetry.NewLocateMetrics(reg)
+	if s.sloT == nil {
+		s.sloT = slo.New(reg)
+	}
+	httpI := telemetry.NewHTTP(httpM, logger, s.sloT)
+	s.wd.SetOwnerBusy(s.OwnerBusy)
+	s.wd.AddHook(func() { s.sloT.Evaluate() })
+	s.sloT.OnTransition(s.onSLOTransition)
 	s.disp.AttachLog(s.evlog)
-	if s.evlog != nil {
-		// Restore the campaign aggregate and the dispatcher before the
-		// first snapshot publication, so restored counters appear in the
-		// very first /v1/status: each starts from the newest checkpoint's
-		// state (the dispatcher's is a no-op without one), then one pass
-		// over the journal tail after the checkpoint folds every event
-		// into both. Registry, per-worker counters and active leases
-		// (re-armed with a fresh TTL) come back, making the status
-		// dispatch section byte-identical post-restart at O(tail) cost.
-		// The replaying flag keeps /readyz honest while the fold runs.
-		if err := s.disp.RestoreState(s.evlog.CheckpointDispatch()); err != nil {
-			return nil, fmt.Errorf("server: dispatch restore: %w", err)
-		}
-		s.replaying.Store(true)
-		err := s.evlog.Replay(s.disp.Restore)
-		s.replaying.Store(false)
-		if err != nil {
-			return nil, fmt.Errorf("server: journal replay: %w", err)
-		}
-		sys.SetEvents(s.evlog)
+	// Restore the campaign aggregate and the dispatcher before the first
+	// snapshot publication, so restored counters appear in the very first
+	// /v1/status: each starts from the newest checkpoint's state (the
+	// dispatcher's is a no-op without one), then one pass over the journal
+	// tail after the checkpoint folds every event into both. Registry,
+	// per-worker counters and active leases (re-armed with a fresh TTL)
+	// come back, making the status dispatch section byte-identical
+	// post-restart at O(tail) cost. A store-less log replays nothing. The
+	// replaying flag keeps /readyz honest while the fold runs.
+	if err := s.disp.RestoreState(s.evlog.CheckpointDispatch()); err != nil {
+		return nil, fmt.Errorf("server: dispatch restore: %w", err)
 	}
-	if s.admCfg != nil {
-		var (
-			reg    *telemetry.Registry
-			tracer *telemetry.Tracer
-			logger *slog.Logger
-		)
-		if s.tel != nil {
-			reg, tracer, logger = s.tel.Registry, s.tel.Tracer, s.tel.Logger
-		}
-		s.adm = newAdmission(*s.admCfg, telemetry.NewAdmissionMetrics(reg),
-			tracer, logger, s.evlog)
+	s.replaying.Store(true)
+	err := s.evlog.Replay(s.disp.Restore)
+	s.replaying.Store(false)
+	if err != nil {
+		return nil, fmt.Errorf("server: journal replay: %w", err)
 	}
+	sys.SetEvents(s.evlog)
+	s.adm.init(telemetry.NewAdmissionMetrics(reg), tracer, logger, s.evlog)
 	s.locateSalt = uint64(rng.Int63())
 	s.publishLocked()
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -458,17 +427,13 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 	handle("POST /v1/locate", s.handleLocate)
 	handle("GET /v1/status", s.handleStatus)
 	handle("GET /v1/snapshot", s.handleSnapshot)
+	handle("GET /v1/events", s.handleEvents)
+	handle("GET /v1/progress", s.handleProgress)
+	handle("GET /v1/slo", s.sloT.Handler().ServeHTTP)
 	handle("GET /healthz", s.handleHealthz)
 	handle("GET /readyz", s.handleReadyz)
-	if s.evlog != nil {
-		handle("GET /v1/events", s.handleEvents)
-		handle("GET /v1/progress", s.handleProgress)
-	}
 	if s.tel != nil && s.tel.Registry != nil {
 		handle("GET /metrics", s.tel.Registry.Handler().ServeHTTP)
-	}
-	if s.sloT != nil {
-		handle("GET /v1/slo", s.sloT.Handler().ServeHTTP)
 	}
 	return s, nil
 }
@@ -478,7 +443,7 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 func (s *Server) OwnerBusy() time.Duration { return s.mu.Busy() }
 
 // onSLOTransition handles a burn-rate edge: emit an slo_burn event onto
-// the bus (nil-safe without an event log) and, on a fast burn, capture
+// the bus and, on a fast burn, capture
 // profiles so the evidence of what burned the budget is on disk.
 func (s *Server) onSLOTransition(tr slo.Transition) {
 	s.evlog.Emit(events.Event{
@@ -537,12 +502,6 @@ func (s *Server) publishLocked() {
 		}
 	})
 
-	var lifecycle *events.Counters
-	if s.evlog != nil {
-		c := s.evlog.Campaign().Counters()
-		lifecycle = &c
-	}
-
 	photoTasks, annTasks := s.sys.TasksIssued()
 	s.snap.Store(&ReadSnapshot{
 		Map: MapResponse{
@@ -562,7 +521,7 @@ func (s *Server) publishLocked() {
 			AnnotationTasks: annTasks,
 			Covered:         s.sys.Covered(),
 			PendingTasks:    len(s.sys.PendingTasks()),
-			Lifecycle:       lifecycle,
+			Lifecycle:       s.evlog.Campaign().Counters(),
 			Dispatch:        s.disp.Status(),
 		},
 		Obstacles:  obstacles,
@@ -627,7 +586,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // plain 400.
 func (s *Server) rejectDecode(w http.ResponseWriter, r *http.Request, endpoint string, err error) {
 	var mbe *http.MaxBytesError
-	if s.adm != nil && errors.As(err, &mbe) {
+	if errors.As(err, &mbe) {
 		s.adm.shedBody(w, r, endpoint)
 		return
 	}
@@ -1004,22 +963,20 @@ func uploadSeed(hasSeed bool, seedX, seedY, locX, locY float64) geom.Vec2 {
 	return geom.V2(locX, locY)
 }
 
-// CheckpointState writes an event-log checkpoint and, when w is non-nil,
-// the serialised backend model — both under one owner-lock acquisition,
-// so the two artefacts describe the same cut of campaign history. The
-// campaign manager persists each campaign this way at shutdown.
-func (s *Server) CheckpointState(w io.Writer) error {
+// CheckpointState writes an event-log checkpoint and then calls saveModel
+// with the log's last sequence number — both under one owner-lock
+// acquisition, so a model saved by the callback describes the same cut of
+// campaign history as the checkpoint. Every model mutation emits an
+// event, so a callback that sees the seq it last saved at may skip the
+// write. The campaign manager persists each campaign this way at shutdown;
+// tests of a journal without a model file pass a nil saveModel.
+func (s *Server) CheckpointState(saveModel func(seq uint64) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evlog != nil {
-		if err := s.checkpointLocked(); err != nil {
-			return err
-		}
+	if err := s.checkpointLocked(); err != nil || saveModel == nil {
+		return err
 	}
-	if w != nil {
-		return s.sys.WriteSnapshot(w)
-	}
-	return nil
+	return saveModel(s.evlog.LastSeq())
 }
 
 // checkpointLocked captures one consistent cut of (event seq, campaign
@@ -1041,7 +998,7 @@ func (s *Server) checkpointLocked() error {
 // it in snaptask_events_checkpoint_failures_total and /readyz answers 503
 // until a later checkpoint succeeds.
 func (s *Server) maybeCheckpointLocked() {
-	if s.evlog == nil || !s.evlog.CheckpointDue() {
+	if !s.evlog.CheckpointDue() {
 		return
 	}
 	if err := s.checkpointLocked(); err != nil && s.tel != nil && s.tel.Logger != nil {

@@ -48,7 +48,7 @@ func run() error {
 
 	// Seed a model with two sweeps so annotation photos have context to
 	// register against.
-	model := sfm.NewModel(sfm.Config{}, world.Features())
+	model := sfm.NewModel(sfm.Config{}, world.FeaturesView())
 	for _, pos := range []geom.Vec2{{X: 9.5, Y: 5}, {X: 7, Y: 5}} {
 		photos, err := world.Sweep(pos, camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
 		if err != nil {

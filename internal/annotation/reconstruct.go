@@ -188,16 +188,9 @@ func Reconstruct(
 			pose := photos[pi].Pose
 			in := photos[pi].Intrinsics
 			for _, f := range feats {
-				u, v, ok := camera.Project(pose, in, f.Pos)
-				if !ok {
-					continue
+				if _, _, ok := camera.Project(pose, in, f.Pos); ok {
+					photos[pi].Obs = append(photos[pi].Obs, camera.Observation{FeatureID: f.ID})
 				}
-				photos[pi].Obs = append(photos[pi].Obs, camera.Observation{
-					FeatureID: f.ID,
-					U:         u,
-					V:         v,
-					Dist:      f.Pos.XY().Dist(pose.Pos),
-				})
 			}
 		}
 

@@ -4,10 +4,10 @@
 // 2.5D occlusion ray casting (sight passes over low furniture and through
 // glass, exactly the cases that matter for the paper's library).
 //
-// A Photo records which scene features the frame captured and where they
-// appear in the image — the information a real feature extractor would
-// produce — plus a sharpness score computed from an actually rendered pixel
-// patch, so blur detection downstream runs on real image data.
+// A Photo records which scene features the frame captured, by feature ID —
+// what the backend matches on to register it — plus a sharpness score
+// computed from an actually rendered pixel patch, so blur detection
+// downstream runs on real image data.
 package camera
 
 import (
@@ -74,13 +74,11 @@ type Pose struct {
 // Dir returns the unit facing vector.
 func (p Pose) Dir() geom.Vec2 { return geom.UnitFromAngle(p.Yaw) }
 
-// Observation is one feature detected in a photo, with its image-plane
-// coordinates (u, v) ∈ [0,1]² (u grows rightward, v downward) and the
-// distance at which it was seen.
+// Observation is one feature detected in a photo, named by its feature ID:
+// the backend registers photos by matching IDs and reads nothing else of a
+// detection.
 type Observation struct {
 	FeatureID uint64
-	U, V      float64
-	Dist      float64
 }
 
 // Photo is one captured frame.
@@ -233,6 +231,11 @@ func (w *World) Features() []venue.Feature {
 	return append([]venue.Feature(nil), w.features...)
 }
 
+// FeaturesView returns the world's feature set without copying it, for a
+// caller that only reads it, such as sfm.NewModel. The caller must not
+// modify it; a later AddFeatures does not show in it.
+func (w *World) FeaturesView() []venue.Feature { return slices.Clip(w.features) }
+
 // Capture takes a photo from the given pose. rng drives detection noise;
 // identical state produces identical photos.
 func (w *World) Capture(pose Pose, in Intrinsics, opts CaptureOptions, rng *rand.Rand) (Photo, error) {
@@ -249,14 +252,10 @@ func (w *World) Capture(pose Pose, in Intrinsics, opts CaptureOptions, rng *rand
 	}
 
 	w.candidates(pose.Pos, in.Range, func(f venue.Feature) {
-		obs, ok := w.observe(pose, in, f)
-		if !ok {
+		if !w.observe(pose, in, f) || rng.Float64() > detect {
 			return
 		}
-		if rng.Float64() > detect {
-			return
-		}
-		photo.Obs = append(photo.Obs, obs)
+		photo.Obs = append(photo.Obs, Observation{FeatureID: f.ID})
 	})
 
 	// Render the sharpness patch from the observed feature IDs and apply
@@ -277,29 +276,20 @@ func (w *World) Capture(pose Pose, in Intrinsics, opts CaptureOptions, rng *rand
 	return photo, nil
 }
 
-// observe tests geometric visibility of one feature and computes its image
-// coordinates.
-func (w *World) observe(pose Pose, in Intrinsics, f venue.Feature) (Observation, bool) {
+// observe reports whether the camera at pose can observe feature f: the
+// feature lies inside the range and frustum (Project), is not seen
+// edge-on, and is not hidden behind an opaque occluder.
+func (w *World) observe(pose Pose, in Intrinsics, f venue.Feature) bool {
+	if _, _, ok := Project(pose, in, f.Pos); !ok {
+		return false
+	}
 	d := f.Pos.XY().Sub(pose.Pos)
 	dist := d.Len()
-	if dist < in.MinRange || dist > in.Range {
-		return Observation{}, false
-	}
-	// Horizontal FOV.
-	hAngle := geom.AngleDiff(pose.Yaw, d.Angle())
-	if math.Abs(hAngle) > in.HFOV/2 {
-		return Observation{}, false
-	}
-	// Vertical FOV.
-	vAngle := math.Atan2(f.Pos.Z-in.EyeHeight, dist)
-	if math.Abs(vAngle) > in.VFOV/2 {
-		return Observation{}, false
-	}
 	// Grazing incidence: surface features seen nearly edge-on are not
 	// extractable.
 	if f.Normal.Len2() > 0 {
 		if math.Abs(d.Norm().Dot(f.Normal)) < 0.15 {
-			return Observation{}, false
+			return false
 		}
 	}
 	// 2.5D occlusion: the sight line from the eye to the feature must
@@ -315,15 +305,10 @@ func (w *World) observe(pose Pose, in Intrinsics, f venue.Feature) (Observation,
 		}
 		sightZ := in.EyeHeight + (f.Pos.Z-in.EyeHeight)*(t/dist)
 		if sightZ < occ.Top {
-			return Observation{}, false
+			return false
 		}
 	}
-	return Observation{
-		FeatureID: f.ID,
-		U:         geom.Clamp(0.5+hAngle/in.HFOV, 0, 1),
-		V:         geom.Clamp(0.5-vAngle/in.VFOV, 0, 1),
-		Dist:      dist,
-	}, true
+	return true
 }
 
 // SweepStepDeg is the angular step of a guided 360° capture task: the
@@ -357,8 +342,9 @@ func (w *World) Sweep(pos geom.Vec2, in Intrinsics, opts CaptureOptions, rng *ra
 
 // Project returns the image coordinates (u, v) ∈ [0,1]² of the world point
 // p as seen from the pose, ignoring occlusion. ok is false when the point
-// is outside the view frustum or the usable range. The annotation tool uses
-// this to place worker marks on photos.
+// is outside the view frustum or the usable range. Capture tests
+// visibility with it, and the annotation tool places worker marks on photos
+// with it.
 func Project(pose Pose, in Intrinsics, p geom.Vec3) (u, v float64, ok bool) {
 	d := p.XY().Sub(pose.Pos)
 	dist := d.Len()

@@ -167,38 +167,6 @@ func TestGrazingIncidenceRejected(t *testing.T) {
 	}
 }
 
-func TestImageCoordinates(t *testing.T) {
-	w := testWorld(t, []venue.Feature{feat(1, 5, 5, 1.4)})
-	photo, err := w.Capture(Pose{Pos: geom.V2(2, 5), Yaw: 0}, DefaultIntrinsics(),
-		CaptureOptions{DetectProb: 1}, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(photo.Obs) != 1 {
-		t.Fatalf("obs = %d, want 1", len(photo.Obs))
-	}
-	o := photo.Obs[0]
-	if math.Abs(o.U-0.5) > 1e-9 || math.Abs(o.V-0.5) > 1e-9 {
-		t.Errorf("centred feature at (u,v)=(%v,%v), want (0.5,0.5)", o.U, o.V)
-	}
-	if math.Abs(o.Dist-3) > 1e-9 {
-		t.Errorf("dist = %v, want 3", o.Dist)
-	}
-	// A feature left of centre lands at u < 0.5; above centre at v < 0.5.
-	w2 := testWorld(t, []venue.Feature{feat(2, 5, 6, 2.0)})
-	p2, _ := w2.Capture(Pose{Pos: geom.V2(2, 5), Yaw: 0}, DefaultIntrinsics(),
-		CaptureOptions{DetectProb: 1}, rand.New(rand.NewSource(1)))
-	if len(p2.Obs) != 1 {
-		t.Fatal("offset feature not seen")
-	}
-	if !(p2.Obs[0].U > 0.5) {
-		t.Errorf("left feature u = %v, want > 0.5 (u grows rightward, +y is left of +x view... )", p2.Obs[0].U)
-	}
-	if !(p2.Obs[0].V < 0.5) {
-		t.Errorf("high feature v = %v, want < 0.5", p2.Obs[0].V)
-	}
-}
-
 func TestMotionBlurDegradesPhoto(t *testing.T) {
 	var feats []venue.Feature
 	for i := uint64(1); i <= 200; i++ {
@@ -293,6 +261,18 @@ func TestAddFeatures(t *testing.T) {
 	fs[0].ID = 99
 	if w.Features()[0].ID == 99 {
 		t.Error("Features must return a copy")
+	}
+}
+
+func TestFeaturesView(t *testing.T) {
+	w := testWorld(t, []venue.Feature{feat(1, 5, 5, 1.4), feat(2, 6, 5, 1.4)})
+	w.AddFeatures([]venue.Feature{feat(3, 7, 5, 1.4)}) // leaves spare capacity
+	view := w.FeaturesView()
+	if !slices.Equal(view, w.Features()) {
+		t.Fatalf("view %v, features %v", view, w.Features())
+	}
+	if cap(view) != len(view) {
+		t.Errorf("view cap %d > len %d: appending to it would write into the world", cap(view), len(view))
 	}
 }
 

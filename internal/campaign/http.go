@@ -74,8 +74,17 @@ func lifecycleStatus(err error) int {
 
 // handleCreate implements POST /v1/campaigns.
 func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
+	if limit := m.cfg.Admission.MaxBodyBytes; limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
 	var spec Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		// No campaign owns the request, so no campaign's shed counter
+		// counts it.
+		if errors.As(err, new(*http.MaxBytesError)) {
+			server.WriteBodyLimit(w, m.cfg.Admission.MaxBodyBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}

@@ -161,6 +161,55 @@ func campaignBase(ts *httptest.Server, id string) string {
 	return ts.URL + "/v1/campaigns/" + id
 }
 
+// TestBodyCapOnEveryRoute sends each route that reads a small JSON body a
+// normal body and one past the admission body cap: the first succeeds,
+// the second answers 413 body_limit.
+func TestBodyCapOnEveryRoute(t *testing.T) {
+	const maxBody = 4 << 20
+	m, ts := newTestManager(t, ManagerConfig{Admission: server.AdmissionConfig{MaxBodyBytes: maxBody}})
+	bootstrapCampaign(t, ts.URL+"/v1", Spec{Venue: "small", Seed: 1}, 2)
+	pad := strings.Repeat("x", maxBody)
+	for _, c := range []struct {
+		path, normal, oversized string
+		want                    int
+	}{
+		{"/v1/workers", `{"id":"w1"}`, `{"id":"` + pad + `"}`, http.StatusOK},
+		{"/v1/task/claim", `{"workerId":"w1"}`, `{"workerId":"` + pad + `"}`, http.StatusOK},
+		{"/v1/campaigns", `{"id":"c1","venue":"small","seed":7}`, `{"id":"` + pad + `"}`, http.StatusCreated},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.oversized))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shed map[string]any
+			err = json.NewDecoder(resp.Body).Decode(&shed)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || shed["cause"] != server.ShedBodyLimit {
+				t.Errorf("oversized body: code %d, cause %v; want 413 %s", resp.StatusCode, shed["cause"], server.ShedBodyLimit)
+			}
+			resp, err = http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.normal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("normal body: code %d, want %d", resp.StatusCode, c.want)
+			}
+		})
+	}
+	// The two campaign routes count their sheds.
+	var buf bytes.Buffer
+	m.cfg.Telemetry.Registry.Render(&buf)
+	if want := `snaptask_requests_shed_total{campaign="default",cause="body_limit"} 2`; !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics missing %q", want)
+	}
+}
+
 func TestLifecycleHTTP(t *testing.T) {
 	m, ts := newTestManager(t, ManagerConfig{})
 

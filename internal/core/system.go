@@ -172,7 +172,7 @@ func newSystem(v *venue.Venue, world *camera.World, cfg Config) (*System, error)
 		venue:     v,
 		world:     world,
 		gen:       taskgen.NewGenerator(cfg.TaskGen),
-		model:     sfm.NewModel(cfg.SfM, world.Features()),
+		model:     sfm.NewModel(cfg.SfM, world.FeaturesView()),
 		layout:    layout,
 		nextArtID: annotation.ArtificialIDBase,
 	}

@@ -139,7 +139,7 @@ func (s *Setup) EvaluateIncremental(photos []camera.Photo, chunk int, seed int64
 		return nil, fmt.Errorf("experiments: chunk %d must be positive", chunk)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	model := sfm.NewModel(s.Config.SfM, s.World.Features())
+	model := sfm.NewModel(s.Config.SfM, s.World.FeaturesView())
 	boot, err := core.BootstrapCapture(s.World, s.Venue, s.Intr, rng)
 	if err != nil {
 		return nil, err

@@ -192,10 +192,16 @@ func (a *admission) shed(w http.ResponseWriter, r *http.Request, endpoint, cause
 func (a *admission) shedBody(w http.ResponseWriter, r *http.Request, endpoint string) {
 	a.m.Shed.With(ShedBodyLimit).Inc()
 	a.recordShed(r, endpoint, ShedBodyLimit)
+	WriteBodyLimit(w, a.cfg.MaxBodyBytes)
+}
+
+// WriteBodyLimit writes the 413 answer to a request whose body ran past
+// the cap of maxBodyBytes.
+func WriteBodyLimit(w http.ResponseWriter, maxBodyBytes int64) {
 	writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
 		"error":        "request body too large",
 		"cause":        ShedBodyLimit,
-		"maxBodyBytes": a.cfg.MaxBodyBytes,
+		"maxBodyBytes": maxBodyBytes,
 	})
 }
 

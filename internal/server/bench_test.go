@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -145,4 +146,36 @@ func benchServer(b *testing.B) (*httptest.Server, [][]camera.Photo) {
 		sweeps = append(sweeps, s)
 	}
 	return ts, sweeps
+}
+
+// BenchmarkDecodeUpload measures the wire-decode layer of POST /v1/photos
+// on its own: one library sweep's UploadRequest, JSON-decoded into the
+// server's type as handlePhotos decodes it.
+func BenchmarkDecodeUpload(b *testing.B) {
+	v, err := venue.Library()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := camera.NewWorld(v, v.GenerateFeatures(rand.New(rand.NewSource(1))))
+	photos, err := w.Sweep(v.Entrance(), camera.DefaultIntrinsics(), camera.CaptureOptions{}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := UploadRequest{LocX: v.Entrance().X, LocY: v.Entrance().Y}
+	for _, p := range photos {
+		req.Photos = append(req.Photos, PhotoToDTO(p))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for b.Loop() {
+		var got UploadRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&got); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(body)), "body-bytes")
 }

@@ -6,7 +6,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -65,9 +64,10 @@ type ClaimResponse struct {
 
 // handleRegisterWorker implements POST /v1/workers.
 func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
+	s.adm.limitBody(w, r)
 	var req RegisterWorkerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+		s.rejectDecode(w, r, "register", err)
 		return
 	}
 	// Registration only touches the dispatcher, but the status snapshot
@@ -134,11 +134,15 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 			s.dispM.ClaimSeconds.Observe(time.Since(start).Seconds())
 		}
 	}()
+	s.adm.limitBody(w, r)
 	var req ClaimRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.claimResult("error")
 		tr.SetError(err)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+		if s.rejectDecode(w, r, "claim", err) {
+			s.claimResult("shed")
+		} else {
+			s.claimResult("error")
+		}
 		return
 	}
 	var pos *geom.Vec2

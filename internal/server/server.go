@@ -87,12 +87,10 @@ type TaskDTO struct {
 	Covered bool `json:"covered"`
 }
 
-// ObservationDTO is one feature observation in an uploaded photo.
+// ObservationDTO is one feature observation in an uploaded photo: its
+// feature ID. Fields an older client still sends (u, v, dist) are ignored.
 type ObservationDTO struct {
-	FeatureID uint64  `json:"featureId"`
-	U         float64 `json:"u"`
-	V         float64 `json:"v"`
-	Dist      float64 `json:"dist"`
+	FeatureID uint64 `json:"featureId"`
 }
 
 // PhotoDTO is the wire form of one captured photo. Intrinsics mirror the
@@ -583,14 +581,15 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // rejectDecode answers a failed request-body decode: an oversized body
 // (the admission body cap) is a body_limit shed with 413, anything else a
-// plain 400.
-func (s *Server) rejectDecode(w http.ResponseWriter, r *http.Request, endpoint string, err error) {
+// plain 400. It reports whether the request was shed.
+func (s *Server) rejectDecode(w http.ResponseWriter, r *http.Request, endpoint string, err error) (shed bool) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		s.adm.shedBody(w, r, endpoint)
-		return
+		return true
 	}
 	writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	return false
 }
 
 // taskToDTO converts a task to its wire form. The generator's zero-valued
@@ -618,9 +617,7 @@ func photoFromDTO(d PhotoDTO) camera.Photo {
 		Sharpness: d.Sharpness,
 	}
 	for _, o := range d.Obs {
-		p.Obs = append(p.Obs, camera.Observation{
-			FeatureID: o.FeatureID, U: o.U, V: o.V, Dist: o.Dist,
-		})
+		p.Obs = append(p.Obs, camera.Observation{FeatureID: o.FeatureID})
 	}
 	return p
 }
@@ -635,9 +632,7 @@ func PhotoToDTO(p camera.Photo) PhotoDTO {
 		Sharpness: p.Sharpness,
 	}
 	for _, o := range p.Obs {
-		d.Obs = append(d.Obs, ObservationDTO{
-			FeatureID: o.FeatureID, U: o.U, V: o.V, Dist: o.Dist,
-		})
+		d.Obs = append(d.Obs, ObservationDTO{FeatureID: o.FeatureID})
 	}
 	return d
 }

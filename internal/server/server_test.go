@@ -228,7 +228,7 @@ func TestPhotoDTORoundTrip(t *testing.T) {
 		Intrinsics: camera.DefaultIntrinsics(),
 		Sharpness:  123,
 		Obs: []camera.Observation{
-			{FeatureID: 42, U: 0.25, V: 0.75, Dist: 3.5},
+			{FeatureID: 42},
 		},
 	}
 	d := PhotoToDTO(p)
@@ -238,6 +238,56 @@ func TestPhotoDTORoundTrip(t *testing.T) {
 	}
 	if len(back.Obs) != 1 || back.Obs[0] != p.Obs[0] {
 		t.Error("observation round trip failed")
+	}
+}
+
+func TestObservationWireShape(t *testing.T) {
+	data, err := json.Marshal(ObservationDTO{FeatureID: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != `{"featureId":42}` {
+		t.Errorf("observation marshals to %s", data)
+	}
+}
+
+// TestOldClientObservationFields sends upload and locate bodies whose
+// observations still carry u, v and dist to one server, and the same
+// bodies without them to a second server built the same way: status and
+// response bytes must match.
+func TestOldClientObservationFields(t *testing.T) {
+	trimmed, _, w, v := newTestServer(t)
+	old, _, _, _ := newTestServer(t)
+	photos, err := core.BootstrapCapture(w, v, camera.DefaultIntrinsics(), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := UploadRequest{Bootstrap: true}
+	for _, p := range photos {
+		upload.Photos = append(upload.Photos, PhotoToDTO(p))
+	}
+	locate := LocateRequest{Photo: PhotoToDTO(photos[len(photos)/2])}
+	for _, c := range []struct {
+		path string
+		req  any
+	}{{"/v1/photos", upload}, {"/v1/locate", locate}} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldBody := bytes.ReplaceAll(body, []byte(`{"featureId":`),
+			[]byte(`{"u":0.25,"v":0.75,"dist":3.5,"featureId":`))
+		if bytes.Equal(oldBody, body) {
+			t.Fatalf("%s: body carries no observation", c.path)
+		}
+		resp, got := postJSONStatus(t, trimmed.URL+c.path, string(body))
+		oldResp, oldGot := postJSONStatus(t, old.URL+c.path, string(oldBody))
+		if resp.StatusCode != http.StatusOK || oldResp.StatusCode != resp.StatusCode {
+			t.Fatalf("%s: status %d, old client %d", c.path, resp.StatusCode, oldResp.StatusCode)
+		}
+		if got != oldGot {
+			t.Errorf("%s: response %s, old client %s", c.path, got, oldGot)
+		}
 	}
 }
 

@@ -146,14 +146,18 @@ type World struct {
 	start, index   []int32
 }
 
-// NewWorld prepares capture state for a venue and its feature set. Extra
-// features (e.g. artificial ones injected by the annotation pipeline) can
-// be added later with AddFeatures.
+// NewWorld prepares capture state for a venue and its feature set. The
+// world takes ownership of features without copying it: the caller must not
+// modify the slice afterwards. Reading it is fine: the world never writes
+// into it, and holds it clipped, so AddFeatures copies it rather than
+// appending into the caller's spare capacity. Extra features
+// (e.g. artificial ones injected by the annotation pipeline) can be added
+// later with AddFeatures.
 func NewWorld(v *venue.Venue, features []venue.Feature) *World {
 	b := v.Bounds()
 	w := &World{
 		occluders: v.Occluders(),
-		features:  append([]venue.Feature(nil), features...),
+		features:  slices.Clip(features),
 		x0:        int(math.Floor(b.Min.X / featureCell)),
 		y0:        int(math.Floor(b.Min.Y / featureCell)),
 	}

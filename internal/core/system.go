@@ -401,7 +401,11 @@ func (s *System) NumPoints() int { return s.model.NumPoints() }
 // publication.
 func (s *System) EachCloudPoint(fn func(pointcloud.Point)) { s.model.EachCloudPoint(fn) }
 
-// Maps returns the current mapping products.
+// Maps returns the current mapping products. They are read-only once
+// returned: a rebuild replaces the maps wholesale (the entrance barrier is
+// applied to the new ones before any caller sees them) and never writes
+// into a returned one, so a caller may keep and share them without a copy,
+// as the server's read snapshots do. Callers must not mutate them.
 func (s *System) Maps() *mapping.Maps { return s.maps }
 
 // Layout returns the shared grid layout.

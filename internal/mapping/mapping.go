@@ -190,42 +190,49 @@ func ObstaclesMap(cloud *pointcloud.Cloud, layout *grid.Map, cfg Config) (*grid.
 	return out, nil
 }
 
-// CastView returns the layout cells one view covers against an obstacles
-// map, as row-major indices. step is the resolved angular ray step (use
-// resolveRayStep / Config.RayStep). Cells are emitted in first-visit order:
-// the camera's own cell, then each ray's new cells, rays in increasing
-// angle, so equal inputs give equal slices. A cast stores no viewing
-// quadrants: castMask derives them from the view pose and the cell.
-func CastView(v View, obstacles *grid.Map, step float64) []int32 {
-	return newCastScratch(obstacles).cast(v, obstacles, obstacles.Occupancy(), step)
-}
-
 // castScratch is one worker's reusable mark set for casting views against
-// one layout: a flag per layout cell plus the flagged cells in first-visit
-// order. A cast clears only the flags it set, so one scratch serves every
-// view a worker casts without per-view allocation beyond the result. Only
+// one layout: a flag per layout cell, plus the lowest and highest marked
+// column of each row and the span of rows with a mark, so emitting a cast
+// scans only the marked rows between their extreme columns. Emitting
+// clears every flag and bound it set, so one scratch serves every view a
+// worker casts without per-view allocation beyond the result. Only
 // in-bounds cells are ever marked, so every marked cell has a flag however
 // far the rasteriser walks.
 type castScratch struct {
-	seen  []bool
-	order []int32
+	w      int
+	seen   []bool
+	lo, hi []int32 // per row; lo > hi when the row has no mark
+	j0, j1 int     // marked rows; j0 > j1 when none
+	runs   []int32
 }
 
 func newCastScratch(layout *grid.Map) *castScratch {
-	return &castScratch{seen: make([]bool, layout.Width()*layout.Height())}
+	w, h := layout.Width(), layout.Height()
+	sc := &castScratch{w: w, seen: make([]bool, w*h), lo: make([]int32, h), hi: make([]int32, h), j0: h, j1: -1}
+	for j := range sc.lo {
+		sc.lo[j], sc.hi[j] = int32(w), -1
+	}
+	return sc
 }
 
-func (sc *castScratch) mark(i int) {
-	if !sc.seen[i] {
-		sc.seen[i] = true
-		sc.order = append(sc.order, int32(i))
-	}
+// mark flags cell (i, j).
+func (sc *castScratch) mark(i, j int) {
+	sc.seen[j*sc.w+i] = true
+	sc.lo[j] = min(sc.lo[j], int32(i))
+	sc.hi[j] = max(sc.hi[j], int32(i))
+	sc.j0, sc.j1 = min(sc.j0, j), max(sc.j1, j)
 }
 
 // cast casts v against occ, the layout's occupancy (obstacle value > 0)
-// in row-major order. Each ray steps the grid's traversal inline over occ
-// and stops at the grid edge, or on an obstacle cell after marking it: the
-// obstacle itself is seen.
+// in row-major order, and returns the covered cells as sorted half-open
+// runs of row-major indices: cast[2k] ≤ i < cast[2k+1] for each k. Runs
+// are non-empty, increasing and never adjacent (touching runs, including
+// ones across a row end, are one run), so equal inputs give equal slices;
+// a cast covering no cell is empty but not nil. Each ray steps the grid's
+// traversal inline over occ and stops at the grid edge, or on an obstacle
+// cell after marking it: the obstacle itself is seen. A cast stores no
+// viewing quadrants: castMask derives them from the view pose and the
+// cell.
 func (sc *castScratch) cast(v View, layout *grid.Map, occ []bool, step float64) []int32 {
 	in := v.Intrinsics
 	if step <= 0 {
@@ -233,26 +240,39 @@ func (sc *castScratch) cast(v View, layout *grid.Map, occ []bool, step float64) 
 	}
 	w, h := layout.Width(), layout.Height()
 	// Always include the camera's own cell, seen from every side.
-	if own := ownCell(v, layout); own >= 0 {
-		sc.mark(int(own))
+	if c := layout.CellOf(v.Pose.Pos); layout.InBounds(c) {
+		sc.mark(c.I, c.J)
 	}
 	for a := -in.HFOV / 2; a <= in.HFOV/2; a += step {
 		dir := geom.UnitFromAngle(v.Pose.Yaw + a)
 		st := layout.Stepper(geom.Seg(v.Pose.Pos, v.Pose.Pos.Add(dir.Scale(in.Range))))
 		for uint(st.I) < uint(w) && uint(st.J) < uint(h) {
-			i := st.J*w + st.I
-			sc.mark(i)
-			if occ[i] || !st.Next() {
+			sc.mark(st.I, st.J)
+			if occ[st.J*w+st.I] || !st.Next() {
 				break
 			}
 		}
 	}
-	out := make([]int32, len(sc.order))
-	copy(out, sc.order)
-	for _, i := range sc.order {
-		sc.seen[i] = false
+	runs := sc.runs[:0]
+	for j := sc.j0; j <= sc.j1; j++ {
+		row := sc.seen[j*w : (j+1)*w]
+		for i := sc.lo[j]; i <= sc.hi[j]; i++ {
+			if !row[i] {
+				continue
+			}
+			row[i] = false
+			if k := int32(j*w) + i; len(runs) > 0 && runs[len(runs)-1] == k {
+				runs[len(runs)-1]++
+			} else {
+				runs = append(runs, k, k+1)
+			}
+		}
+		sc.lo[j], sc.hi[j] = int32(w), -1
 	}
-	sc.order = sc.order[:0]
+	sc.j0, sc.j1 = h, -1
+	sc.runs = runs
+	out := make([]int32, len(runs))
+	copy(out, runs)
 	return out
 }
 
@@ -332,17 +352,19 @@ type cellCounts struct {
 	quads [4]int32
 }
 
-// addCast folds one view's cast into cells with sign d: +1 adds the view,
-// -1 takes it out again.
+// addCast folds one view's cast (its cell runs) into cells with sign d: +1
+// adds the view, -1 takes it out again.
 func addCast(cells []cellCounts, layout *grid.Map, v View, cast []int32, d int32) {
 	own := ownCell(v, layout)
-	for _, i := range cast {
-		n := &cells[i]
-		n.views += d
-		mask := castMask(v, layout, own, i)
-		for q := range n.quads {
-			if mask&(1<<q) != 0 {
-				n.quads[q] += d
+	for k := 0; k < len(cast); k += 2 {
+		for i := cast[k]; i < cast[k+1]; i++ {
+			n := &cells[i]
+			n.views += d
+			mask := castMask(v, layout, own, i)
+			for q := range n.quads {
+				if mask&(1<<q) != 0 {
+					n.quads[q] += d
+				}
 			}
 		}
 	}
@@ -465,8 +487,9 @@ type Incremental struct {
 	cfg    Config
 
 	// views are the views merged into cells. casts[i] is views[i]'s cast
-	// against occ, or nil for a view restored by Restore and not cast
-	// since; a cast covering no cell is an empty, non-nil slice.
+	// against occ as castScratch.cast returns it (sorted cell runs), or nil
+	// for a view restored by Restore and not cast since; a cast covering
+	// no cell is an empty, non-nil slice.
 	views []View
 	casts [][]int32
 	cells []cellCounts
@@ -630,10 +653,6 @@ func pick(views []View, idx []int) []View {
 	}
 	return out
 }
-
-// CachedViews reports how many views the builder holds merged; exposed for
-// tests and instrumentation.
-func (inc *Incremental) CachedViews() int { return len(inc.views) }
 
 // Casts returns how many views the builder has cast, by cause.
 func (inc *Incremental) Casts() CastCounts { return inc.counts }

@@ -462,8 +462,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		if !mapsEqual(got, want) {
 			t.Fatalf("step %d: incremental maps differ from full build", step)
 		}
-		if inc.CachedViews() != len(views) {
-			t.Fatalf("step %d: cached %d views, want %d", step, inc.CachedViews(), len(views))
+		if len(inc.views) != len(views) {
+			t.Fatalf("step %d: cached %d views, want %d", step, len(inc.views), len(views))
 		}
 	}
 
@@ -482,7 +482,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 
 	// Invalidate forces a full recast, which must also match.
 	inc.Invalidate()
-	if inc.CachedViews() != 0 {
+	if len(inc.views) != 0 {
 		t.Fatal("Invalidate left cached views behind")
 	}
 	full, err := inc.Update(cloud, views)
@@ -568,7 +568,23 @@ func TestConfigExplicitZeroHeightBand(t *testing.T) {
 	}
 }
 
-// castViewRef is the map-based reference cast CastView replaced: every
+// castOne casts one view against obstacles with a fresh scratch.
+func castOne(v View, obstacles *grid.Map, step float64) []int32 {
+	return newCastScratch(obstacles).cast(v, obstacles, obstacles.Occupancy(), step)
+}
+
+// expandRuns lists the cells of a cast's runs, in order.
+func expandRuns(cast []int32) []int32 {
+	var out []int32
+	for k := 0; k+1 < len(cast); k += 2 {
+		for i := cast[k]; i < cast[k+1]; i++ {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// castViewRef is the map-based reference cast castScratch replaced: every
 // in-bounds cell a ray reaches (obstacle cells included, rays stop there)
 // hashed into a set, then emitted with its viewing-quadrant mask binned by
 // angle.
@@ -633,7 +649,8 @@ func TestCastViewMatchesMapReference(t *testing.T) {
 	}
 	step := resolveRayStep(Config{}, layout.Res(), views).RayStep
 	for vi, v := range views {
-		got := CastView(v, obstacles, step)
+		cast := castOne(v, obstacles, step)
+		got := expandRuns(cast)
 		want := castViewRef(v, obstacles, step)
 		if len(got) != len(want) {
 			t.Fatalf("view %d: %d cells, want %d", vi, len(got), len(want))
@@ -649,8 +666,8 @@ func TestCastViewMatchesMapReference(t *testing.T) {
 				t.Fatalf("view %d: cell %d mask %x, reference %x (present %v)", vi, idx, castMask(v, obstacles, own, idx), m, ok)
 			}
 		}
-		again := CastView(v, obstacles, step)
-		if !reflect.DeepEqual(got, again) {
+		again := castOne(v, obstacles, step)
+		if !reflect.DeepEqual(cast, again) {
 			t.Fatalf("view %d: two casts of the same view differ", vi)
 		}
 	}
@@ -658,7 +675,7 @@ func TestCastViewMatchesMapReference(t *testing.T) {
 	// independent casts, slice for slice.
 	casts := castViews(views, obstacles, obstacles.Occupancy(), step)
 	for vi, v := range views {
-		if !reflect.DeepEqual(casts[vi], CastView(v, obstacles, step)) {
+		if !reflect.DeepEqual(casts[vi], castOne(v, obstacles, step)) {
 			t.Fatalf("view %d: pooled cast differs from a fresh cast", vi)
 		}
 	}

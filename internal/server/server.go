@@ -233,8 +233,10 @@ type ReadSnapshot struct {
 	Map MapResponse
 	// Status is the response served by GET /v1/status.
 	Status StatusResponse
-	// Obstacles and Visibility are private clones of the maps behind Map,
-	// kept for PGM rendering; readers must not mutate them.
+	// Obstacles and Visibility are the system's maps behind Map, shared
+	// rather than copied, kept for PGM rendering: the system replaces its
+	// maps on every rebuild and never writes a map it has published (see
+	// core.System.Maps), and readers must not mutate them either.
 	Obstacles  *grid.Map
 	Visibility *grid.Map
 	// Features is the locate index: the feature IDs present in the
@@ -471,8 +473,7 @@ func (s *Server) Snapshot() *ReadSnapshot { return s.snap.Load() }
 // Callers must hold mu (or, in New, have exclusive access).
 func (s *Server) publishLocked() {
 	maps := s.sys.Maps()
-	obstacles := maps.Obstacles.Clone()
-	visibility := maps.Visibility.Clone()
+	obstacles, visibility := maps.Obstacles, maps.Visibility
 	origin := obstacles.Origin()
 
 	rows := make([]string, 0, obstacles.Height())

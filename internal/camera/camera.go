@@ -227,9 +227,6 @@ func (w *World) candidates(pos geom.Vec2, r float64, fn func(f venue.Feature)) {
 	}
 }
 
-// NumFeatures returns the number of features in the world.
-func (w *World) NumFeatures() int { return len(w.features) }
-
 // Features returns a copy of the world's feature set.
 func (w *World) Features() []venue.Feature {
 	return append([]venue.Feature(nil), w.features...)

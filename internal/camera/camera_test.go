@@ -247,11 +247,11 @@ func TestCaptureInvalidIntrinsics(t *testing.T) {
 
 func TestAddFeatures(t *testing.T) {
 	w := testWorld(t, []venue.Feature{feat(1, 5, 5, 1.4)})
-	if w.NumFeatures() != 1 {
+	if len(w.Features()) != 1 {
 		t.Fatal("initial count wrong")
 	}
 	w.AddFeatures([]venue.Feature{feat(2, 6, 5, 1.4)})
-	if w.NumFeatures() != 2 {
+	if len(w.Features()) != 2 {
 		t.Fatal("AddFeatures did not extend")
 	}
 	if !sees(t, w, Pose{Pos: geom.V2(2, 5), Yaw: 0}, 2) {
@@ -280,10 +280,10 @@ func TestWorldCloneIsolation(t *testing.T) {
 	w := testWorld(t, []venue.Feature{feat(1, 5, 5, 1.4)})
 	c := w.Clone()
 	c.AddFeatures([]venue.Feature{feat(2, 6, 5, 1.4)})
-	if w.NumFeatures() != 1 {
+	if len(w.Features()) != 1 {
 		t.Error("clone mutation leaked into the original")
 	}
-	if c.NumFeatures() != 2 {
+	if len(c.Features()) != 2 {
 		t.Error("clone did not receive the new feature")
 	}
 	// The clone's index works: the added feature is observable.

@@ -79,9 +79,11 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var spec Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		// No campaign owns the request, so no campaign's shed counter
-		// counts it.
+		// No campaign owns the request: the manager counts it under an
+		// empty campaign label and retains its error trace.
 		if errors.As(err, new(*http.MaxBytesError)) {
+			m.shed.With(server.ShedBodyLimit).Inc()
+			server.TraceShed(m.cfg.Telemetry.Tracer, r, "create", server.ShedBodyLimit)
 			server.WriteBodyLimit(w, m.cfg.Admission.MaxBodyBytes)
 			return
 		}

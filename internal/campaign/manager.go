@@ -91,9 +91,10 @@ type ManagerConfig struct {
 	// (zero keeps the dispatch defaults: a 60 s lease, no budget).
 	LeaseTTL        time.Duration
 	IncentiveBudget float64
-	// Telemetry is the root bundle. Campaigns observe through
-	// Registry.WithConstLabels("campaign", id) views, so every existing
-	// family gains a campaign label while sharing one exposition.
+	// Telemetry is the root bundle (nil for none; NewManager resolves it).
+	// Campaigns observe through Registry.WithConstLabels("campaign", id)
+	// views, so every existing family gains a campaign label while
+	// sharing one exposition.
 	Telemetry *telemetry.Telemetry
 	// Watchdog, when non-nil, probes the busiest owner path across all
 	// campaigns and ticks every campaign's SLO evaluator.
@@ -137,6 +138,9 @@ type Manager struct {
 	cfg ManagerConfig
 	mux *http.ServeMux
 	cm  *telemetry.CampaignMetrics
+	// shed counts requests the manager itself rejects, under an empty
+	// campaign label: no campaign owns them.
+	shed *telemetry.CounterVec
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
@@ -148,16 +152,16 @@ type Manager struct {
 // reloads its model snapshot). Install the default campaign afterwards
 // with CreateDefault.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
+	tel := cfg.Telemetry.Resolve()
+	cfg.Telemetry = &tel
 	m := &Manager{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		campaigns: make(map[string]*Campaign),
 	}
-	var reg *telemetry.Registry
-	if cfg.Telemetry != nil {
-		reg = cfg.Telemetry.Registry
-	}
+	reg := tel.Registry
 	m.cm = telemetry.NewCampaignMetrics(reg)
+	m.shed = telemetry.NewShedCounter(reg.WithConstLabels("campaign", ""))
 	telemetry.RegisterCampaignRollups(reg, m.totalPendingTasks, m.coveredCampaigns)
 	m.routes()
 	cfg.Watchdog.SetOwnerBusy(m.maxOwnerBusy)
@@ -320,18 +324,9 @@ func (m *Manager) build(spec Spec, sys *core.System, fromSnap, isDefault bool) (
 		return nil, err
 	}
 
-	var (
-		tel *telemetry.Telemetry
-		reg *telemetry.Registry
-	)
-	if m.cfg.Telemetry != nil {
-		reg = m.cfg.Telemetry.Registry.WithConstLabels("campaign", spec.ID)
-		logger := m.cfg.Telemetry.Logger
-		if logger != nil {
-			logger = logger.With("campaign", spec.ID)
-		}
-		tel = &telemetry.Telemetry{Registry: reg, Tracer: m.cfg.Telemetry.Tracer, Logger: logger}
-	}
+	reg := m.cfg.Telemetry.Registry.WithConstLabels("campaign", spec.ID)
+	tel := &telemetry.Telemetry{Registry: reg, Tracer: m.cfg.Telemetry.Tracer,
+		Logger: m.cfg.Telemetry.Logger.With("campaign", spec.ID)}
 
 	var log *events.Log
 	em := telemetry.NewEventMetrics(reg)
@@ -352,10 +347,7 @@ func (m *Manager) build(spec Spec, sys *core.System, fromSnap, isDefault bool) (
 		log = events.NewLog(em)
 	}
 	log.SetCampaignID(spec.ID)
-
-	if tel != nil {
-		sys.SetTelemetry(tel)
-	}
+	sys.SetTelemetry(tel)
 
 	opts := []server.Option{
 		server.WithEvents(log),
@@ -367,9 +359,7 @@ func (m *Manager) build(spec Spec, sys *core.System, fromSnap, isDefault bool) (
 		// The shared watchdog ticks each campaign's SLO evaluator and
 		// captures profiles on fast burns (wired inside server.New).
 		server.WithWatchdog(m.cfg.Watchdog),
-	}
-	if tel != nil {
-		opts = append(opts, server.WithTelemetry(tel))
+		server.WithTelemetry(tel),
 	}
 	srv, err := server.New(sys, rand.New(rand.NewSource(spec.Seed+1)), opts...)
 	if err != nil {

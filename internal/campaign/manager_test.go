@@ -210,6 +210,37 @@ func TestBodyCapOnEveryRoute(t *testing.T) {
 	}
 }
 
+// TestManagerCountsOversizedCreate sends POST /v1/campaigns a body past the
+// admission cap: no campaign owns the request, so the manager itself counts
+// the 413 under an empty campaign label and retains a shed error trace.
+func TestManagerCountsOversizedCreate(t *testing.T) {
+	const maxBody = 1 << 10
+	m, ts := newTestManager(t, ManagerConfig{Admission: server.AdmissionConfig{MaxBodyBytes: maxBody}})
+	body := `{"id":"` + strings.Repeat("x", maxBody) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create: code %d, want 413", resp.StatusCode)
+	}
+	want := `snaptask_requests_shed_total{campaign="",cause="body_limit"} 1`
+	if out := m.cfg.Telemetry.Registry.Expose(); !strings.Contains(out, want) {
+		t.Errorf("metrics missing %q", want)
+	}
+	shed := 0
+	for _, rec := range m.cfg.Telemetry.Tracer.Recent() {
+		if rec.Kind == "shed" && rec.Err != "" {
+			shed++
+		}
+	}
+	if shed != 1 {
+		t.Errorf("retained %d shed error traces, want 1", shed)
+	}
+}
+
 func TestLifecycleHTTP(t *testing.T) {
 	m, ts := newTestManager(t, ManagerConfig{})
 

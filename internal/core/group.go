@@ -78,12 +78,10 @@ func (s *System) ProcessPhotoBatchGroup(batches []UploadBatch, rng *rand.Rand) (
 	tr.SetCount("registered", registered)
 	tr.SetCount("blurry", blurry)
 	tr.SetCount("unregistered", unregistered)
-	if s.ingestM != nil {
-		s.ingestM.PhotosProcessed.Add(uint64(len(allPhotos)))
-		s.ingestM.BlurryRejected.Add(uint64(blurry))
-		s.ingestM.Unregistered.Add(uint64(unregistered))
-		s.observeSharpness(allPhotos)
-	}
+	s.ingestM.PhotosProcessed.Add(uint64(len(allPhotos)))
+	s.ingestM.BlurryRejected.Add(uint64(blurry))
+	s.ingestM.Unregistered.Add(uint64(unregistered))
+	s.observeSharpness(allPhotos)
 
 	if err := s.rebuildMaps(); err != nil {
 		return GroupOutcome{}, err

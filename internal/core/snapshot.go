@@ -65,10 +65,8 @@ func (s *System) WriteSnapshot(w io.Writer) error {
 		return fmt.Errorf("core: write snapshot: %w", err)
 	}
 	s.snapshotBytes = len(b)
-	if s.ingestM != nil {
-		s.ingestM.SnapshotWriteSeconds.Observe(time.Since(start).Seconds())
-		s.ingestM.SnapshotBytes.Set(float64(len(b)))
-	}
+	s.ingestM.SnapshotWriteSeconds.Observe(time.Since(start).Seconds())
+	s.ingestM.SnapshotBytes.Set(float64(len(b)))
 	return nil
 }
 

@@ -121,8 +121,8 @@ type System struct {
 	annotationTasksIssued int
 	photosProcessed       int
 
-	// Observability sinks; all nil (no-op) until SetTelemetry. curTrace is
-	// the trace of the batch in flight (nil between batches).
+	// Observability sinks; no-op ones until SetTelemetry. curTrace is the
+	// trace of the batch in flight (nil between batches).
 	tracer   *telemetry.Tracer
 	ingestM  *telemetry.IngestMetrics
 	logger   *slog.Logger
@@ -175,6 +175,8 @@ func newSystem(v *venue.Venue, world *camera.World, cfg Config) (*System, error)
 		model:     sfm.NewModel(cfg.SfM, world.FeaturesView()),
 		layout:    layout,
 		nextArtID: annotation.ArtificialIDBase,
+		ingestM:   telemetry.NewIngestMetrics(nil),
+		logger:    slog.New(slog.DiscardHandler),
 	}
 	s.vis, err = mapping.NewIncremental(layout, cfg.Mapping)
 	if err != nil {
@@ -213,22 +215,21 @@ func (s *System) applyBarrier() {
 // traces go to tel.Tracer, ingest metrics register on tel.Registry, and
 // per-batch summary lines go to tel.Logger. A system restored by LoadSystem
 // reports its load time, snapshot size and the view casts its load made
-// here. Call before processing starts (the System is single-owner; this is
-// not synchronised). A nil bundle is ignored, leaving everything a no-op.
+// here. Call once, before processing starts (the System is single-owner;
+// this is not synchronised). A nil bundle or nil fields leave the matching
+// sinks no-ops.
 func (s *System) SetTelemetry(tel *telemetry.Telemetry) {
-	if tel == nil {
-		return
+	r := tel.Resolve()
+	s.tracer, s.logger = r.Tracer, r.Logger
+	s.ingestM = telemetry.NewIngestMetrics(r.Registry)
+	if s.loadSeconds > 0 {
+		s.ingestM.SnapshotLoadSeconds.Observe(s.loadSeconds)
+		s.ingestM.SnapshotBytes.Set(float64(s.snapshotBytes))
 	}
-	s.tracer = tel.Tracer
-	if tel.Registry != nil {
-		s.ingestM = telemetry.NewIngestMetrics(tel.Registry)
-		if s.loadSeconds > 0 {
-			s.ingestM.SnapshotLoadSeconds.Observe(s.loadSeconds)
-			s.ingestM.SnapshotBytes.Set(float64(s.snapshotBytes))
-		}
-		s.reportCasts()
-	}
-	s.logger = tel.Logger
+	// Until now the casts went to no-op counters; report every cast since
+	// the system was built (a LoadSystem's restored casts among them).
+	s.castsReported = mapping.CastCounts{}
+	s.reportCasts()
 }
 
 // SetEvents wires the campaign event log into the owner path: every
@@ -281,17 +282,15 @@ func (s *System) SetWorker(workerID, leaseID string) {
 }
 
 // beginBatch opens a per-batch trace and points every pipeline stage's
-// span sink at it. Returns nil (a valid no-op trace) when no tracer is
-// configured.
+// span sink at it. The trace is nil (a valid no-op trace) when no tracer
+// is configured.
 func (s *System) beginBatch(kind string) *telemetry.Trace {
 	tr := s.tracer.Start(kind, s.reqID)
-	if tr != nil {
-		tr.SetTraceContext(s.traceCtx)
-		s.curTrace = tr
-		s.model.SetTrace(tr)
-		s.sor.SetTrace(tr)
-		s.vis.SetTrace(tr)
-	}
+	tr.SetTraceContext(s.traceCtx)
+	s.curTrace = tr
+	s.model.SetTrace(tr)
+	s.sor.SetTrace(tr)
+	s.vis.SetTrace(tr)
 	return tr
 }
 
@@ -302,15 +301,12 @@ var ErrJournalCommit = errors.New("core: event journal commit failed")
 // endBatch closes a batch trace: detaches the stage sinks, commits the
 // batch's events, records the outcome on the metrics and publishes the
 // trace. It returns err, joined with an ErrJournalCommit error when the
-// commit fails. Safe to call with a nil trace (then only the metrics
-// update, which no-op when unconfigured).
+// commit fails. Safe to call with a nil trace.
 func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) error {
-	if tr != nil {
-		s.curTrace = nil
-		s.model.SetTrace(nil)
-		s.sor.SetTrace(nil)
-		s.vis.SetTrace(nil)
-	}
+	s.curTrace = nil
+	s.model.SetTrace(nil)
+	s.sor.SetTrace(nil)
+	s.vis.SetTrace(nil)
 	result := "ok"
 	if err != nil {
 		result = "error"
@@ -320,38 +316,33 @@ func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) error {
 		// zero: failed batches are not counted into photosProcessed either.
 		s.emit(events.Event{Kind: events.KindBatchRejected, Batch: kind,
 			Cause: events.CauseError})
-		if s.ingestM != nil {
-			s.ingestM.BatchRejected.With(events.CauseError).Inc()
-		}
+		s.ingestM.BatchRejected.With(events.CauseError).Inc()
 	}
 	if cerr := s.evlog.Commit(); cerr != nil {
 		cerr = fmt.Errorf("%w: %w", ErrJournalCommit, cerr)
 		result = "error"
 		err = errors.Join(err, cerr)
 		tr.SetError(err)
-		if s.logger != nil {
-			s.logger.LogAttrs(context.Background(), slog.LevelError,
-				"event journal commit failed", slog.String("error", cerr.Error()))
-		}
+		s.logger.LogAttrs(context.Background(), slog.LevelError,
+			"event journal commit failed", slog.String("error", cerr.Error()))
 	}
-	if s.ingestM != nil {
-		s.ingestM.Batches.With(kind, result).Inc()
-		s.ingestM.ModelViews.Set(float64(s.NumViews()))
-		s.ingestM.ModelPoints.Set(float64(s.NumPoints()))
-		s.ingestM.CoverageCells.Set(float64(s.maps.CoverageCells()))
-	}
-	tr.SetCount("coverage_cells", s.maps.CoverageCells())
+	// One pass over the coverage grid serves the gauge, the trace and the
+	// log line.
+	cov := s.maps.CoverageCells()
+	s.ingestM.Batches.With(kind, result).Inc()
+	s.ingestM.ModelViews.Set(float64(s.NumViews()))
+	s.ingestM.ModelPoints.Set(float64(s.NumPoints()))
+	s.ingestM.CoverageCells.Set(float64(cov))
+	tr.SetCount("coverage_cells", cov)
 	tr.Finish()
-	if s.logger != nil {
-		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "batch processed",
-			slog.String("request_id", s.reqID),
-			slog.String("kind", kind),
-			slog.String("result", result),
-			slog.Int("model_views", s.NumViews()),
-			slog.Int("model_points", s.NumPoints()),
-			slog.Int("coverage_cells", s.maps.CoverageCells()),
-		)
-	}
+	s.logger.LogAttrs(context.Background(), slog.LevelInfo, "batch processed",
+		slog.String("request_id", s.reqID),
+		slog.String("kind", kind),
+		slog.String("result", result),
+		slog.Int("model_views", s.NumViews()),
+		slog.Int("model_points", s.NumPoints()),
+		slog.Int("coverage_cells", cov),
+	)
 	return err
 }
 
@@ -362,20 +353,15 @@ func (s *System) recordBatchResult(tr *telemetry.Trace, batch sfm.BatchResult, p
 	tr.SetCount("registered", len(batch.Registered))
 	tr.SetCount("blurry", len(batch.RejectedBlurry))
 	tr.SetCount("unregistered", len(batch.Unregistered))
-	if s.ingestM != nil {
-		s.ingestM.PhotosProcessed.Add(uint64(len(photos)))
-		s.ingestM.BlurryRejected.Add(uint64(len(batch.RejectedBlurry)))
-		s.ingestM.Unregistered.Add(uint64(len(batch.Unregistered)))
-		s.observeSharpness(photos)
-	}
+	s.ingestM.PhotosProcessed.Add(uint64(len(photos)))
+	s.ingestM.BlurryRejected.Add(uint64(len(batch.RejectedBlurry)))
+	s.ingestM.Unregistered.Add(uint64(len(batch.Unregistered)))
+	s.observeSharpness(photos)
 }
 
 // observeSharpness feeds the blur-variance histogram with every photo's
 // Laplacian-variance score.
 func (s *System) observeSharpness(photos []camera.Photo) {
-	if s.ingestM == nil {
-		return
-	}
 	for _, p := range photos {
 		s.ingestM.BlurVariance.Observe(p.Sharpness)
 	}
@@ -481,9 +467,7 @@ func (s *System) rebuildMaps() error {
 	if err != nil {
 		return fmt.Errorf("core: SOR: %w", err)
 	}
-	if s.ingestM != nil {
-		s.ingestM.SOROutliers.Set(float64(removed))
-	}
+	s.ingestM.SOROutliers.Set(float64(removed))
 	s.curTrace.SetCount("sor_removed", removed)
 	s.foldViews()
 	maps, err := s.vis.Update(cloud, s.mapViews)
@@ -508,9 +492,6 @@ func (s *System) foldViews() {
 // reportCasts adds the view casts made since the last report to the casts
 // counter, by cause.
 func (s *System) reportCasts() {
-	if s.ingestM == nil {
-		return
-	}
 	now, last := s.vis.Casts(), s.castsReported
 	s.ingestM.ViewCasts.With("new").Add(uint64(now.New - last.New))
 	s.ingestM.ViewCasts.With("stale").Add(uint64(now.Stale - last.Stale))
@@ -575,14 +556,10 @@ func (s *System) step(in taskgen.StepInput) (taskgen.StepOutput, error) {
 		switch t.Kind {
 		case taskgen.KindPhoto:
 			s.photoTasksIssued++
-			if s.ingestM != nil {
-				s.ingestM.TasksIssued.With("photo").Inc()
-			}
+			s.ingestM.TasksIssued.With("photo").Inc()
 		case taskgen.KindAnnotation:
 			s.annotationTasksIssued++
-			if s.ingestM != nil {
-				s.ingestM.TasksIssued.With("annotation").Inc()
-			}
+			s.ingestM.TasksIssued.With("annotation").Inc()
 		}
 		s.emit(events.Event{Kind: events.KindTaskIssued, TaskID: t.ID,
 			TaskKind: t.Kind.String(), Retry: t.Retry, X: t.Location.X, Y: t.Location.Y})
@@ -621,9 +598,7 @@ func (s *System) emitBatchEvent(kind string, batch sfm.BatchResult, photos []cam
 		default:
 			e.Cause = events.CauseNoGrowth
 		}
-		if s.ingestM != nil {
-			s.ingestM.BatchRejected.With(e.Cause).Inc()
-		}
+		s.ingestM.BatchRejected.With(e.Cause).Inc()
 	}
 	s.emit(e)
 }
@@ -768,10 +743,8 @@ func (s *System) ProcessAnnotation(task annotation.Task, taskSeed geom.Vec2, ann
 	tr.SetCount("photos", len(task.Photos))
 	tr.SetCount("identified", recon.Identified)
 	tr.SetCount("reconstructed", recon.Reconstructed)
-	if s.ingestM != nil {
-		s.ingestM.PhotosProcessed.Add(uint64(len(task.Photos)))
-		s.observeSharpness(task.Photos)
-	}
+	s.ingestM.PhotosProcessed.Add(uint64(len(task.Photos)))
+	s.observeSharpness(task.Photos)
 	// The annotation pipeline injects artificial structure into the model
 	// beyond plain view registration; drop the cast and SOR caches and take
 	// the full-rebuild path rather than reason about incremental validity.

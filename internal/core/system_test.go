@@ -68,7 +68,7 @@ func TestEntranceBarrier(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("entrances = %d", len(segs))
 	}
-	mid := segs[0].Mid()
+	mid := segs[0].At(0.5)
 	if sys.Maps().Obstacles.At(sys.Maps().Obstacles.CellOf(mid)) == 0 {
 		t.Error("entrance barrier missing from obstacle map")
 	}

@@ -207,6 +207,7 @@ func New(cfg Config) *Dispatcher {
 		expired:    newTombstones(cfg.TombstoneCap),
 		excluded:   make(map[int]map[string]bool),
 		lastHolder: make(map[int]string),
+		m:          telemetry.NewDispatchMetrics(nil),
 	}
 }
 
@@ -214,7 +215,8 @@ func New(cfg Config) *Dispatcher {
 // Call before the first operation.
 func (d *Dispatcher) AttachLog(l *events.Log) { d.log = l }
 
-// SetMetrics wires the snaptask_dispatch_* instrument bundle (nil-safe).
+// SetMetrics replaces the no-op snaptask_dispatch_* instrument bundle New
+// starts with; m must not be nil (build it over a nil registry for none).
 func (d *Dispatcher) SetMetrics(m *telemetry.DispatchMetrics) {
 	d.m = m
 	d.updateGauges()
@@ -641,10 +643,8 @@ func (d *Dispatcher) expireLocked() {
 		d.buffer = append(d.buffer, ls.task)
 		d.requeues++
 		d.emit(taskEvent(events.KindTaskRequeued, ls.task))
-		if d.m != nil {
-			d.m.LeaseExpiries.Inc()
-			d.m.TaskRequeues.Inc()
-		}
+		d.m.LeaseExpiries.Inc()
+		d.m.TaskRequeues.Inc()
 	}
 	if len(due) > 0 {
 		d.updateGauges()
@@ -664,9 +664,6 @@ func (d *Dispatcher) commit() {
 }
 
 func (d *Dispatcher) updateGauges() {
-	if d.m == nil {
-		return
-	}
 	d.m.Workers.Set(float64(len(d.workers)))
 	d.m.ActiveLeases.Set(float64(len(d.leases)))
 }

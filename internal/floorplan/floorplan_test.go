@@ -63,7 +63,7 @@ func TestExtractRoom(t *testing.T) {
 	for _, truth := range segs {
 		covered := 0.0
 		for _, w := range plan.Walls {
-			if truth.DistToPoint(w.Seg.Mid()) < 0.25 &&
+			if truth.DistToPoint(w.Seg.At(0.5)) < 0.25 &&
 				truth.DistToPoint(w.Seg.A) < 0.35 && truth.DistToPoint(w.Seg.B) < 0.35 {
 				covered += w.Length()
 			}

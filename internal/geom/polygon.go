@@ -36,15 +36,6 @@ func (p Polygon) Edges() []Segment {
 	return edges
 }
 
-// Perimeter returns the total edge length of the polygon.
-func (p Polygon) Perimeter() float64 {
-	var sum float64
-	for _, e := range p.Edges() {
-		sum += e.Len()
-	}
-	return sum
-}
-
 // Area returns the absolute area of the polygon (shoelace formula).
 func (p Polygon) Area() float64 {
 	if len(p) < 3 {

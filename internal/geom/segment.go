@@ -23,9 +23,6 @@ func (s Segment) Dir() Vec2 { return s.B.Sub(s.A).Norm() }
 // its direction).
 func (s Segment) Normal() Vec2 { return s.Dir().Perp() }
 
-// Mid returns the midpoint of the segment.
-func (s Segment) Mid() Vec2 { return s.A.Lerp(s.B, 0.5) }
-
 // At returns the point at parameter t along the segment (t=0 → A, t=1 → B).
 func (s Segment) At(t float64) Vec2 { return s.A.Lerp(s.B, t) }
 

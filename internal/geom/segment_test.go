@@ -12,8 +12,8 @@ func TestSegmentBasics(t *testing.T) {
 	if !almostEq(s.Len(), 5) {
 		t.Errorf("Len = %v, want 5", s.Len())
 	}
-	if !s.Mid().ApproxEq(V2(1.5, 2)) {
-		t.Errorf("Mid = %v", s.Mid())
+	if !s.At(0.5).ApproxEq(V2(1.5, 2)) {
+		t.Errorf("At(0.5) = %v", s.At(0.5))
 	}
 	if !s.Dir().ApproxEq(V2(0.6, 0.8)) {
 		t.Errorf("Dir = %v", s.Dir())

@@ -71,12 +71,6 @@ func (v Vec2) Perp() Vec2 { return Vec2{-v.Y, v.X} }
 // counter-clockwise from the positive x axis.
 func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// Rotate returns v rotated by theta radians counter-clockwise.
-func (v Vec2) Rotate(theta float64) Vec2 {
-	s, c := math.Sincos(theta)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
 // Lerp returns the linear interpolation between v and w at parameter t,
 // where t=0 yields v and t=1 yields w.
 func (v Vec2) Lerp(w Vec2, t float64) Vec2 {

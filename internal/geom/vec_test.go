@@ -21,7 +21,6 @@ func TestVec2Arithmetic(t *testing.T) {
 		{"perp", V2(1, 0).Perp(), V2(0, 1)},
 		{"lerp-mid", V2(0, 0).Lerp(V2(2, 4), 0.5), V2(1, 2)},
 		{"lerp-ends", V2(5, 5).Lerp(V2(9, 9), 0), V2(5, 5)},
-		{"rotate-90", V2(1, 0).Rotate(math.Pi / 2), V2(0, 1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -117,24 +116,6 @@ func TestAngleDiff(t *testing.T) {
 	got := AngleDiff(3, -3)
 	if got < 0 || got > 0.3 {
 		t.Errorf("AngleDiff(3,-3) = %v, want small positive", got)
-	}
-}
-
-// Property: rotation preserves length.
-func TestRotatePreservesLength(t *testing.T) {
-	f := func(x, y, theta float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) ||
-			math.IsNaN(theta) || math.IsInf(theta, 0) {
-			return true
-		}
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		v := V2(x, y)
-		r := v.Rotate(theta)
-		return math.Abs(v.Len()-r.Len()) < 1e-6*(1+v.Len())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Error(err)
 	}
 }
 

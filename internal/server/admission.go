@@ -83,8 +83,9 @@ type admission struct {
 	shedLast    time.Time
 }
 
-// init wires the observability sinks and fills the config defaults; New
-// calls it once the options have set cfg.
+// init wires the observability sinks (New hands over resolved ones: the
+// logger is never nil) and fills the config defaults; New calls it once
+// the options have set cfg.
 func (a *admission) init(m *telemetry.AdmissionMetrics,
 	tracer *telemetry.Tracer, logger *slog.Logger, evlog *events.Log) {
 	if a.cfg.RatePerSec > 0 && a.cfg.RateBurst <= 0 {
@@ -209,10 +210,7 @@ func WriteBodyLimit(w http.ResponseWriter, maxBodyBytes int64) {
 // error-marked request trace (the tail sampler retains errors) and a
 // coalesced load_shed event.
 func (a *admission) recordShed(r *http.Request, endpoint, cause string) {
-	tr := a.tracer.StartRequest("shed", telemetry.RequestID(r.Context()),
-		telemetry.TraceContextFromContext(r.Context()))
-	tr.SetError(fmt.Errorf("load shed: %s %s", endpoint, cause))
-	tr.Finish()
+	TraceShed(a.tracer, r, endpoint, cause)
 
 	a.shedMu.Lock()
 	key := [2]string{endpoint, cause}
@@ -233,13 +231,20 @@ func (a *admission) recordShed(r *http.Request, endpoint, cause string) {
 			Cause:    k[1],
 			Count:    n,
 		})
-		if a.logger != nil {
-			a.logger.Warn("load shed",
-				slog.String("endpoint", k[0]),
-				slog.String("cause", k[1]),
-				slog.Int("count", n))
-		}
+		a.logger.Warn("load shed",
+			slog.String("endpoint", k[0]),
+			slog.String("cause", k[1]),
+			slog.Int("count", n))
 	}
+}
+
+// TraceShed finishes an error-marked "shed" request trace for r on
+// tracer, which the tail sampler retains.
+func TraceShed(tracer *telemetry.Tracer, r *http.Request, endpoint, cause string) {
+	tr := tracer.StartRequest("shed", telemetry.RequestID(r.Context()),
+		telemetry.TraceContextFromContext(r.Context()))
+	tr.SetError(fmt.Errorf("load shed: %s %s", endpoint, cause))
+	tr.Finish()
 }
 
 // limitBody caps the request body so a single oversized upload cannot

@@ -122,17 +122,11 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // when uploads and claims contend.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var tracer *telemetry.Tracer
-	if s.tel != nil {
-		tracer = s.tel.Tracer
-	}
-	tr := tracer.StartRequest("claim", telemetry.RequestID(r.Context()),
+	tr := s.tel.Tracer.StartRequest("claim", telemetry.RequestID(r.Context()),
 		telemetry.TraceContextFromContext(r.Context()))
 	defer tr.Finish()
 	defer func() {
-		if s.dispM != nil {
-			s.dispM.ClaimSeconds.Observe(time.Since(start).Seconds())
-		}
+		s.dispM.ClaimSeconds.Observe(time.Since(start).Seconds())
 	}()
 	s.adm.limitBody(w, r)
 	var req ClaimRequest
@@ -203,7 +197,5 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) claimResult(result string) {
-	if s.dispM != nil {
-		s.dispM.Claims.With(result).Inc()
-	}
+	s.dispM.Claims.With(result).Inc()
 }

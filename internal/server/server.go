@@ -260,7 +260,8 @@ type Server struct {
 	// same query always returns the same estimate).
 	locateSalt uint64
 
-	// Observability (nil-safe when the server runs without telemetry).
+	// Observability: WithTelemetry's bundle, resolved by New (a missing
+	// logger discards, a missing registry or tracer no-ops).
 	tel   *telemetry.Telemetry
 	snapM *telemetry.SnapshotMetrics
 	locM  *telemetry.LocateMetrics
@@ -368,26 +369,17 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 	if s.disp == nil {
 		s.disp = dispatch.New(dispatch.Config{})
 	}
-	var (
-		reg    *telemetry.Registry
-		tracer *telemetry.Tracer
-		logger *slog.Logger
-		httpM  *telemetry.HTTPMetrics
-	)
-	if s.tel != nil {
-		reg, tracer, logger = s.tel.Registry, s.tel.Tracer, s.tel.Logger
-		httpM = telemetry.NewHTTPMetrics(reg)
-		s.snapM = telemetry.NewSnapshotMetrics(reg)
-		s.dispM = telemetry.NewDispatchMetrics(reg)
-		s.disp.SetMetrics(s.dispM)
-	}
-	// handleLocate observes unconditionally; without a registry the
-	// instruments are nil-safe no-ops.
+	tel := s.tel.Resolve()
+	s.tel = &tel
+	reg := tel.Registry
+	s.snapM = telemetry.NewSnapshotMetrics(reg)
 	s.locM = telemetry.NewLocateMetrics(reg)
+	s.dispM = telemetry.NewDispatchMetrics(reg)
+	s.disp.SetMetrics(s.dispM)
 	if s.sloT == nil {
 		s.sloT = slo.New(reg)
 	}
-	httpI := telemetry.NewHTTP(httpM, logger, s.sloT)
+	httpI := telemetry.NewHTTP(telemetry.NewHTTPMetrics(reg), tel.Logger, s.sloT)
 	s.wd.SetOwnerBusy(s.OwnerBusy)
 	s.wd.AddHook(func() { s.sloT.Evaluate() })
 	s.sloT.OnTransition(s.onSLOTransition)
@@ -411,7 +403,7 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("server: journal replay: %w", err)
 	}
 	sys.SetEvents(s.evlog)
-	s.adm.init(telemetry.NewAdmissionMetrics(reg), tracer, logger, s.evlog)
+	s.adm.init(telemetry.NewAdmissionMetrics(reg), tel.Tracer, tel.Logger, s.evlog)
 	s.locateSalt = uint64(rng.Int63())
 	s.publishLocked()
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -432,8 +424,9 @@ func New(sys *core.System, rng *rand.Rand, opts ...Option) (*Server, error) {
 	handle("GET /v1/slo", s.sloT.Handler().ServeHTTP)
 	handle("GET /healthz", s.handleHealthz)
 	handle("GET /readyz", s.handleReadyz)
-	if s.tel != nil && s.tel.Registry != nil {
-		handle("GET /metrics", s.tel.Registry.Handler().ServeHTTP)
+	// A bare server has no exposition to serve: GET /metrics stays 404.
+	if reg != nil {
+		handle("GET /metrics", reg.Handler().ServeHTTP)
 	}
 	return s, nil
 }
@@ -453,13 +446,11 @@ func (s *Server) onSLOTransition(tr slo.Transition) {
 		Severity: tr.Severity,
 		BurnRate: tr.BurnRate,
 	})
-	if s.tel != nil && s.tel.Logger != nil {
-		s.tel.Logger.Warn("slo transition",
-			slog.String("endpoint", tr.Endpoint),
-			slog.Bool("burning", tr.Burning),
-			slog.String("severity", tr.Severity),
-			slog.Float64("burn_rate", tr.BurnRate))
-	}
+	s.tel.Logger.Warn("slo transition",
+		slog.String("endpoint", tr.Endpoint),
+		slog.Bool("burning", tr.Burning),
+		slog.String("severity", tr.Severity),
+		slog.Float64("burn_rate", tr.BurnRate))
 	if tr.Burning && tr.Severity == "fast" {
 		s.wd.CaptureProfiles("slo_burn")
 	}
@@ -853,11 +844,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.adm.limitBody(w, r)
 	start := time.Now()
-	var tracer *telemetry.Tracer
-	if s.tel != nil {
-		tracer = s.tel.Tracer
-	}
-	tr := tracer.StartRequest("locate", telemetry.RequestID(r.Context()),
+	tr := s.tel.Tracer.StartRequest("locate", telemetry.RequestID(r.Context()),
 		telemetry.TraceContextFromContext(r.Context()))
 	result := "ok"
 	defer func() {
@@ -997,7 +984,7 @@ func (s *Server) maybeCheckpointLocked() {
 	if !s.evlog.CheckpointDue() {
 		return
 	}
-	if err := s.checkpointLocked(); err != nil && s.tel != nil && s.tel.Logger != nil {
+	if err := s.checkpointLocked(); err != nil {
 		s.tel.Logger.Error("checkpoint failed", "err", err)
 	}
 }

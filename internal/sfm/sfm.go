@@ -347,11 +347,6 @@ type BatchResult struct {
 	NewPoints int
 }
 
-// RegisteredAll reports whether every photo in the batch registered.
-func (r BatchResult) RegisteredAll() bool {
-	return len(r.RejectedBlurry) == 0 && len(r.Unregistered) == 0 && len(r.Registered) > 0
-}
-
 // RegisterBatch folds a batch of photos into the model: the incremental
 // SfM step of Algorithm 1 line 1 ("build an SfM model M1 from P and M").
 // Photos are assigned model-unique IDs (returned via the result and set on

@@ -114,3 +114,21 @@ func TestConstLabelViewNilAndNesting(t *testing.T) {
 		t.Errorf("exposition missing %q\n%s", want, reg.Expose())
 	}
 }
+
+// A view whose constant values are empty must still key its labelled
+// series apart from the per-call values: the constant label renders empty
+// and the per-call label keeps its value.
+func TestConstLabelViewEmptyValue(t *testing.T) {
+	reg := NewRegistry()
+	reg.WithConstLabels("campaign", "alpha").CounterVec("test_shed_total", "shed", "cause").With("queue_full").Inc()
+	reg.WithConstLabels("campaign", "").CounterVec("test_shed_total", "shed", "cause").With("body_limit").Add(2)
+	out := reg.Expose()
+	for _, want := range []string{
+		`test_shed_total{campaign="alpha",cause="queue_full"} 1`,
+		`test_shed_total{campaign="",cause="body_limit"} 2`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n%s", want, out)
+		}
+	}
+}

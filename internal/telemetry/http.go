@@ -59,11 +59,19 @@ type HTTP struct {
 	observers []RequestObserver
 }
 
-// NewHTTP builds the route instrumenter; logger may be nil (no access
-// log). Observers, if any, are notified after each completed request.
+// NewHTTP builds the route instrumenter; metrics may be nil (no request
+// series) and logger may be nil (no access log), but with neither and no
+// observers it returns nil. Observers, if any, are notified after each
+// completed request.
 func NewHTTP(metrics *HTTPMetrics, logger *slog.Logger, observers ...RequestObserver) *HTTP {
 	if metrics == nil && logger == nil && len(observers) == 0 {
 		return nil
+	}
+	if metrics == nil {
+		metrics = NewHTTPMetrics(nil)
+	}
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
 	}
 	return &HTTP{metrics: metrics, logger: logger, observers: observers}
 }
@@ -121,14 +129,8 @@ func (h *HTTP) Route(route string, next http.Handler) http.Handler {
 	if h == nil {
 		return next
 	}
-	var (
-		inFlight *Gauge
-		duration *Histogram
-	)
-	if h.metrics != nil {
-		inFlight = h.metrics.InFlight.With(route)
-		duration = h.metrics.Duration.With(route)
-	}
+	inFlight := h.metrics.InFlight.With(route)
+	duration := h.metrics.Duration.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		id := RequestID(ctx)
@@ -168,22 +170,18 @@ func (h *HTTP) Route(route string, next http.Handler) http.Handler {
 		}
 		elapsed := time.Since(start)
 		duration.Observe(elapsed.Seconds())
-		if h.metrics != nil {
-			h.metrics.Requests.With(route, r.Method, strconv.Itoa(rec.status)).Inc()
-		}
+		h.metrics.Requests.With(route, r.Method, strconv.Itoa(rec.status)).Inc()
 		for _, obs := range h.observers {
 			obs.ObserveRequest(route, r.Method, rec.status, elapsed)
 		}
-		if h.logger != nil {
-			h.logger.LogAttrs(r.Context(), slog.LevelInfo, "http request",
-				slog.String("request_id", id),
-				slog.String("trace_id", tc.TraceID),
-				slog.String("route", route),
-				slog.String("method", r.Method),
-				slog.Int("status", rec.status),
-				slog.Duration("duration", elapsed),
-				slog.String("remote", r.RemoteAddr),
-			)
-		}
+		h.logger.LogAttrs(r.Context(), slog.LevelInfo, "http request",
+			slog.String("request_id", id),
+			slog.String("trace_id", tc.TraceID),
+			slog.String("route", route),
+			slog.String("method", r.Method),
+			slog.Int("status", rec.status),
+			slog.Duration("duration", elapsed),
+			slog.String("remote", r.RemoteAddr),
+		)
 	})
 }

@@ -240,9 +240,15 @@ func NewAdmissionMetrics(reg *Registry) *AdmissionMetrics {
 			"Requests holding or waiting for the owner lock."),
 		QueueWait: reg.Histogram("snaptask_admission_queue_wait_seconds",
 			"Owner-lock queue wait of admitted requests.", DurationBuckets()),
-		Shed: reg.CounterVec("snaptask_requests_shed_total",
-			"Requests rejected by admission control, by cause.", "cause"),
+		Shed: NewShedCounter(reg),
 	}
+}
+
+// NewShedCounter registers the shed family alone: AdmissionMetrics.Shed,
+// for a caller that rejects requests without an owner queue of its own.
+func NewShedCounter(reg *Registry) *CounterVec {
+	return reg.CounterVec("snaptask_requests_shed_total",
+		"Requests rejected by admission control, by cause.", "cause")
 }
 
 // SnapshotMetrics instruments the server's read-snapshot publication.

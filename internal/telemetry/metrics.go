@@ -242,18 +242,21 @@ func (r *Registry) constKey() string {
 	return strings.Join(r.constVals, labelSep)
 }
 
-// seriesKey joins a view's constant label values with per-call label
-// values into one family series key.
-func seriesKey(prefix string, values []string) string {
-	joined := strings.Join(values, labelSep)
-	switch {
-	case prefix == "":
-		return joined
-	case joined == "":
-		return prefix
-	default:
-		return prefix + labelSep + joined
+// vecPrefix is the series-key prefix a labelled family minted through r
+// carries: the constant label values and a trailing separator on a view,
+// "" on a root registry. The separator is what keeps a view whose
+// constant values are all empty apart from the root.
+func (r *Registry) vecPrefix() string {
+	if len(r.constNames) == 0 {
+		return ""
 	}
+	return r.constKey() + labelSep
+}
+
+// seriesKey joins a view's key prefix with per-call label values into one
+// family series key.
+func seriesKey(prefix string, values []string) string {
+	return prefix + strings.Join(values, labelSep)
 }
 
 // register returns the family for name, creating it with the given shape.
@@ -336,7 +339,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // CounterVec is a counter family partitioned by label values.
 type CounterVec struct {
 	f      *family
-	prefix string // const-label values when minted via a view
+	prefix string // vecPrefix of the registry that minted it
 }
 
 // CounterVec registers a labelled counter family.
@@ -344,7 +347,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.register(name, help, kindCounter, labels, nil), prefix: r.constKey()}
+	return &CounterVec{f: r.register(name, help, kindCounter, labels, nil), prefix: r.vecPrefix()}
 }
 
 // With returns the series for the given label values (order matches the
@@ -367,7 +370,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{f: r.register(name, help, kindGauge, labels, nil), prefix: r.constKey()}
+	return &GaugeVec{f: r.register(name, help, kindGauge, labels, nil), prefix: r.vecPrefix()}
 }
 
 // With returns the series for the given label values.
@@ -389,7 +392,7 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 	if r == nil {
 		return nil
 	}
-	return &HistogramVec{f: r.register(name, help, kindHistogram, labels, bounds), prefix: r.constKey()}
+	return &HistogramVec{f: r.register(name, help, kindHistogram, labels, bounds), prefix: r.vecPrefix()}
 }
 
 // With returns the series for the given label values.

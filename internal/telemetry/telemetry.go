@@ -5,10 +5,14 @@
 // stdlib provides, nothing it doesn't.
 //
 // The layer is designed to be threaded through library code
-// unconditionally: every type is nil-receiver safe, so a package
-// instrumented with spans and counters runs as a no-op (no branching at
-// call sites, no time syscalls) when no telemetry is configured. Library
-// tests and benchmarks therefore pay nothing unless they opt in.
+// unconditionally: every type is nil-receiver safe, and every instrument
+// bundle built over a nil *Registry holds nil instruments that no-op. The
+// API accepts nil anywhere a piece of telemetry may be missing; "no
+// telemetry" is resolved once, where a bundle is wired (Telemetry.Resolve
+// supplies a discarding logger), so code that records, logs or traces
+// never branches on whether telemetry is configured. Library tests and
+// benchmarks therefore run the same code as a served campaign, against
+// no-op sinks.
 package telemetry
 
 import (
@@ -24,8 +28,9 @@ import (
 )
 
 // Telemetry bundles the three pillars handed to the server and the core
-// system. Any field — or the whole bundle — may be nil; everything
-// downstream degrades to a no-op.
+// system. Any field — or the whole bundle — may be nil: the code that
+// wires a bundle resolves it with Resolve, and everything downstream then
+// records into no-op sinks.
 type Telemetry struct {
 	// Registry collects metrics for GET /metrics.
 	Registry *Registry
@@ -44,6 +49,21 @@ func New(logger *slog.Logger, traceCap int) *Telemetry {
 		Tracer:   NewTracer(reg, traceCap),
 		Logger:   logger,
 	}
+}
+
+// Resolve returns the bundle with its missing pieces in no-op form: a nil
+// bundle or nil Logger becomes a logger that discards every record, and a
+// nil Registry or Tracer stays nil, as both are nil-receiver safe. Wiring
+// code calls it once, so nothing downstream checks for a missing logger.
+func (t *Telemetry) Resolve() Telemetry {
+	var r Telemetry
+	if t != nil {
+		r = *t
+	}
+	if r.Logger == nil {
+		r.Logger = slog.New(slog.DiscardHandler)
+	}
+	return r
 }
 
 // NewLogger builds a slog logger from the -log-level / -log-format flag

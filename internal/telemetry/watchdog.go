@@ -48,7 +48,7 @@ type WatchdogConfig struct {
 	// OwnerBusy reports how long the owner mutex has been held continuously
 	// (zero when free). Nil disables stall detection.
 	OwnerBusy func() time.Duration
-	// Logger receives stall and capture log lines; may be nil.
+	// Logger receives stall and capture log lines; nil discards them.
 	Logger *slog.Logger
 }
 
@@ -94,6 +94,9 @@ func NewWatchdog(reg *Registry, cfg WatchdogConfig) *Watchdog {
 	}
 	if cfg.CaptureCooldown <= 0 {
 		cfg.CaptureCooldown = time.Minute
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	w := &Watchdog{
 		cfg:  cfg,
@@ -219,11 +222,9 @@ func (w *Watchdog) tick() {
 			if !w.stalled {
 				w.stalled = true
 				w.stalls.Inc()
-				if w.cfg.Logger != nil {
-					w.cfg.Logger.Warn("owner-path stall detected",
-						slog.Duration("busy", busy),
-						slog.Duration("threshold", w.cfg.StallThreshold))
-				}
+				w.cfg.Logger.Warn("owner-path stall detected",
+					slog.Duration("busy", busy),
+					slog.Duration("threshold", w.cfg.StallThreshold))
 				w.CaptureProfiles("stall")
 			}
 		} else {
@@ -257,9 +258,7 @@ func (w *Watchdog) CaptureProfiles(reason string) {
 		return // lost the race: another capture is underway
 	}
 	if err := os.MkdirAll(w.cfg.ProfileDir, 0o755); err != nil {
-		if w.cfg.Logger != nil {
-			w.cfg.Logger.Error("profile dir", slog.String("err", err.Error()))
-		}
+		w.cfg.Logger.Error("profile dir", slog.String("err", err.Error()))
 		return
 	}
 	w.profiles.With(reason).Inc()
@@ -269,17 +268,15 @@ func (w *Watchdog) CaptureProfiles(reason string) {
 	w.captureMu.Lock()
 	for _, kind := range []string{"goroutine", "heap"} {
 		name := filepath.Join(w.cfg.ProfileDir, stamp+"-"+kind+".pprof")
-		if err := w.writeLookup(kind, name); err != nil && w.cfg.Logger != nil {
+		if err := w.writeLookup(kind, name); err != nil {
 			w.cfg.Logger.Error("profile capture failed",
 				slog.String("kind", kind), slog.String("err", err.Error()))
 		}
 	}
 	w.prune()
 	w.captureMu.Unlock()
-	if w.cfg.Logger != nil {
-		w.cfg.Logger.Warn("captured profiles",
-			slog.String("reason", reason), slog.String("dir", w.cfg.ProfileDir))
-	}
+	w.cfg.Logger.Warn("captured profiles",
+		slog.String("reason", reason), slog.String("dir", w.cfg.ProfileDir))
 
 	// CPU profiling records for a window, so it runs detached; only one
 	// can be active process-wide.

@@ -481,8 +481,8 @@ func benchIngest(b *testing.B, instrumented bool) {
 		}
 		b.StartTimer()
 		if instrumented {
-			sys.SetRequestID(telemetry.NewRequestID())
-			sys.SetTraceContext(telemetry.NewTraceContext())
+			sys.SetAttribution(core.Attribution{RequestID: telemetry.NewRequestID(),
+				Trace: telemetry.NewTraceContext()})
 		}
 		t0 := time.Now()
 		if _, err := sys.ProcessPhotoBatch(pos, pos, photos, rng); err != nil {

@@ -1184,8 +1184,8 @@ func (b *bench) overhead() error {
 				runtime.GC()
 				c0 := processCPUTime()
 				t0 := time.Now()
-				sysInstr.SetRequestID(telemetry.NewRequestID())
-				sysInstr.SetTraceContext(telemetry.NewTraceContext())
+				sysInstr.SetAttribution(core.Attribution{RequestID: telemetry.NewRequestID(),
+					Trace: telemetry.NewTraceContext()})
 				_, err = sysInstr.ProcessPhotoBatch(pos, pos, photos, rngInstr)
 				wall = time.Since(t0)
 				sloT.Record("upload", wall, err != nil)

@@ -177,41 +177,3 @@ func BenchmarkWriteSnapshot(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(snap)), "file-bytes")
 }
-
-// BenchmarkIngestGroup measures grouped upload ingestion — sequential
-// registration plus one shared SOR + map rebuild and taskgen step per
-// group — against model size. Each iteration ingests one 8-batch group;
-// divide ns/op by 8 for the per-upload figure comparable to BenchmarkIngest.
-func BenchmarkIngestGroup(b *testing.B) {
-	const groupSize = 8
-	for _, views := range []int{500, 1000} {
-		b.Run(fmt.Sprintf("views=%d", views), func(b *testing.B) {
-			snap := ingestBase(b, views, 4)
-			sys, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(78))
-			var groups [][]UploadBatch
-			for g := 0; g < 2; g++ {
-				var group []UploadBatch
-				for j := 0; j < groupSize; j++ {
-					pos := ingestEnv.sweepPos[(g*groupSize+j*5)%len(ingestEnv.sweepPos)]
-					photos, err := ingestEnv.w.Sweep(pos, camera.DefaultIntrinsics(), camera.CaptureOptions{}, rng)
-					if err != nil {
-						b.Fatal(err)
-					}
-					group = append(group, UploadBatch{TaskLoc: pos, TaskSeed: pos, Photos: photos})
-				}
-				groups = append(groups, group)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.ProcessPhotoBatchGroup(groups[i%len(groups)], rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -121,15 +121,13 @@ type System struct {
 	annotationTasksIssued int
 	photosProcessed       int
 
-	// Observability sinks; no-op ones until SetTelemetry. curTrace is the
-	// trace of the batch in flight (nil between batches).
+	// Observability sinks; no-op ones until SetTelemetry. attr names the
+	// request behind the mutation in flight; curTrace is its batch trace
+	// (nil between batches).
 	tracer   *telemetry.Tracer
 	ingestM  *telemetry.IngestMetrics
 	logger   *slog.Logger
-	reqID    string
-	traceCtx telemetry.TraceContext
-	workerID string
-	leaseID  string
+	attr     Attribution
 	curTrace *telemetry.Trace
 
 	// Campaign event journal; nil (no-op) until SetEvents. lastCovCells is
@@ -243,50 +241,43 @@ func (s *System) SetEvents(log *events.Log) {
 	s.lastCovCells = s.maps.CoverageCells()
 }
 
-// emit stamps the in-flight request ID and worker/lease context onto e and
-// records it. Worker attribution on the batch events is what lets the
+// Attribution names the request behind an owner-path mutation. Its batch
+// trace carries the request ID and W3C trace context, its log line the
+// request ID, and its events the request ID, worker and lease. An unleased
+// upload has no worker or lease.
+type Attribution struct {
+	RequestID string
+	Trace     telemetry.TraceContext
+	Worker    string
+	Lease     string
+}
+
+// SetAttribution attributes subsequent mutations to a. The server's owner
+// goroutine sets it before each Process* call and clears it with the zero
+// value after. Worker attribution on the batch events is what lets the
 // dispatcher's replay fold complete leases and re-apply blur exclusions.
+func (s *System) SetAttribution(a Attribution) { s.attr = a }
+
+// emit stamps the in-flight attribution onto e and records it.
 func (s *System) emit(e events.Event) {
 	if s.evlog == nil {
 		return
 	}
-	e.RequestID = s.reqID
+	e.RequestID = s.attr.RequestID
 	if e.Worker == "" {
-		e.Worker = s.workerID
+		e.Worker = s.attr.Worker
 	}
 	if e.LeaseID == "" {
-		e.LeaseID = s.leaseID
+		e.LeaseID = s.attr.Lease
 	}
 	s.evlog.Emit(e)
-}
-
-// SetRequestID stamps subsequent batch traces and log lines with the HTTP
-// request ID that delivered the upload, correlating them with the access
-// log. The server's owner goroutine sets it before each Process* call and
-// clears it after.
-func (s *System) SetRequestID(id string) { s.reqID = id }
-
-// SetTraceContext stamps subsequent batch traces with the W3C trace/span
-// IDs extracted from the delivering request, joining owner-path stage
-// spans to the client-minted distributed trace. Set alongside
-// SetRequestID by the server's owner goroutine; the zero value clears it.
-func (s *System) SetTraceContext(tc telemetry.TraceContext) { s.traceCtx = tc }
-
-// SetWorker stamps subsequent emitted events with the worker and lease that
-// produced the upload being processed. The server's owner goroutine sets it
-// before each lease-validated Process* call and clears it after; anonymous
-// uploads leave both empty.
-func (s *System) SetWorker(workerID, leaseID string) {
-	s.workerID = workerID
-	s.leaseID = leaseID
 }
 
 // beginBatch opens a per-batch trace and points every pipeline stage's
 // span sink at it. The trace is nil (a valid no-op trace) when no tracer
 // is configured.
 func (s *System) beginBatch(kind string) *telemetry.Trace {
-	tr := s.tracer.Start(kind, s.reqID)
-	tr.SetTraceContext(s.traceCtx)
+	tr := s.tracer.Start(kind, s.attr.RequestID, s.attr.Trace)
 	s.curTrace = tr
 	s.model.SetTrace(tr)
 	s.sor.SetTrace(tr)
@@ -336,7 +327,7 @@ func (s *System) endBatch(tr *telemetry.Trace, kind string, err error) error {
 	tr.SetCount("coverage_cells", cov)
 	tr.Finish()
 	s.logger.LogAttrs(context.Background(), slog.LevelInfo, "batch processed",
-		slog.String("request_id", s.reqID),
+		slog.String("request_id", s.attr.RequestID),
 		slog.String("kind", kind),
 		slog.String("result", result),
 		slog.Int("model_views", s.NumViews()),
@@ -530,7 +521,7 @@ func (s *System) step(in taskgen.StepInput) (taskgen.StepOutput, error) {
 	in.Obstacles = s.maps.Obstacles
 	in.Visibility = s.effectiveVisibility()
 	in.Start = s.venue.Entrance()
-	in.WorkerID = s.workerID
+	in.WorkerID = s.attr.Worker
 	sp := s.curTrace.Span("taskgen")
 	wasCovered := s.covered
 	out, err := s.gen.Step(in)

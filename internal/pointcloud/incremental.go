@@ -17,18 +17,18 @@ import (
 // The contract mirrors mapping.Incremental: the caller feeds successive
 // versions of a cloud made of two grow-only segments — triangulated points in
 // [0, split) and outliers in [split, Len()) — where existing points never move
-// (their Views counters may change). Filter then recomputes mean-kNN distances
-// only for new points and for existing points whose k-neighbourhood gained a
-// new point (a new point landed within the cached k-th-nearest distance), and
-// re-derives the global mean/stddev cutoff from the cached distances. The
-// result is bit-identical to StatisticalOutlierRemoval on the same cloud: the
-// k nearest distance multiset of every unaffected point is unchanged, each
-// per-point sum runs over ascending sorted distances, and the global
-// threshold sums run in cloud index order.
+// (their Views counters may change). FilterAppend then recomputes mean-kNN
+// distances only for new points and for existing points whose
+// k-neighbourhood gained a new point (a new point landed within the cached
+// k-th-nearest distance), and re-derives the global mean/stddev cutoff from
+// the cached distances. The result is bit-identical to
+// StatisticalOutlierRemoval on the same cloud: the k nearest distance
+// multiset of every unaffected point is unchanged, each per-point sum runs
+// over ascending sorted distances, and the global threshold sums run in
+// cloud index order.
 //
-// If a prefix stops matching (a point moved, shrank away, or the segments
-// reordered), Filter falls back to a full recompute transparently. Not safe
-// for concurrent use.
+// A mutation that breaks the contract (a point moved or removed) must be
+// followed by Reset. Not safe for concurrent use.
 type IncrementalSOR struct {
 	opts SOROptions
 	idx  *knnIndex
@@ -48,9 +48,9 @@ type IncrementalSOR struct {
 	trace *telemetry.Trace
 }
 
-// SetTrace sets the stage-span sink for subsequent Filter calls; the owner
-// points it at the current batch's trace and clears it after. A nil trace
-// makes every span a no-op.
+// SetTrace sets the stage-span sink for subsequent FilterAppend calls; the
+// owner points it at the current batch's trace and clears it after. A nil
+// trace makes every span a no-op.
 func (s *IncrementalSOR) SetTrace(tr *telemetry.Trace) { s.trace = tr }
 
 // NewIncrementalSOR returns an incremental filter equivalent to
@@ -66,7 +66,7 @@ func NewIncrementalSOR(opts SOROptions) (*IncrementalSOR, error) {
 	return &IncrementalSOR{opts: opts}, nil
 }
 
-// Reset discards all cached state; the next Filter call recomputes from
+// Reset discards all cached state; the next FilterAppend recomputes from
 // scratch. Call after any mutation that breaks the append-only contract
 // (e.g. an annotation rebuilt the model).
 func (s *IncrementalSOR) Reset() {
@@ -77,31 +77,15 @@ func (s *IncrementalSOR) Reset() {
 	s.extB = nil
 }
 
-// Filter behaves exactly like StatisticalOutlierRemoval(c, opts) — same
-// returned cloud bytes and removed count — while reusing cached distances
-// from previous calls. split is the boundary between the cloud's two
-// grow-only segments (triangulated points before it, outliers after).
-func (s *IncrementalSOR) Filter(c *Cloud, split int) (*Cloud, int, error) {
-	n := c.Len()
-	if split < 0 || split > n {
-		return nil, 0, fmt.Errorf("pointcloud: SOR split=%d outside cloud of %d points", split, n)
-	}
-	if n <= s.opts.K+1 {
-		// Too small for statistics; also too small to cache against.
-		s.Reset()
-		return c.Clone(), 0, nil
-	}
-	if !s.prefixValid(c, split) {
-		s.Reset()
-	}
-	return s.filter(c, split)
-}
-
-// FilterAppend is Filter for callers that track the delta themselves: the
-// last nNewA points of [0, split) and the last nNewB of [split, Len()) are
-// new, everything before them is unchanged. It skips Filter's O(n) prefix
-// position scan; if the claimed delta does not line up with the cached
-// segment lengths, it falls back to a full recompute instead of trusting it.
+// FilterAppend behaves exactly like StatisticalOutlierRemoval(c, opts) —
+// same returned cloud bytes and removed count — while reusing cached
+// distances from previous calls. split is the boundary between the cloud's
+// two grow-only segments (triangulated points before it, outliers after);
+// the last nNewA points of [0, split) and the last nNewB of [split, Len())
+// are new, and everything before them is unchanged. The filter trusts that
+// delta and never scans the cached positions; if the delta does not line
+// up with the cached segment lengths (say, after a Reset), it falls back to
+// a full recompute.
 func (s *IncrementalSOR) FilterAppend(c *Cloud, split, nNewA, nNewB int) (*Cloud, int, error) {
 	n := c.Len()
 	if split < 0 || split > n {
@@ -141,7 +125,7 @@ func (s *IncrementalSOR) Distances() (split int, mean, kth []float64) {
 // Adopt replaces the cache with distances a filter computed earlier for
 // exactly this cloud, as Distances returned them; the filter takes
 // ownership of both slices. It rebuilds the kNN index by inserting the
-// points and runs no kNN query: the next Filter or FilterAppend with an
+// points and runs no kNN query: the next FilterAppend with an
 // empty delta derives the threshold from the adopted distances alone.
 func (s *IncrementalSOR) Adopt(c *Cloud, split int, mean, kth []float64) error {
 	n := c.Len()
@@ -179,8 +163,8 @@ func (s *IncrementalSOR) Adopt(c *Cloud, split int, mean, kth []float64) error {
 // are added.
 func (s *IncrementalSOR) KNNQueries() int { return s.queries }
 
-// filter runs the incremental pass proper; the cached segments must already
-// be validated prefixes of the cloud's segments.
+// filter runs FilterAppend's incremental pass proper; the cached segments
+// must already be prefixes of the cloud's segments.
 func (s *IncrementalSOR) filter(c *Cloud, split int) (*Cloud, int, error) {
 	n := c.Len()
 	if s.idx == nil {
@@ -258,28 +242,6 @@ func (s *IncrementalSOR) filter(c *Cloud, split int) (*Cloud, int, error) {
 		}
 	}
 	return out, removed, nil
-}
-
-// prefixValid reports whether the cloud still extends the cached segments:
-// each cached segment is a prefix of the corresponding cloud segment with
-// every point at its remembered position. Only positions matter — SOR is a
-// pure function of geometry, and surviving points are copied from the live
-// cloud anyway.
-func (s *IncrementalSOR) prefixValid(c *Cloud, split int) bool {
-	if len(s.extA) > split || len(s.extB) > c.Len()-split {
-		return false
-	}
-	for j, i := range s.extA {
-		if c.pts[j].Pos != s.idx.pts[i].Pos {
-			return false
-		}
-	}
-	for j, i := range s.extB {
-		if c.pts[split+j].Pos != s.idx.pts[i].Pos {
-			return false
-		}
-	}
-	return true
 }
 
 // staleOld returns, in ascending internal order, the indices of pre-existing

@@ -30,16 +30,22 @@ func buildTwoSegment(segA, segB []Point) (*Cloud, int) {
 	return Wrap(pts), len(segA)
 }
 
-func assertSameFilter(t *testing.T, inc *IncrementalSOR, opts SOROptions, c *Cloud, split int, batch int) {
+// assertSameFilter runs FilterAppend over the cloud [segA..., segB...],
+// passing as its delta the points added since the segment lengths in seen,
+// advances seen, and asserts the output is byte-identical to the full
+// filter's.
+func assertSameFilter(t *testing.T, inc *IncrementalSOR, opts SOROptions, segA, segB []Point, seen *[2]int, batch int) {
 	t.Helper()
+	c, split := buildTwoSegment(segA, segB)
 	want, wantRemoved, err := StatisticalOutlierRemoval(c, opts)
 	if err != nil {
 		t.Fatalf("batch %d: full SOR: %v", batch, err)
 	}
-	got, gotRemoved, err := inc.Filter(c, split)
+	got, gotRemoved, err := inc.FilterAppend(c, split, len(segA)-seen[0], len(segB)-seen[1])
 	if err != nil {
 		t.Fatalf("batch %d: incremental SOR: %v", batch, err)
 	}
+	*seen = [2]int{len(segA), len(segB)}
 	if gotRemoved != wantRemoved {
 		t.Fatalf("batch %d: removed %d, want %d", batch, gotRemoved, wantRemoved)
 	}
@@ -61,6 +67,7 @@ func TestIncrementalSORMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		var segA, segB []Point
+		var seen [2]int
 		id := uint64(1)
 		for batch := 0; batch < 12; batch++ {
 			for i := 0; i < 3+rng.Intn(40); i++ {
@@ -76,15 +83,16 @@ func TestIncrementalSORMatchesFull(t *testing.T) {
 			if len(segA) > 0 {
 				segA[rng.Intn(len(segA))].Views++
 			}
-			c, split := buildTwoSegment(segA, segB)
-			assertSameFilter(t, inc, opts, c, split, batch)
+			assertSameFilter(t, inc, opts, segA, segB, &seen, batch)
 		}
 	}
 }
 
-// TestIncrementalSORFallback mutates the cloud in ways that break the
-// append-only contract and checks the filter silently falls back to a full
-// recompute, then resumes incremental operation.
+// TestIncrementalSORFallback checks that FilterAppend falls back to an
+// exact full recompute when the claimed delta does not line up with the
+// cached segments, and after an explicit Reset (the annotation
+// pipeline's), and that the batch after the fallback runs incrementally
+// again.
 func TestIncrementalSORFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	opts := SOROptions{K: 5}
@@ -93,6 +101,7 @@ func TestIncrementalSORFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var segA, segB []Point
+	var seen [2]int
 	id := uint64(1)
 	grow := func(na, nb int) {
 		for i := 0; i < na; i++ {
@@ -105,25 +114,24 @@ func TestIncrementalSORFallback(t *testing.T) {
 		}
 	}
 	grow(40, 5)
-	c, split := buildTwoSegment(segA, segB)
-	assertSameFilter(t, inc, opts, c, split, 0)
+	assertSameFilter(t, inc, opts, segA, segB, &seen, 0)
 
-	// A moved point must trigger the fallback.
-	segA[7].Pos = segA[7].Pos.Add(geom.V3(0.25, 0, 0))
-	grow(10, 1)
-	c, split = buildTwoSegment(segA, segB)
-	assertSameFilter(t, inc, opts, c, split, 1)
-
-	// A shrunk segment must trigger the fallback.
+	// A delta that does not line up with the cached segments: the cloud
+	// shrank and the caller reports nothing new.
 	segA = segA[:20]
-	c, split = buildTwoSegment(segA, segB)
-	assertSameFilter(t, inc, opts, c, split, 2)
+	seen[0] = len(segA)
+	assertSameFilter(t, inc, opts, segA, segB, &seen, 1)
 
-	// An explicit Reset (annotation pipeline) must also stay exact.
 	inc.Reset()
 	grow(15, 2)
-	c, split = buildTwoSegment(segA, segB)
-	assertSameFilter(t, inc, opts, c, split, 3)
+	assertSameFilter(t, inc, opts, segA, segB, &seen, 2)
+
+	before := inc.KNNQueries()
+	grow(3, 0)
+	assertSameFilter(t, inc, opts, segA, segB, &seen, 3)
+	if q, n := inc.KNNQueries()-before, len(segA)+len(segB); q >= n {
+		t.Errorf("batch after the fallback ran %d kNN queries for %d points; want an incremental pass", q, n)
+	}
 }
 
 // TestIncrementalSORFilterAppend drives the delta-trusting entry point with
@@ -137,8 +145,8 @@ func TestIncrementalSORFilterAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	var segA, segB []Point
+	var seen [2]int
 	id := uint64(1)
-	prevA, prevB := 0, 0
 	for batch := 0; batch < 8; batch++ {
 		for i := 0; i < 5+rng.Intn(30); i++ {
 			segA = append(segA, randPoint(rng, id))
@@ -153,19 +161,7 @@ func TestIncrementalSORFilterAppend(t *testing.T) {
 			// caller still reports only the per-batch delta.
 			inc.Reset()
 		}
-		c, split := buildTwoSegment(segA, segB)
-		want, wantRemoved, err := StatisticalOutlierRemoval(c, opts)
-		if err != nil {
-			t.Fatalf("batch %d: full SOR: %v", batch, err)
-		}
-		got, gotRemoved, err := inc.FilterAppend(c, split, len(segA)-prevA, len(segB)-prevB)
-		if err != nil {
-			t.Fatalf("batch %d: FilterAppend: %v", batch, err)
-		}
-		if gotRemoved != wantRemoved || !slices.Equal(got.Points(), want.Points()) {
-			t.Fatalf("batch %d: FilterAppend output differs from full filter", batch)
-		}
-		prevA, prevB = len(segA), len(segB)
+		assertSameFilter(t, inc, opts, segA, segB, &seen, batch)
 	}
 	c, split := buildTwoSegment(segA, segB)
 	if _, _, err := inc.FilterAppend(c, split, -1, 0); err == nil {
@@ -188,10 +184,10 @@ func TestIncrementalSORErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCloud([]Point{{Pos: geom.V3(0, 0, 0)}})
-	if _, _, err := inc.Filter(c, 5); err == nil {
+	if _, _, err := inc.FilterAppend(c, 5, 0, 0); err == nil {
 		t.Error("split beyond cloud accepted")
 	}
-	if _, _, err := inc.Filter(c, -1); err == nil {
+	if _, _, err := inc.FilterAppend(c, -1, 0, 0); err == nil {
 		t.Error("negative split accepted")
 	}
 }

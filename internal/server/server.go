@@ -644,59 +644,91 @@ func (s *Server) handlePhotos(w http.ResponseWriter, r *http.Request) {
 	for i, d := range req.Photos {
 		photos[i] = photoFromDTO(d)
 	}
+	up := upload{workerID: req.WorkerID, leaseID: req.LeaseID,
+		taskID: req.TaskID, completesTask: !req.Bootstrap,
+		duplicate: UploadResponse{Duplicate: true}}
+	s.runUpload(w, r, up, func() (any, []taskgen.Task, bool, error) {
+		var out core.BatchOutcome
+		var err error
+		if req.Bootstrap {
+			out, err = s.sys.ProcessBootstrap(photos, s.rng)
+		} else {
+			seed := uploadSeed(req.HasSeed, req.SeedX, req.SeedY, req.LocX, req.LocY)
+			out, err = s.sys.ProcessPhotoBatch(geom.V2(req.LocX, req.LocY), seed, photos, s.rng)
+		}
+		return UploadResponse{
+			Registered:    len(out.Batch.Registered),
+			Rejected:      len(out.Batch.RejectedBlurry),
+			Unregistered:  len(out.Batch.Unregistered),
+			NewPoints:     out.Batch.NewPoints,
+			CoverageCells: out.CoverageCells,
+			VenueCovered:  out.VenueCovered,
+		}, out.TasksIssued, out.RetriedForBlur, err
+	})
+}
 
-	release, ok := s.ownerAdmit(w, r, "upload", req.WorkerID)
+// upload is what the owner path needs of an upload besides its payload:
+// the lease it runs under (worker and lease both empty when unleased), the
+// task it completes (a bootstrap completes none) and the body a re-upload
+// under a completed lease is answered with.
+type upload struct {
+	workerID, leaseID string
+	taskID            int
+	completesTask     bool
+	duplicate         any
+}
+
+// runUpload runs one upload on the owner path and writes its response. It
+// holds the steps both upload routes share: admission, the lease check,
+// the duplicate answer, the core call under the request's attribution, the
+// lease's finish, the failure answer, the blur note, the publish and the
+// checkpoint. mutate is the core call; it returns the body a success is
+// answered with, the tasks the call issued and whether it re-issued the
+// completed task for blur.
+func (s *Server) runUpload(w http.ResponseWriter, r *http.Request, up upload,
+	mutate func() (resp any, issued []taskgen.Task, retriedForBlur bool, err error)) {
+	release, ok := s.ownerAdmit(w, r, "upload", up.workerID)
 	if !ok {
 		return
 	}
 	defer release()
-	leased, dup, err := s.beginLeasedUpload(req.WorkerID, req.LeaseID)
+	leased, dup, err := s.beginLeasedUpload(up.workerID, up.leaseID)
 	if err != nil {
 		writeError(w, leaseErrorStatus(err), err)
 		return
 	}
 	if dup {
-		writeJSON(w, http.StatusOK, UploadResponse{Duplicate: true})
+		writeJSON(w, http.StatusOK, up.duplicate)
 		return
 	}
-	s.sys.SetRequestID(telemetry.RequestID(r.Context()))
-	s.sys.SetTraceContext(telemetry.TraceContextFromContext(r.Context()))
-	defer s.sys.SetRequestID("")
-	defer s.sys.SetTraceContext(telemetry.TraceContext{})
-	if leased {
-		s.sys.SetWorker(req.WorkerID, req.LeaseID)
-		defer s.sys.SetWorker("", "")
+	s.sys.SetAttribution(core.Attribution{
+		RequestID: telemetry.RequestID(r.Context()),
+		Trace:     telemetry.TraceContextFromContext(r.Context()),
+		Worker:    up.workerID,
+		Lease:     up.leaseID,
+	})
+	defer s.sys.SetAttribution(core.Attribution{})
+	if !leased && up.completesTask {
+		// An unleased upload names its task by the ID its task_issued
+		// event published and removes it from the queue. A leased
+		// upload's claim already took its task out; the taskId it sends
+		// is not checked against the lease, so it must not touch the
+		// queue.
+		s.sys.TakeTask(up.taskID)
 	}
-	var out core.BatchOutcome
-	if req.Bootstrap {
-		out, err = s.sys.ProcessBootstrap(photos, s.rng)
-	} else {
-		// An unleased upload names its task by the ID its task_issued event
-		// published and removes it from the queue (a claimed task is
-		// already out; TakeTask then no-ops).
-		s.sys.TakeTask(req.TaskID)
-		seed := uploadSeed(req.HasSeed, req.SeedX, req.SeedY, req.LocX, req.LocY)
-		out, err = s.sys.ProcessPhotoBatch(geom.V2(req.LocX, req.LocY), seed, photos, s.rng)
-	}
+	resp, issued, retriedForBlur, err := mutate()
 	if leased {
-		s.disp.FinishUpload(req.WorkerID, req.LeaseID, err == nil)
+		s.disp.FinishUpload(up.workerID, up.leaseID, err == nil)
 	}
 	if s.batchFailed(w, err) {
 		return
 	}
-	if leased && out.RetriedForBlur && len(out.TasksIssued) > 0 {
-		s.disp.NoteBlur(req.WorkerID, out.TasksIssued[0].ID)
+	if leased && retriedForBlur && len(issued) > 0 {
+		s.disp.NoteBlur(up.workerID, issued[0].ID)
 	}
 	s.publishLocked()
 	s.maybeCheckpointLocked()
-	writeJSON(w, http.StatusOK, UploadResponse{
-		Registered:    len(out.Batch.Registered),
-		Rejected:      len(out.Batch.RejectedBlurry),
-		Unregistered:  len(out.Batch.Unregistered),
-		NewPoints:     out.Batch.NewPoints,
-		CoverageCells: out.CoverageCells,
-		VenueCovered:  out.VenueCovered,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // batchFailed answers an owner-path batch error and reports whether there
@@ -774,47 +806,18 @@ func (s *Server) handleAnnotations(w http.ResponseWriter, r *http.Request) {
 		anns = append(anns, a)
 	}
 
-	release, ok := s.ownerAdmit(w, r, "upload", req.WorkerID)
-	if !ok {
-		return
-	}
-	defer release()
-	leased, dup, err := s.beginLeasedUpload(req.WorkerID, req.LeaseID)
-	if err != nil {
-		writeError(w, leaseErrorStatus(err), err)
-		return
-	}
-	if dup {
-		writeJSON(w, http.StatusOK, AnnotateResponse{Duplicate: true})
-		return
-	}
-	s.sys.SetRequestID(telemetry.RequestID(r.Context()))
-	s.sys.SetTraceContext(telemetry.TraceContextFromContext(r.Context()))
-	defer s.sys.SetRequestID("")
-	defer s.sys.SetTraceContext(telemetry.TraceContext{})
-	if leased {
-		s.sys.SetWorker(req.WorkerID, req.LeaseID)
-		defer s.sys.SetWorker("", "")
-	}
-	s.sys.TakeTask(req.TaskID)
-	seed := uploadSeed(req.HasSeed, req.SeedX, req.SeedY, req.LocX, req.LocY)
-	out, err := s.sys.ProcessAnnotation(task, seed, anns, s.rng)
-	if leased {
-		s.disp.FinishUpload(req.WorkerID, req.LeaseID, err == nil)
-	}
-	if s.batchFailed(w, err) {
-		return
-	}
-	if leased && out.RetriedForBlur && len(out.TasksIssued) > 0 {
-		s.disp.NoteBlur(req.WorkerID, out.TasksIssued[0].ID)
-	}
-	s.publishLocked()
-	s.maybeCheckpointLocked()
-	writeJSON(w, http.StatusOK, AnnotateResponse{
-		Identified:    out.Recon.Identified,
-		Reconstructed: out.Recon.Reconstructed,
-		CoverageCells: out.CoverageCells,
-		VenueCovered:  out.VenueCovered,
+	up := upload{workerID: req.WorkerID, leaseID: req.LeaseID,
+		taskID: req.TaskID, completesTask: true,
+		duplicate: AnnotateResponse{Duplicate: true}}
+	s.runUpload(w, r, up, func() (any, []taskgen.Task, bool, error) {
+		seed := uploadSeed(req.HasSeed, req.SeedX, req.SeedY, req.LocX, req.LocY)
+		out, err := s.sys.ProcessAnnotation(task, seed, anns, s.rng)
+		return AnnotateResponse{
+			Identified:    out.Recon.Identified,
+			Reconstructed: out.Recon.Reconstructed,
+			CoverageCells: out.CoverageCells,
+			VenueCovered:  out.VenueCovered,
+		}, out.TasksIssued, out.RetriedForBlur, err
 	})
 }
 

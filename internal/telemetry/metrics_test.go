@@ -207,7 +207,7 @@ func fullExposition(t *testing.T) string {
 	wd.profiles.With("stall").Inc()
 	wd.schedLat.Observe(0.001)
 	wd.ownerBusyG.Set(0.2)
-	tr := tracer.Start("photo_batch", "abc-1")
+	tr := tracer.Start("photo_batch", "abc-1", TraceContext{})
 	tr.Span("sfm.match").End()
 	tr.Finish()
 	return reg.Expose()

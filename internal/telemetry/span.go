@@ -122,41 +122,30 @@ type Trace struct {
 	request bool
 }
 
-// Start opens a trace for one ingest batch. requestID may be empty.
-func (t *Tracer) Start(kind, requestID string) *Trace {
+// Start opens a trace for one ingest batch. requestID may be empty; tc
+// joins the trace to the client's distributed trace, and its zero value
+// joins none.
+func (t *Tracer) Start(kind, requestID string, tc TraceContext) *Trace {
 	if t == nil {
 		return nil
 	}
-	return &Trace{t: t, rec: &TraceRecord{
-		Kind:      kind,
-		RequestID: requestID,
-		Start:     time.Now(),
-	}}
+	rec := &TraceRecord{Kind: kind, RequestID: requestID, Start: time.Now()}
+	if tc.Valid() {
+		rec.TraceID, rec.SpanID = tc.TraceID, tc.SpanID
+	}
+	return &Trace{t: t, rec: rec}
 }
 
 // StartRequest opens a request-scoped trace (locate, claim): identical to
 // Start except the ingest batch histogram is not observed on Finish, so
 // read-path traffic cannot pollute ingest latency series.
 func (t *Tracer) StartRequest(kind, requestID string, tc TraceContext) *Trace {
-	tr := t.Start(kind, requestID)
+	tr := t.Start(kind, requestID, tc)
 	if tr == nil {
 		return nil
 	}
 	tr.request = true
-	tr.SetTraceContext(tc)
 	return tr
-}
-
-// SetTraceContext stamps the W3C trace/span IDs onto the trace record.
-// Zero-value contexts are ignored.
-func (tr *Trace) SetTraceContext(tc TraceContext) {
-	if tr == nil || !tc.Valid() {
-		return
-	}
-	tr.mu.Lock()
-	tr.rec.TraceID = tc.TraceID
-	tr.rec.SpanID = tc.SpanID
-	tr.mu.Unlock()
 }
 
 // Span is one in-flight stage measurement.

@@ -14,7 +14,7 @@ func TestTraceLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	tracer := NewTracer(reg, 4)
 
-	tr := tracer.Start("photo_batch", "req-1")
+	tr := tracer.Start("photo_batch", "req-1", TraceContext{})
 	sp := tr.Span("sfm.match")
 	time.Sleep(time.Millisecond)
 	sp.End()
@@ -56,7 +56,7 @@ func TestTraceLifecycle(t *testing.T) {
 func TestTracerRingBounds(t *testing.T) {
 	tracer := NewTracer(nil, 3)
 	for i := 0; i < 10; i++ {
-		tr := tracer.Start("photo_batch", "")
+		tr := tracer.Start("photo_batch", "", TraceContext{})
 		tr.SetCount("batch", i)
 		tr.Finish()
 	}
@@ -77,7 +77,7 @@ func TestTracerRingBounds(t *testing.T) {
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tracer *Tracer
-	tr := tracer.Start("photo_batch", "id")
+	tr := tracer.Start("photo_batch", "id", TraceContext{})
 	if tr != nil {
 		t.Fatal("nil tracer produced a trace")
 	}
@@ -93,7 +93,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestTracesHandler(t *testing.T) {
 	tracer := NewTracer(nil, 8)
-	tr := tracer.Start("annotation", "req-9")
+	tr := tracer.Start("annotation", "req-9", TraceContext{})
 	tr.Span("map.cast").End()
 	tr.Finish()
 
@@ -121,11 +121,11 @@ func TestTracesHandler(t *testing.T) {
 // still be served by Retained, tagged with the "error" reason.
 func TestTailSamplingRetainsErrors(t *testing.T) {
 	tracer := NewTracer(nil, 3)
-	tr := tracer.Start("photo_batch", "req-err")
+	tr := tracer.Start("photo_batch", "req-err", TraceContext{})
 	tr.SetError(errors.New("registration failed"))
 	tr.Finish()
 	for i := 0; i < 10; i++ {
-		tracer.Start("photo_batch", fmt.Sprintf("req-%d", i)).Finish()
+		tracer.Start("photo_batch", fmt.Sprintf("req-%d", i), TraceContext{}).Finish()
 	}
 
 	for _, rec := range tracer.Recent() {
@@ -153,12 +153,12 @@ func TestTailSamplingRetainsErrors(t *testing.T) {
 // select it.
 func TestTailSamplingRetainsSlowest(t *testing.T) {
 	tracer := NewTracer(nil, 3)
-	slow := tracer.Start("locate", "req-slow")
+	slow := tracer.Start("locate", "req-slow", TraceContext{})
 	time.Sleep(8 * time.Millisecond)
 	slow.Finish()
 	// Churn both rings with fast traces of a different kind.
 	for i := 0; i < 10; i++ {
-		tracer.Start("photo_batch", fmt.Sprintf("req-%d", i)).Finish()
+		tracer.Start("photo_batch", fmt.Sprintf("req-%d", i), TraceContext{}).Finish()
 	}
 
 	got := tracer.Retained(4, "locate")
@@ -181,7 +181,7 @@ func TestTailSamplingRetainsSlowest(t *testing.T) {
 func TestTailSamplingSlowestBounded(t *testing.T) {
 	tracer := NewTracer(nil, 2)
 	for i := 0; i < 3*slowestPerKind; i++ {
-		tracer.Start("claim", fmt.Sprintf("req-%d", i)).Finish()
+		tracer.Start("claim", fmt.Sprintf("req-%d", i), TraceContext{}).Finish()
 	}
 	n := 0
 	for _, rec := range tracer.Retained(0, "claim") {
@@ -198,7 +198,7 @@ func TestTailSamplingSlowestBounded(t *testing.T) {
 // error appears once, with all three reasons.
 func TestRetainedDedup(t *testing.T) {
 	tracer := NewTracer(nil, 4)
-	tr := tracer.Start("annotation", "req-1")
+	tr := tracer.Start("annotation", "req-1", TraceContext{})
 	tr.SetError(errors.New("boom"))
 	tr.Finish()
 	got := tracer.Retained(0, "")
@@ -214,10 +214,10 @@ func TestRetainedDedup(t *testing.T) {
 
 func TestTracesHandlerQueryParams(t *testing.T) {
 	tracer := NewTracer(nil, 8)
-	slow := tracer.Start("locate", "req-slow")
+	slow := tracer.Start("locate", "req-slow", TraceContext{})
 	time.Sleep(6 * time.Millisecond)
 	slow.Finish()
-	tracer.Start("photo_batch", "req-fast").Finish()
+	tracer.Start("photo_batch", "req-fast", TraceContext{}).Finish()
 
 	get := func(url string) (int, []TraceRecord) {
 		rec := httptest.NewRecorder()
@@ -268,7 +268,7 @@ func TestTracerConcurrentFinishAndScrape(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			tr := tracer.Start("photo_batch", fmt.Sprintf("req-%d", i))
+			tr := tracer.Start("photo_batch", fmt.Sprintf("req-%d", i), TraceContext{})
 			tr.Span("sfm.match").End()
 			tr.Finish()
 		}
